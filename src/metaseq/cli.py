@@ -4,15 +4,16 @@ Every run writes one JSON manifest (command, seed, input digests, output
 paths) next to its result CSVs; reruns of an identical invocation produce
 byte-identical outputs. Numeric CSV fields carry 6 decimal places.
 
-Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric failure. Each
+error class carries its code (``MetaseqError.exit_code``); OS errors are 3.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,31 +26,15 @@ from .embedding_io import ChannelProvider, load_contextual, load_static_text
 from .errors import (
     AlignmentError,
     CompatibilityError,
-    ContractError,
-    DegeneracyError,
-    DimensionError,
-    FormatError,
     InputError,
-    LabelError,
     MetaseqError,
-    NumericError,
     ParameterError,
     ParseError,
-    RangeError,
-    StateError,
-    TruncatedError,
-    WindowError,
 )
 from .linguistic_features import AbstractnessLexicon, AbstractnessScorer, PosVocabulary
 from .tagger_model import ModelConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
-
-_USAGE_ERRORS = (ParameterError,)
-_NUMERIC_ERRORS = (NumericError, DegeneracyError)
-_DATA_ERRORS = (ParseError, FormatError, TruncatedError, AlignmentError,
-                CompatibilityError, InputError, DimensionError, LabelError,
-                ContractError, StateError, WindowError, RangeError, OSError)
 
 _CONFIG_TUPLE_KEYS = {"window_sizes": int, "class_weights": float,
                       "channel_order": str, "pos_tags": str}
@@ -159,8 +144,7 @@ def _load_layers(config: ModelConfig, layer_paths: list[str], parser) -> dict[st
     return files
 
 
-def _make_provider(config: ModelConfig, args, parser,
-                   train_sentences=None) -> tuple[ChannelProvider, ModelConfig, list]:
+def _make_provider(config: ModelConfig, args, parser) -> tuple[ChannelProvider, list]:
     """Wire static table, layer files and feature encoders per the config."""
     inputs = list(args.layers or [])
     static_table = None
@@ -175,12 +159,7 @@ def _make_provider(config: ModelConfig, args, parser,
                 f"configured static dimension {config.static_dim}")
     layer_files = _load_layers(config, args.layers or [], parser)
 
-    pos_vocab = None
-    if config.use_pos:
-        if not config.pos_tags:
-            tags = sorted({t.pos for s in train_sentences for t in s.tokens})
-            config = dataclasses.replace(config, pos_tags=tuple(tags))
-        pos_vocab = PosVocabulary(config.pos_tags)
+    pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
 
     scorer = None
     if config.use_abstractness:
@@ -194,7 +173,7 @@ def _make_provider(config: ModelConfig, args, parser,
 
     provider = ChannelProvider(config.channel_order, static_table, layer_files,
                                pos_vocab, scorer)
-    return provider, config, inputs
+    return provider, inputs
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +191,7 @@ def cmd_train(args, parser, argv: list[str]) -> int:
         inputs.append(args.dev)
     else:
         dev_sentences = None
-    provider, config, extra_inputs = _make_provider(config, args, parser,
-                                                    train_sentences)
+    provider, extra_inputs = _make_provider(config, args, parser)
     inputs.extend(extra_inputs)
     if args.config:
         inputs.append(args.config)
@@ -257,7 +235,7 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
     checkpoint = tagger_model.load_checkpoint(args.checkpoint)
     config = checkpoint.config
     sentences = train_eval.parse_dataset(args.data)
-    provider, config, extra_inputs = _make_provider(config, args, parser, sentences)
+    provider, extra_inputs = _make_provider(config, args, parser)
     inputs = [args.checkpoint, args.data, *extra_inputs]
 
     model = tagger_model.MetaphorTagger.from_checkpoint(checkpoint)
@@ -307,7 +285,13 @@ def _read_scores_csv(path) -> dict[int, float]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"{path}: line {lineno}: expected layer,score")
-            scores[int(parts[0])] = float(parts[1])
+            try:
+                layer, score = int(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            if not math.isfinite(score):
+                raise ParseError(f"{path}: line {lineno}: score {parts[1]!r} is not finite")
+            scores[layer] = score
     return scores
 
 
@@ -328,6 +312,13 @@ def _open_class_rows(sentences, layer):
     return np.asarray(rows), tokens
 
 
+def _map_layers(one, layers, threads: int) -> list:
+    """``one(layer)`` for every layer file on the probe pool, as a list of
+    ``(layer_index, ...)`` tuples in layer-index order."""
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sorted(pool.map(one, layers), key=lambda item: item[0])
+
+
 def cmd_probe(args, parser, argv: list[str]) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -344,8 +335,7 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
         def one(layer):
             return layer.layer_index, space_analysis.avg_pair_cosine(pairs, layer)
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = sorted(pool.map(one, layers))
+        rows = _map_layers(one, layers, args.threads)
         path = out_dir / "probe_cosine.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("layer,avg_cosine,n_pairs\n")
@@ -366,8 +356,7 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
                 value = space_analysis.avg_l2(reference, rows_b)
             return layer.layer_index, value
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = sorted(pool.map(one, layers[1:]))
+        rows = _map_layers(one, layers[1:], args.threads)
         pearson_text = ""
         if args.scores:
             inputs.append(args.scores)
@@ -392,8 +381,7 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
             projection = space_analysis.pca_2d(data)
             return layer.layer_index, projection, tokens
 
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = sorted(pool.map(one, layers), key=lambda item: item[0])
+        results = _map_layers(one, layers, args.threads)
         for layer_index, projection, tokens in results:
             path = out_dir / f"pca_layer{layer_index}.csv"
             with open(path, "w", encoding="utf-8") as fh:
@@ -415,6 +403,16 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metaseq",
@@ -425,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="run seed (default: METASEQ_SEED env or 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap for parallel sections")
         p.add_argument("--out", required=True, help="output directory")
 
     p_train = sub.add_parser("train", help="train a tagger")
@@ -460,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="layer,score CSV correlated against avg_l2")
     p_probe.add_argument("--l2-variant", choices=("rotated", "raw"),
                          default="rotated")
+    p_probe.add_argument("--threads", type=_positive_int, default=1,
+                         help="worker threads for the per-layer probes (>= 1)")
     common(p_probe)
     p_probe.set_defaults(func=cmd_probe)
     return parser
@@ -476,16 +474,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser, argv)
     except SystemExit as exc:  # parser.error inside a command
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except MetaseqError as exc:
+        prefix = "numeric error" if exc.exit_code == EXIT_NUMERIC else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -2,14 +2,15 @@
 
 Static vectors arrive as whitespace text (one token per line); contextual
 per-layer vectors arrive as little-endian binary files. Channel matrices
-for one sentence are stacked into a (channel, position, dimension) block
-whose channel order is recorded explicitly so ablations stay unambiguous.
+for one sentence are stacked, in the configured channel order, into a
+(channel, position, dimension) block.
 """
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,6 @@ from .errors import (
     DimensionError,
     FormatError,
     ParseError,
-    RangeError,
     TruncatedError,
 )
 
@@ -127,6 +127,12 @@ def write_contextual(path, layer_index: int, dimension: int,
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
+    """Read exactly ``count`` bytes; a claim beyond the file's end fails
+    before any read, so a hostile header cannot size an allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if count > left:
+        raise TruncatedError(f"file ended while reading {what}: "
+                             f"{count} bytes declared, {left} left")
     data = fh.read(count)
     if len(data) != count:
         raise TruncatedError(f"file ended while reading {what}")
@@ -164,31 +170,9 @@ def load_contextual(path) -> ContextualLayerFile:
 # Channel assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChannelStack:
-    """The (channel, position, dimension) input block with its channel order."""
-
-    tensor: tc.Tensor
-    order: tuple[str, ...]
-
-    @property
-    def channels(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.tensor.shape[1]
-
-    @property
-    def dimension(self) -> int:
-        return self.tensor.shape[2]
-
-    def unstack(self) -> list[np.ndarray]:
-        return [self.tensor.data[i].copy() for i in range(self.channels)]
-
-
-def stack_channels(matrices: Sequence, order: Sequence[str]) -> ChannelStack:
-    """Stack per-channel (length, dim) matrices; all shapes must agree."""
+def stack_channels(matrices: Sequence, order: Sequence[str]) -> tc.Tensor:
+    """Stack per-channel (length, dim) matrices, named by ``order``, into one
+    (channel, length, dim) tensor; all shapes must agree."""
     if not matrices:
         raise DimensionError("stack_channels needs at least one channel")
     if len(order) != len(matrices):
@@ -200,34 +184,7 @@ def stack_channels(matrices: Sequence, order: Sequence[str]) -> ChannelStack:
         if t.data.ndim != 2 or t.shape != shape:
             raise DimensionError(
                 f"channel {name}: shape {t.shape} does not match {shape}")
-    return ChannelStack(tc.stack_mats(tensors), tuple(order))
-
-
-def project_static(vector, w: tc.Tensor, b: tc.Tensor) -> tc.Tensor:
-    """Affine map of one static vector into the unified dimension.
-
-    ``w`` is (out_dim, in_dim) and ``b`` is (out_dim,); both are trainable,
-    so the result participates in backward.
-    """
-    v = tc.as_tensor(vector)
-    if v.data.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {v.shape}")
-    if w.data.ndim != 2 or w.shape[1] != v.shape[0] or b.shape != (w.shape[0],):
-        raise DimensionError(
-            f"projection shapes disagree: W {w.shape}, b {b.shape}, input {v.shape}")
-    return tc.add(tc.matvec(w, v), b)
-
-
-def build_gpa(static_vector: np.ndarray, pos_one_hot: np.ndarray,
-              abstractness: float) -> np.ndarray:
-    """Concatenate static vector, PoS one-hot and abstractness score, in that order."""
-    if not 0.0 <= abstractness <= 1.0:
-        raise RangeError(f"abstractness {abstractness} outside [0, 1]")
-    return np.concatenate([
-        np.asarray(static_vector, dtype=np.float64).ravel(),
-        np.asarray(pos_one_hot, dtype=np.float64).ravel(),
-        [float(abstractness)],
-    ])
+    return tc.stack_mats(tensors)
 
 
 class ChannelProvider:
@@ -257,15 +214,14 @@ class ChannelProvider:
                 raise DimensionError(f"channel {name} requested but no layer file given")
 
     def _static_row(self, token) -> np.ndarray:
-        vec = np.asarray(self.static_table.vector(token.text), dtype=np.float64)
-        if self.pos_vocab is not None and self.abstractness_scorer is not None:
-            return build_gpa(vec, self.pos_vocab.one_hot(token.pos),
-                             self.abstractness_scorer.score(token.text))
+        """Static vector, then PoS one-hot, then ``[score]``, for the parts
+        that are configured."""
+        parts = [np.asarray(self.static_table.vector(token.text), dtype=np.float64)]
         if self.pos_vocab is not None:
-            return np.concatenate([vec, self.pos_vocab.one_hot(token.pos)])
+            parts.append(self.pos_vocab.one_hot(token.pos))
         if self.abstractness_scorer is not None:
-            return np.concatenate([vec, [self.abstractness_scorer.score(token.text)]])
-        return vec
+            parts.append([self.abstractness_scorer.score(token.text)])
+        return np.concatenate(parts)
 
     def channels(self, sentence, index: int) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

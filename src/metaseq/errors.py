@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by all metaseq modules."""
+"""Exception hierarchy shared by all metaseq modules.
+
+Each class carries the CLI exit code it maps to: 2 usage, 3 data/format,
+4 numeric failure. Subclasses inherit the code of their parent.
+"""
 
 
 class MetaseqError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 3
 
 
 class DimensionError(MetaseqError):
@@ -15,6 +21,8 @@ class WindowError(MetaseqError):
 
 class ParameterError(MetaseqError):
     """A configuration value or argument is outside its legal range."""
+
+    exit_code = 2
 
 
 class StateError(MetaseqError):
@@ -32,6 +40,8 @@ class LabelError(MetaseqError):
 class NumericError(MetaseqError):
     """A numeric routine failed or produced non-finite values."""
 
+    exit_code = 4
+
 
 class ParseError(MetaseqError):
     """A text input file is malformed."""
@@ -43,10 +53,6 @@ class FormatError(MetaseqError):
 
 class TruncatedError(FormatError):
     """A binary file ended before its declared payload was complete."""
-
-
-class RangeError(MetaseqError):
-    """A numeric feature value is outside its documented interval."""
 
 
 class AlignmentError(MetaseqError):
@@ -63,3 +69,5 @@ class InputError(MetaseqError):
 
 class DegeneracyError(MetaseqError):
     """The input is degenerate (zero variance, rank zero, empty)."""
+
+    exit_code = 4

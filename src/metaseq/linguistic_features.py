@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParseError
 
 
 class PosVocabulary:
@@ -38,12 +38,6 @@ class PosVocabulary:
         vec = np.zeros(self.size)
         vec[self.index(tag)] = 1.0
         return vec
-
-
-def pos_one_hot(tag: str, vocab: PosVocabulary) -> np.ndarray:
-    if not vocab.tags:
-        raise ParameterError("PoS vocabulary is empty")
-    return vocab.one_hot(tag)
 
 
 class AbstractnessLexicon:
@@ -84,14 +78,16 @@ class AbstractnessLexicon:
 
 
 def cosine(u, v) -> float:
-    """Cosine similarity; any zero vector compares as 0."""
+    """Cosine similarity; any zero vector compares as 0. Each vector is first
+    scaled by its largest magnitude so the squared norm cannot underflow."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    su = np.abs(u).max(initial=0.0)
+    sv = np.abs(v).max(initial=0.0)
+    if su == 0.0 or sv == 0.0:
         return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    u, v = u / su, v / sv
+    return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 class AbstractnessScorer:
@@ -153,13 +149,3 @@ class AbstractnessScorer:
         self._memo[key] = value
         return value
 
-
-def abstractness(word: str, lexicon: AbstractnessLexicon, table,
-                 lowercase: bool = True) -> float:
-    """Score one word, reusing a scorer cached on the lexicon instance."""
-    cache = lexicon.__dict__.setdefault("_scorer_cache", {})
-    key = (id(table), lowercase)
-    scorer = cache.get(key)
-    if scorer is None or scorer.table is not table:
-        scorer = cache[key] = AbstractnessScorer(lexicon, table, lowercase)
-    return scorer.score(word)

@@ -11,22 +11,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import tensor_core as tc
 from . import train_eval
-from .embedding_io import ChannelStack, stack_channels
+from .embedding_io import _read_exact, stack_channels
 from .errors import (
     CompatibilityError,
     DimensionError,
     FormatError,
     InputError,
     ParameterError,
-    TruncatedError,
 )
 
 CHECKPOINT_MAGIC = b"MSEQ"
@@ -183,8 +183,9 @@ class MetaphorTagger:
 
     # -- forward ------------------------------------------------------------
 
-    def build_stack(self, channels: Mapping[str, np.ndarray]) -> ChannelStack:
-        """Project the static channel and stack all channels in config order."""
+    def build_stack(self, channels: Mapping[str, np.ndarray]) -> tc.Tensor:
+        """Project the static channel and stack all channels in config order
+        into a (channel, position, dimension) block."""
         cfg = self.config
         mats = []
         for name in cfg.channel_order:
@@ -231,25 +232,26 @@ class MetaphorTagger:
             outs[t] = h
         return outs
 
-    def forward(self, stack: ChannelStack, rng: tc.RngStream, training: bool) -> tc.Tensor:
+    def forward(self, stack: tc.Tensor, rng: tc.RngStream, training: bool) -> tc.Tensor:
         """Per-token class probabilities, shape (n, 2)."""
         cfg = self.config
-        if stack.dimension != cfg.unified_dim or stack.channels != len(cfg.channel_order):
+        channels, length, dimension = stack.shape
+        if dimension != cfg.unified_dim or channels != len(cfg.channel_order):
             raise DimensionError(
-                f"stack shape {stack.tensor.shape} does not fit "
+                f"stack shape {stack.shape} does not fit "
                 f"{len(cfg.channel_order)} channels of dimension {cfg.unified_dim}")
-        block = tc.dropout(stack.tensor, cfg.input_dropout, rng, training)
+        block = tc.dropout(stack, cfg.input_dropout, rng, training)
         maps = [tc.conv_bank(block, self.params[f"conv_w{w}"]) for w in cfg.window_sizes]
         feats = tc.tanh_act(tc.concat_cols(maps))
         fwd = self._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = self._lstm_direction(feats, "lstm_b", reverse=True)
         hidden = tc.stack_rows([tc.concat_cols([fwd[t], bwd[t]])
-                                for t in range(stack.length)])
+                                for t in range(length)])
         hidden = tc.dropout(hidden, cfg.hidden_dropout, rng, training)
         logits = tc.add_bias(tc.matmul(hidden, self.params["cls_w"]), self.params["cls_b"])
         return tc.softmax(logits)
 
-    def sentence_loss(self, stack: ChannelStack, labels: Sequence[int],
+    def sentence_loss(self, stack: tc.Tensor, labels: Sequence[int],
                       rng: tc.RngStream, training: bool = True,
                       mask: Sequence[bool] | None = None) -> tc.Tensor:
         probs = self.forward(stack, rng, training)
@@ -328,14 +330,6 @@ def train(train_sentences, provider, config: ModelConfig,
     return best
 
 
-def predict(checkpoint: Checkpoint,
-            channels: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Labels (argmax) and class probabilities for one sentence."""
-    model = MetaphorTagger.from_checkpoint(checkpoint)
-    probs = model.predict_probs(channels)
-    return np.argmax(probs, axis=1), probs
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint codec
 # ---------------------------------------------------------------------------
@@ -360,13 +354,6 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise TruncatedError(f"checkpoint ended while reading {what}")
-    return data
-
-
 def load_checkpoint(path, expected_dim: int | None = None) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -378,17 +365,12 @@ def load_checkpoint(path, expected_dim: int | None = None) -> Checkpoint:
         meta = json.loads(_read_exact(fh, blob_len, "config blob").decode("utf-8"))
         config = ModelConfig.from_dict(meta["config"])
         params: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise TruncatedError("checkpoint ended inside a parameter header")
-            (name_len,) = struct.unpack("<I", head)
+        while fh.peek(1):
+            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter header"))
             name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "parameter rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "parameter dims"))
-            count = int(np.prod(shape)) if rank else 1
+            count = math.prod(shape)
             payload = _read_exact(fh, 8 * count, f"parameter {name} payload")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     if expected_dim is not None and config.unified_dim != expected_dim:

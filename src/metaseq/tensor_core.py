@@ -62,11 +62,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(value) -> Tensor:
-    """Wrap arrays/lists as constant tensors; pass Tensor through unchanged."""
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
@@ -211,21 +206,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, a.data.T @ g)
 
     _record("matmul", (a, b), out, bw)
-    return out
-
-
-def matvec(w: Tensor, v: Tensor) -> Tensor:
-    """Matrix-vector product (m x k) . (k,) -> (m,)."""
-    _require_2d("matvec", w)
-    if v.data.ndim != 1 or w.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: incompatible shapes {w.shape} and {v.shape}")
-    out = Tensor(w.data @ v.data, requires_grad=w.requires_grad or v.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(w, np.outer(g, v.data))
-        _accumulate(v, w.data.T @ g)
-
-    _record("matvec", (w, v), out, bw)
     return out
 
 
@@ -386,34 +366,27 @@ def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
     return out
 
 
-def _conv_prepare(stack, kernel_block: Tensor, op: str):
-    inp = getattr(stack, "tensor", stack)
-    if not isinstance(inp, Tensor) or inp.data.ndim != 3:
-        raise DimensionError(f"{op} expects a (channel, position, dim) input")
-    kb = kernel_block.data
-    c, n, d = inp.shape
-    kk, kc, w, kd = kb.shape
-    if (kc, kd) != (c, d):
-        raise DimensionError(
-            f"{op}: kernel channels/dim {(kc, kd)} do not match input {(c, d)}")
-    if w < 1:
-        raise WindowError(f"{op}: window must be >= 1, got {w}")
-    if n < 1:
-        raise WindowError(f"{op}: window {w} does not fit padded sequence of length {n}")
-    padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
-    # windows[c, i, d, o] = padded[c, i + o, d]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    return inp, windows, (c, n, d, w)
-
-
-def conv_bank(stack, kernels: Tensor) -> Tensor:
+def conv_bank(inp: Tensor, kernels: Tensor) -> Tensor:
     """All feature maps of one window size at once: (k,c,w,d) kernels -> (n,k).
 
     Position i of map k is the full sum over channels, window offsets and
     embedding dimensions of input[c, i+o, d] * kernel[k, c, o, d], with the
-    sequence zero-padded at the end so every position yields a value.
+    (c, n, d) input zero-padded at the end so every position yields a value.
     """
-    inp, windows, (c, n, d, w) = _conv_prepare(stack, kernels, "conv_bank")
+    if inp.data.ndim != 3:
+        raise DimensionError("conv_bank expects a (channel, position, dim) input")
+    c, n, d = inp.shape
+    _, kc, w, kd = kernels.shape
+    if (kc, kd) != (c, d):
+        raise DimensionError(
+            f"conv_bank: kernel channels/dim {(kc, kd)} do not match input {(c, d)}")
+    if w < 1:
+        raise WindowError(f"conv_bank: window must be >= 1, got {w}")
+    if n < 1:
+        raise WindowError(f"conv_bank: window {w} does not fit padded sequence of length {n}")
+    padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
+    # windows[c, i, d, o] = padded[c, i + o, d]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
     out_data = np.einsum("cido,kcod->ik", windows, kernels.data)
     out = Tensor(out_data, requires_grad=inp.requires_grad or kernels.requires_grad)
 
@@ -427,29 +400,6 @@ def conv_bank(stack, kernels: Tensor) -> Tensor:
             _accumulate(inp, dpad[:, :n, :])
 
     _record("conv_bank", (inp, kernels), out, bw)
-    return out
-
-
-def conv_seq(stack, kernel: Tensor, pad: str = "end") -> Tensor:
-    """One kernel (c,w,d) slid over the sequence -> one scalar per position."""
-    if pad != "end":
-        raise ParameterError(f"unsupported padding policy {pad!r}")
-    if kernel.data.ndim != 3:
-        raise DimensionError(f"conv_seq kernel must be (channel, window, dim), got {kernel.shape}")
-    inp, windows, (c, n, d, w) = _conv_prepare(stack, Tensor(kernel.data[None]), "conv_seq")
-    out_data = np.einsum("cido,cod->i", windows, kernel.data)
-    out = Tensor(out_data, requires_grad=inp.requires_grad or kernel.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(kernel, np.einsum("i,cido->cod", g, windows))
-        if inp.requires_grad:
-            contrib = np.einsum("i,cod->icod", g, kernel.data)
-            dpad = np.zeros((c, n + w - 1, d))
-            for o in range(w):
-                dpad[:, o:o + n, :] += contrib[:, :, o, :].transpose(1, 0, 2)
-            _accumulate(inp, dpad[:, :n, :])
-
-    _record("conv_seq", (inp, kernel), out, bw)
     return out
 
 

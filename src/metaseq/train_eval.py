@@ -131,8 +131,7 @@ class MetricsReport:
 
     @property
     def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2.0 * p * r / (p + r) if p + r else 0.0
+        return f1_from_pr(self.precision, self.recall)
 
     @property
     def accuracy(self) -> float:

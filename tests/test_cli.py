@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from metaseq import cli
 from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import write_contextual
-from metaseq.errors import ParameterError, ParseError
+from metaseq.errors import MetaseqError, ParameterError, ParseError
 from conftest import build_separable_corpus, write_corpus_files
 
 
@@ -58,6 +59,16 @@ class TestTrainCommand:
         idx = args.index("--glove")
         del args[idx:idx + 2]
         assert main(args) == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_threads_flag_is_probe_only(self, corpus_files, tmp_path, capsys, command):
+        _, paths = corpus_files
+        args = [command, "--data", str(paths["data"]), "--out", str(tmp_path / "x"),
+                "--threads", "2"]
+        if command == "eval":
+            args += ["--checkpoint", "x.mseq"]
+        assert main(args) == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, corpus_files, tmp_path):
         _, paths = corpus_files
@@ -241,6 +252,29 @@ class TestProbeCommand:
                 "--mode", "cosine", "--out", str(out)]
         assert main(args) == 3
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.4])
+        args = ["probe", "--data", str(data), "--layer-files", str(layers[0]),
+                "--mode", "cosine", "--threads", threads,
+                "--out", str(tmp_path / "probe")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--threads" in err and ">= 1" in err
+
+    @pytest.mark.parametrize("line", ["x,0.5", "1,abc", "1.5,0.5", "1,nan", "1,-inf"])
+    def test_malformed_scores_row_is_parse_error(self, tmp_path, capsys, line):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.4])
+        scores = tmp_path / "f1.csv"
+        scores.write_text(f"layer,score\n1,0.7\n{line}\n")
+        args = ["probe", "--data", str(data), "--layer-files",
+                str(layers[0]), str(layers[0]), "--mode", "l2",
+                "--scores", str(scores), "--out", str(tmp_path / "probe")]
+        assert main(args) == 3
+        assert capsys.readouterr().err.startswith(f"error: {scores}: line 3: ")
+
     def test_threads_do_not_change_results(self, tmp_path):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.2, 0.5, 0.8, 1.1])
@@ -303,3 +337,28 @@ class TestConfigFile:
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+def _error_classes(cls=MetaseqError) -> list:
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+class TestExitCodes:
+    def _probe_raising(self, monkeypatch, tmp_path, exc) -> int:
+        def failing(args, parser, argv):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_probe", failing)
+        return main(["probe", "--data", "d.tsv", "--layer-files", "l.cemb",
+                     "--mode", "cosine", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("error", _error_classes(), ids=lambda c: c.__name__)
+    def test_every_error_class_maps_to_its_exit_code(self, monkeypatch, tmp_path,
+                                                     capsys, error):
+        assert error.exit_code in (2, 3, 4)
+        assert self._probe_raising(monkeypatch, tmp_path, error("boom")) == error.exit_code
+        prefix = "numeric error" if error.exit_code == 4 else "error"
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+    def test_os_error_is_exit_3(self, monkeypatch, tmp_path):
+        assert self._probe_raising(monkeypatch, tmp_path, FileNotFoundError("gone")) == 3

@@ -1,5 +1,7 @@
 """Static/contextual embedding loaders, the channel stack, and projections."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from metaseq.embedding_io import (
     ChannelProvider,
     ContextualLayerFile,
     StaticEmbeddingTable,
-    build_gpa,
+    _read_exact,
     load_contextual,
     load_static_text,
-    project_static,
     stack_channels,
     write_contextual,
 )
@@ -20,9 +21,14 @@ from metaseq.errors import (
     DimensionError,
     FormatError,
     ParseError,
-    RangeError,
     TruncatedError,
 )
+from metaseq.linguistic_features import (
+    AbstractnessLexicon,
+    AbstractnessScorer,
+    PosVocabulary,
+)
+from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import SentenceRecord, TokenRecord
 
 
@@ -106,12 +112,21 @@ class TestContextualCodec:
 
     def test_short_rows_detected(self, tmp_path):
         # header says dim 8, but each row carries only 6 floats
-        import struct
         p = tmp_path / "layer.cemb"
         body = b"CEMB" + struct.pack("<IIII", 1, 1, 8, 1)
         body += struct.pack("<II", 0, 1) + np.ones(6, dtype="<f4").tobytes()
         p.write_bytes(body)
         with pytest.raises(FormatError):  # truncated payload is a format defect
+            load_contextual(p)
+
+    @pytest.mark.parametrize("dimension,tokens", [
+        (0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF, 1), (1, 0xFFFFFFFF), (1 << 20, 1 << 10)])
+    def test_oversized_header_claim_is_truncated(self, tmp_path, dimension, tokens):
+        # a 32-byte file whose header claims up to 64 EiB of payload
+        p = tmp_path / "layer.cemb"
+        p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 0, dimension, 1)
+                      + struct.pack("<II", 0, tokens) + b"\x00" * 4)
+        with pytest.raises(TruncatedError, match="sentence 0 payload"):
             load_contextual(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -129,85 +144,124 @@ class TestContextualCodec:
             loaded.matrix(5)
 
 
+def projector(w, b) -> MetaphorTagger:
+    """A G-only model whose static projection is ``W x + b``."""
+    w = np.asarray(w, dtype=float)
+    cfg = ModelConfig(unified_dim=w.shape[0], static_dim=w.shape[1],
+                      channel_order=("G",), window_sizes=(1,),
+                      kernels_per_window=1, hidden_size=1)
+    model = MetaphorTagger(cfg)
+    model.params["proj_w"].data[...] = w
+    model.params["proj_b"].data[...] = b
+    return model
+
+
+def project(model: MetaphorTagger, x) -> tc.Tensor:
+    """The G-channel projection of ``build_stack`` for one static vector."""
+    return model.build_stack({"G": np.asarray(x, dtype=float)[None, :]})
+
+
+class TestReadExact:
+    def test_claim_past_end_refused_before_reading(self, tmp_path):
+        p = tmp_path / "blob"
+        p.write_bytes(b"0123456789")
+        with open(p, "rb") as fh:
+            _read_exact(fh, 4, "head")
+            with pytest.raises(TruncatedError, match="body: 7 bytes declared, 6 left"):
+                _read_exact(fh, 7, "body")
+            assert fh.tell() == 4          # nothing was consumed
+            assert _read_exact(fh, 6, "rest") == b"456789"
+
+
 class TestProjectStatic:
+    """The static-to-unified projection inside ``MetaphorTagger.build_stack``."""
+
     def test_zero_map(self):
-        w = tc.Tensor(np.zeros((6, 3)), requires_grad=True)
-        b = tc.Tensor(np.zeros(6), requires_grad=True)
-        out = project_static(np.ones(3), w, b)
+        out = project(projector(np.zeros((6, 3)), np.zeros(6)), np.ones(3))
         assert not out.data.any()
-        assert out.shape == (6,)
+        assert out.data[0, 0].shape == (6,)
 
     def test_output_length_contract(self):
         rng = np.random.default_rng(1)
-        w = tc.Tensor(rng.normal(size=(10, 4)))
-        b = tc.Tensor(rng.normal(size=10))
-        assert project_static(rng.normal(size=4), w, b).shape == (10,)
+        model = projector(rng.normal(size=(10, 4)), rng.normal(size=10))
+        assert project(model, rng.normal(size=4)).data[0, 0].shape == (10,)
 
     def test_identity_padded_basis_vector(self):
         # W embeds the 3-dim input into the first 3 of 8 output coordinates
         w = np.zeros((8, 3))
         w[:3, :3] = np.eye(3)
-        out = project_static(np.array([1.0, 0.0, 0.0]), tc.Tensor(w), tc.Tensor(np.zeros(8)))
+        out = project(projector(w, np.zeros(8)), np.array([1.0, 0.0, 0.0]))
         expected = np.zeros(8)
         expected[0] = 1.0
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data[0, 0], expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            project_static(np.ones(5), tc.Tensor(np.zeros((6, 3))), tc.Tensor(np.zeros(6)))
+            project(projector(np.zeros((6, 3)), np.zeros(6)), np.ones(5))
 
     def test_linearity_up_to_bias(self):
         rng = np.random.default_rng(2)
-        w = tc.Tensor(rng.normal(size=(7, 4)))
-        b = tc.Tensor(rng.normal(size=7))
+        w, b = rng.normal(size=(7, 4)), rng.normal(size=7)
+        model = projector(w, b)
         x, y = rng.normal(size=4), rng.normal(size=4)
         alpha, beta = 1.7, -0.4
-        lhs = project_static(alpha * x + beta * y, w, b).data
-        rhs = (alpha * project_static(x, w, b).data
-               + beta * project_static(y, w, b).data
-               - (alpha + beta - 1.0) * b.data)
+        lhs = project(model, alpha * x + beta * y).data[0, 0]
+        rhs = (alpha * project(model, x).data[0, 0]
+               + beta * project(model, y).data[0, 0]
+               - (alpha + beta - 1.0) * b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_participates_in_backward(self):
         rng = np.random.default_rng(3)
-        w = tc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = tc.Tensor(rng.normal(size=4), requires_grad=True)
+        model = projector(rng.normal(size=(4, 3)), rng.normal(size=4))
         with tc.Tape() as tape:
-            out = project_static(rng.normal(size=3), w, b)
+            out = project(model, rng.normal(size=3))
             loss = tc.sum_all(out)
         tc.backward(loss, tape)
-        assert w.grad is not None and b.grad is not None
+        assert model.params["proj_w"].grad is not None
+        assert model.params["proj_b"].grad is not None
+
+
+def static_row(dim: int, tags, score: float | None, pos: str = "NOUN") -> np.ndarray:
+    """The G-channel row of one token absent from the static table, so its
+    vector reads as zeros; ``tags``/``score`` switch on PoS and abstractness."""
+    table = StaticEmbeddingTable(dim, {})
+    vocab = PosVocabulary(tags) if tags is not None else None
+    scorer = None
+    if score is not None:
+        scorer = AbstractnessScorer(AbstractnessLexicon({"w": score}), table)
+    provider = ChannelProvider(("G",), table, pos_vocab=vocab, abstractness_scorer=scorer)
+    sentence = SentenceRecord("s0", "news", [TokenRecord("w", pos, 0, True)])
+    return provider.channels(sentence, 0)["G"][0]
 
 
 class TestBuildGpa:
+    """The G-channel row: static vector, then PoS one-hot, then abstractness."""
+
     def test_length_arithmetic(self):
-        out = build_gpa(np.zeros(300), np.zeros(17), 0.5)
+        out = static_row(300, [f"T{i}" for i in range(16)], 0.5)
         assert out.shape == (318,)
 
     def test_zero_inputs(self):
-        out = build_gpa(np.zeros(4), np.zeros(3), 0.0)
+        out = static_row(4, None, 0.0)
         assert not out.any()
 
     def test_one_hot_segment_preserved(self):
-        pos = np.array([0.0, 1.0, 0.0])
-        out = build_gpa(np.zeros(2), pos, 0.25)
+        out = static_row(2, ["NOUN", "VERB"], 0.25, pos="VERB")
         np.testing.assert_array_equal(out, [0, 0, 0, 1, 0, 0.25])
-
-    def test_abstractness_out_of_range(self):
-        with pytest.raises(RangeError):
-            build_gpa(np.zeros(2), np.zeros(2), 1.5)
 
 
 class TestChannelStack:
     def test_three_channel_shape(self):
         mats = [np.random.default_rng(i).normal(size=(5, 16)) for i in range(3)]
         stack = stack_channels(mats, ("G", "E", "B"))
-        assert stack.tensor.shape == (3, 5, 16)
-        assert stack.order == ("G", "E", "B")
+        assert stack.shape == (3, 5, 16)
+        for i, mat in enumerate(mats):  # channel i of the block is order[i]
+            np.testing.assert_array_equal(stack.data[i], mat)
 
     def test_single_channel_ablation(self):
         stack = stack_channels([np.zeros((4, 8))], ("E",))
-        assert stack.tensor.shape == (1, 4, 8)
+        assert stack.shape == (1, 4, 8)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -217,8 +271,8 @@ class TestChannelStack:
         rng = np.random.default_rng(4)
         mats = [rng.normal(size=(6, 10)) for _ in range(3)]
         stack = stack_channels(mats, ("G", "E", "B"))
-        for original, restored in zip(mats, stack.unstack()):
-            np.testing.assert_array_equal(original, restored)
+        for i, original in enumerate(mats):
+            np.testing.assert_array_equal(original, stack.data[i])
 
 
 class TestChannelProvider:

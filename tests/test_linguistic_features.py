@@ -10,29 +10,28 @@ from metaseq.linguistic_features import (
     AbstractnessLexicon,
     AbstractnessScorer,
     PosVocabulary,
-    abstractness,
     cosine,
-    pos_one_hot,
 )
+from metaseq.tagger_model import ModelConfig
 
 
 class TestPosOneHot:
     def test_known_tag(self):
         vocab = PosVocabulary(["NOUN", "VERB"])
-        np.testing.assert_array_equal(pos_one_hot("NOUN", vocab), [1, 0, 0])
+        np.testing.assert_array_equal(vocab.one_hot("NOUN"), [1, 0, 0])
 
     def test_unknown_tag_hits_unk_slot(self):
         vocab = PosVocabulary(["NOUN", "VERB"])
-        np.testing.assert_array_equal(pos_one_hot("X9", vocab), [0, 0, 1])
+        np.testing.assert_array_equal(vocab.one_hot("X9"), [0, 0, 1])
 
     def test_always_sums_to_one(self):
         vocab = PosVocabulary(["NOUN", "VERB", "ADJ"])
         for tag in ("NOUN", "VERB", "ADJ", "ADV", ""):
-            assert pos_one_hot(tag, vocab).sum() == 1.0
+            assert vocab.one_hot(tag).sum() == 1.0
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ParameterError):
-            pos_one_hot("NOUN", PosVocabulary([]))
+            ModelConfig(use_pos=True)
 
     def test_duplicate_tags_collapse(self):
         vocab = PosVocabulary(["NOUN", "NOUN", "VERB"])
@@ -89,46 +88,50 @@ def _table(entries):
                                       for k, v in entries.items()})
 
 
+def scored(word, lex, table, lowercase=True) -> float:
+    return AbstractnessScorer(lex, table, lowercase).score(word)
+
+
 class TestAbstractness:
     def test_listed_words_score_directly(self, lexicon_path):
         lex = AbstractnessLexicon.load(lexicon_path)
         table = _table({"purism": [1.0, 0.0], "ski": [0.0, 1.0]})
-        assert abstractness("purism", lex, table) == 0.97
-        assert abstractness("ski", lex, table) == 0.25
+        assert scored("purism", lex, table) == 0.97
+        assert scored("ski", lex, table) == 0.25
 
     def test_doubly_oov_scores_half(self, lexicon_path):
         lex = AbstractnessLexicon.load(lexicon_path)
         table = _table({"purism": [1.0, 0.0]})
-        assert abstractness("zzgrblx", lex, table) == 0.5
+        assert scored("zzgrblx", lex, table) == 0.5
 
     def test_identical_vector_inherits_score(self):
         lex = AbstractnessLexicon({"stone": 0.05})
         table = _table({"stone": [2.0, 1.0], "pebble": [2.0, 1.0]})
-        assert abstractness("pebble", lex, table) == 0.05
+        assert scored("pebble", lex, table) == 0.05
 
     def test_nearest_neighbor_by_cosine(self):
         lex = AbstractnessLexicon({"stone": 0.05, "idea": 0.92})
         table = _table({"stone": [1.0, 0.0], "idea": [0.0, 1.0],
                         "boulder": [0.9, 0.1]})
-        assert abstractness("boulder", lex, table) == 0.05
+        assert scored("boulder", lex, table) == 0.05
 
     def test_tie_breaks_lexicographically(self):
         lex = AbstractnessLexicon({"beta": 0.8, "alpha": 0.2})
         table = _table({"alpha": [1.0, 0.0], "beta": [1.0, 0.0],
                         "query": [1.0, 0.0]})
-        assert abstractness("query", lex, table) == 0.2
+        assert scored("query", lex, table) == 0.2
 
     def test_lowercase_flag(self):
         lex = AbstractnessLexicon({"ski": 0.25})
         table = _table({"ski": [1.0, 0.0]})
-        assert abstractness("Ski", lex, table, lowercase=True) == 0.25
-        assert abstractness("Ski", lex, table, lowercase=False) == 0.5
+        assert scored("Ski", lex, table, lowercase=True) == 0.25
+        assert scored("Ski", lex, table, lowercase=False) == 0.5
 
     def test_output_always_in_unit_interval(self):
         lex = AbstractnessLexicon({"a": 0.0, "b": 1.0})
         table = _table({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [-1.0, -1.0]})
         for word in ("a", "b", "c", "missing", "B"):
-            assert 0.0 <= abstractness(word, lex, table) <= 1.0
+            assert 0.0 <= scored(word, lex, table) <= 1.0
 
     def test_memoization_caches_backoff(self):
         lex = AbstractnessLexicon({"stone": 0.05})

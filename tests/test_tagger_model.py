@@ -1,6 +1,7 @@
 """Model configuration, forward contract, training behavior, checkpoints."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from metaseq.errors import (
     FormatError,
     InputError,
     ParameterError,
+    TruncatedError,
 )
 from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
     ModelConfig,
     load_checkpoint,
-    predict,
     save_checkpoint,
     train,
 )
@@ -68,7 +69,7 @@ class TestForward:
                     "E": rng.normal(size=(7, 1024)),
                     "B": rng.normal(size=(7, 1024))}
         stack = model.build_stack(channels)
-        maps = [tc.conv_bank(stack.tensor, model.params[f"conv_w{w}"])
+        maps = [tc.conv_bank(stack, model.params[f"conv_w{w}"])
                 for w in (2, 3, 4, 5)]
         feats = tc.tanh_act(tc.concat_cols(maps))
         assert feats.shape == (7, 400)
@@ -189,7 +190,8 @@ class TestPredict:
         cfg = dataclasses.replace(corpus.config, epochs=1)
         cp = train(corpus.sentences, corpus.provider, cfg)
         channels = corpus.provider.channels(corpus.sentences[0], 0)
-        labels, probs = predict(cp, channels)
+        probs = MetaphorTagger.from_checkpoint(cp).predict_probs(channels)
+        labels = np.argmax(probs, axis=1)
         assert labels.shape == (len(corpus.sentences[0].tokens),)
         np.testing.assert_array_equal(labels, np.argmax(probs, axis=1))
 
@@ -198,10 +200,10 @@ class TestPredict:
         cfg = dataclasses.replace(corpus.config, epochs=1)
         cp = train(corpus.sentences, corpus.provider, cfg)
         channels = corpus.provider.channels(corpus.sentences[1], 1)
-        _, before = predict(cp, channels)
+        before = MetaphorTagger.from_checkpoint(cp).predict_probs(channels)
         path = tmp_path / "model.mseq"
         save_checkpoint(cp, path)
-        _, after = predict(load_checkpoint(path), channels)
+        after = MetaphorTagger.from_checkpoint(load_checkpoint(path)).predict_probs(channels)
         np.testing.assert_array_equal(before, after)
 
 
@@ -241,6 +243,29 @@ class TestCheckpointCodec:
         save_checkpoint(self._checkpoint(), path)
         with pytest.raises(CompatibilityError):
             load_checkpoint(path, expected_dim=1024)
+
+    def test_cut_inside_parameter_header_is_truncated(self, tmp_path):
+        path = tmp_path / "m.mseq"
+        cp = self._checkpoint()
+        save_checkpoint(Checkpoint(cp.config, {}, epoch=1, dev_f1=0.0), path)
+        path.write_bytes(path.read_bytes() + b"\x01\x00")
+        with pytest.raises(TruncatedError, match="parameter header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims", [
+        (0xFFFFFFFF,) * 3,   # int64 product wraps to 12,884,901,887
+        (1 << 16,) * 4,      # int64 product wraps to 0
+        (1 << 20, 1 << 10),  # 8 GiB claimed by a file of a few hundred bytes
+    ])
+    def test_oversized_parameter_claim_is_truncated(self, tmp_path, dims):
+        path = tmp_path / "m.mseq"
+        cp = self._checkpoint()
+        save_checkpoint(Checkpoint(cp.config, {}, epoch=1, dev_f1=0.0), path)
+        record = (struct.pack("<I", 1) + b"w" + struct.pack("<I", len(dims))
+                  + struct.pack(f"<{len(dims)}I", *dims) + b"\x00" * 8)
+        path.write_bytes(path.read_bytes() + record)
+        with pytest.raises(TruncatedError, match="parameter w payload"):
+            load_checkpoint(path)
 
     def test_wrong_shapes_rejected_at_model_build(self):
         cp = self._checkpoint()

@@ -79,28 +79,30 @@ class TestMatmul:
 
 
 class TestConvSeq:
+    """Single-kernel sequence convolution: conv_bank with a (1, c, w, d) kernel."""
+
     def test_zero_kernel(self):
         rng = np.random.default_rng(1)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)))
-        k = tc.Tensor(np.zeros((2, 3, 3)))
-        assert not tc.conv_seq(stack, k).data.any()
+        k = tc.Tensor(np.zeros((1, 2, 3, 3)))
+        assert not tc.conv_bank(stack, k).data.any()
 
     def test_identity_window(self):
         stack = tc.Tensor(np.array([5.0, -2.0, 7.0]).reshape(1, 3, 1))
-        k = tc.Tensor(np.ones((1, 1, 1)))
-        np.testing.assert_array_equal(tc.conv_seq(stack, k).data, [5.0, -2.0, 7.0])
+        k = tc.Tensor(np.ones((1, 1, 1, 1)))
+        np.testing.assert_array_equal(tc.conv_bank(stack, k).data[:, 0], [5.0, -2.0, 7.0])
 
     def test_window_two_right_pad(self):
         # direct-summation oracle over every (position, offset) pair
         seq = np.array([1.0, 2.0, 3.0])
         stack = tc.Tensor(seq.reshape(1, 3, 1))
-        k = tc.Tensor(np.ones((1, 2, 1)))
+        k = tc.Tensor(np.ones((1, 1, 2, 1)))
         expected = []
         padded = np.concatenate([seq, [0.0]])
         for i in range(3):
             expected.append(sum(padded[i + o] for o in range(2)))
         assert expected == [3.0, 5.0, 3.0]
-        np.testing.assert_allclose(tc.conv_seq(stack, k).data, expected)
+        np.testing.assert_allclose(tc.conv_bank(stack, k).data[:, 0], expected)
 
     def test_brute_force_oracle_random(self):
         rng = np.random.default_rng(7)
@@ -114,7 +116,7 @@ class TestConvSeq:
                 for o in range(w):
                     for di in range(d):
                         expected[i] += padded[ci, i + o, di] * kern[ci, o, di]
-        got = tc.conv_seq(tc.Tensor(inp), tc.Tensor(kern)).data
+        got = tc.conv_bank(tc.Tensor(inp), tc.Tensor(kern[None])).data[:, 0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_output_length_equals_input_length(self):
@@ -122,29 +124,25 @@ class TestConvSeq:
         for n in (1, 2, 5, 9):
             for w in (1, 2, 5):
                 stack = tc.Tensor(rng.normal(size=(2, n, 3)))
-                k = tc.Tensor(rng.normal(size=(2, w, 3)))
-                assert tc.conv_seq(stack, k).shape == (n,)
+                k = tc.Tensor(rng.normal(size=(1, 2, w, 3)))
+                assert tc.conv_bank(stack, k).shape == (n, 1)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            tc.conv_seq(tc.Tensor(np.zeros((2, 4, 3))), tc.Tensor(np.zeros((3, 2, 3))))
+            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), tc.Tensor(np.zeros((1, 3, 2, 3))))
 
     def test_empty_sequence_is_window_error(self):
         from metaseq.errors import WindowError
         with pytest.raises(WindowError):
-            tc.conv_seq(tc.Tensor(np.zeros((1, 0, 2))), tc.Tensor(np.zeros((1, 2, 2))))
-
-    def test_unknown_padding_policy(self):
-        with pytest.raises(ParameterError):
-            tc.conv_seq(tc.Tensor(np.zeros((1, 3, 1))), tc.Tensor(np.zeros((1, 1, 1))), pad="pre")
+            tc.conv_bank(tc.Tensor(np.zeros((1, 0, 2))), tc.Tensor(np.zeros((1, 1, 2, 2))))
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        k = tc.Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+        k = tc.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
 
         def build():
-            f = tc.conv_seq(stack, k)
+            f = tc.conv_bank(stack, k)
             return tc.sum_all(tc.mul(f, f))
 
         check_grads(build, [stack, k])
@@ -155,7 +153,7 @@ class TestConvSeq:
         kernels = tc.Tensor(rng.normal(size=(5, 3, 2, 4)))
         bank = tc.conv_bank(stack, kernels).data
         for j in range(5):
-            single = tc.conv_seq(stack, tc.Tensor(kernels.data[j])).data
+            single = tc.conv_bank(stack, tc.Tensor(kernels.data[j:j + 1])).data[:, 0]
             np.testing.assert_allclose(bank[:, j], single, atol=1e-12)
 
     def test_bank_gradient(self):
@@ -428,13 +426,13 @@ class TestOpGradientsAgainstFiniteDifferences:
         a = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         bias = tc.Tensor(rng.normal(size=4), requires_grad=True)
-        v = tc.Tensor(rng.normal(size=4), requires_grad=True)
-        w = tc.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        v = tc.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        w = tc.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
         check_grads(lambda: tc.sum_all(tc.mul(tc.add(a, b), a)), [a, b])
         check_grads(lambda: tc.sum_all(tc.tanh_act(tc.add_bias(a, bias))), [a, bias])
         check_grads(lambda: tc.sum_all(tc.tanh_act(tc.transpose(a))), [a])
-        check_grads(lambda: tc.sum_all(tc.sigmoid(tc.matvec(w, v))), [w, v])
+        check_grads(lambda: tc.sum_all(tc.sigmoid(tc.matmul(v, w))), [w, v])
         check_grads(lambda: tc.sum_all(tc.row(a, 1)), [a])
         check_grads(lambda: tc.sum_all(tc.mul(s := tc.slice_cols(a, 1, 3), s)), [a])
         check_grads(lambda: tc.sum_all(tc.tanh_act(tc.concat_cols([a, b]))), [a, b])
