@@ -180,6 +180,20 @@ def _make_provider(config: ModelConfig, args, parser) -> tuple[ChannelProvider, 
 # train
 # ---------------------------------------------------------------------------
 
+def _check_dev_rows(dev_path, dev_sentences, train_sentences) -> None:
+    """Contextual rows of dev sentence i come from the training layer files
+    at position i, so that training sentence must have the same tokens."""
+    for index, dev in enumerate(dev_sentences):
+        train = train_sentences[index] if index < len(train_sentences) else None
+        if train is None or [t.text for t in dev.tokens] != [t.text for t in train.tokens]:
+            found = "no training sentence" if train is None else \
+                f"training sentence {train.sentence_id} with other tokens"
+            raise AlignmentError(
+                f"{dev_path}: dev sentence {dev.sentence_id} (#{index}) would be scored on "
+                f"the contextual rows at its position in the training layer files, "
+                f"which hold {found}")
+
+
 def cmd_train(args, parser, argv: list[str]) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -189,6 +203,8 @@ def cmd_train(args, parser, argv: list[str]) -> int:
     if args.dev:
         dev_sentences = train_eval.parse_dataset(args.dev)
         inputs.append(args.dev)
+        if any(name != "G" for name in config.channel_order):
+            _check_dev_rows(args.dev, dev_sentences, train_sentences)
     else:
         dev_sentences = None
     provider, extra_inputs = _make_provider(config, args, parser)
@@ -273,7 +289,7 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def _read_scores_csv(path) -> dict[int, float]:
-    scores = {}
+    scores, first_line = {}, {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         if not header.lower().startswith("layer,"):
@@ -291,7 +307,11 @@ def _read_scores_csv(path) -> dict[int, float]:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             if not math.isfinite(score):
                 raise ParseError(f"{path}: line {lineno}: score {parts[1]!r} is not finite")
+            if layer in scores:
+                raise ParseError(f"{path}: line {lineno}: layer {layer} already scored "
+                                 f"on line {first_line[layer]}")
             scores[layer] = score
+            first_line[layer] = lineno
     return scores
 
 

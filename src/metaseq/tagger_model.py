@@ -62,13 +62,20 @@ class ModelConfig:
             raise ParameterError("all model sizes and the epoch count must be positive")
         if not self.window_sizes or min(self.window_sizes) < 1:
             raise ParameterError(f"bad window sizes {self.window_sizes}")
+        if len(set(self.window_sizes)) != len(self.window_sizes):
+            raise ParameterError(f"repeated window size in {self.window_sizes}")
         for rate in (self.input_dropout, self.hidden_dropout):
             if not 0.0 <= rate < 1.0:
                 raise ParameterError(f"dropout rate {rate} outside [0, 1)")
+        if len(self.class_weights) != 2:
+            raise ParameterError(
+                f"need 2 class weights (literal, metaphor), got {self.class_weights}")
         if min(self.class_weights) <= 0.0:
             raise ParameterError(f"class weights must be positive, got {self.class_weights}")
         if not self.channel_order:
             raise ParameterError("channel order must name at least one channel")
+        if len(set(self.channel_order)) != len(self.channel_order):
+            raise ParameterError(f"repeated channel in channel order {self.channel_order}")
         if self.use_pos and not self.pos_tags:
             raise ParameterError("use_pos requires pos_tags")
 
@@ -210,32 +217,15 @@ class MetaphorTagger:
                 mats.append(tc.Tensor(mat))
         return stack_channels(mats, cfg.channel_order)
 
-    def _lstm_direction(self, act: tc.Tensor, prefix: str, reverse: bool) -> list[tc.Tensor]:
-        hidden = self.config.hidden_size
-        wx = self.params[f"{prefix}_wx"]
-        wh = self.params[f"{prefix}_wh"]
-        bias = self.params[f"{prefix}_b"]
-        n = act.shape[0]
-        h = tc.Tensor(np.zeros((1, hidden)))
-        c = tc.Tensor(np.zeros((1, hidden)))
-        outs: list[tc.Tensor | None] = [None] * n
-        steps = range(n - 1, -1, -1) if reverse else range(n)
-        for t in steps:
-            x = tc.row(act, t)
-            z = tc.add_bias(tc.add(tc.matmul(x, wx), tc.matmul(h, wh)), bias)
-            gate_in = tc.sigmoid(tc.slice_cols(z, 0, hidden))
-            gate_forget = tc.sigmoid(tc.slice_cols(z, hidden, 2 * hidden))
-            candidate = tc.tanh_act(tc.slice_cols(z, 2 * hidden, 3 * hidden))
-            gate_out = tc.sigmoid(tc.slice_cols(z, 3 * hidden, 4 * hidden))
-            c = tc.add(tc.mul(gate_forget, c), tc.mul(gate_in, candidate))
-            h = tc.mul(gate_out, tc.tanh_act(c))
-            outs[t] = h
-        return outs
+    def _lstm_direction(self, act: tc.Tensor, prefix: str, reverse: bool) -> tc.Tensor:
+        """The (n, hidden) states of one BiLSTM direction over ``act``."""
+        return tc.lstm(act, self.params[f"{prefix}_wx"], self.params[f"{prefix}_wh"],
+                       self.params[f"{prefix}_b"], reverse)
 
     def forward(self, stack: tc.Tensor, rng: tc.RngStream, training: bool) -> tc.Tensor:
         """Per-token class probabilities, shape (n, 2)."""
         cfg = self.config
-        channels, length, dimension = stack.shape
+        channels, _, dimension = stack.shape
         if dimension != cfg.unified_dim or channels != len(cfg.channel_order):
             raise DimensionError(
                 f"stack shape {stack.shape} does not fit "
@@ -245,8 +235,7 @@ class MetaphorTagger:
         feats = tc.tanh_act(tc.concat_cols(maps))
         fwd = self._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = self._lstm_direction(feats, "lstm_b", reverse=True)
-        hidden = tc.stack_rows([tc.concat_cols([fwd[t], bwd[t]])
-                                for t in range(length)])
+        hidden = tc.concat_cols([fwd, bwd])
         hidden = tc.dropout(hidden, cfg.hidden_dropout, rng, training)
         logits = tc.add_bias(tc.matmul(hidden, self.params["cls_w"]), self.params["cls_b"])
         return tc.softmax(logits)

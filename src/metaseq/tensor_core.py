@@ -120,8 +120,9 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        t.grad = np.array(grad, dtype=np.float64)
+    else:
+        t.grad += grad
 
 
 def backward(loss: Tensor, tape: Tape,
@@ -273,13 +274,18 @@ def tanh_act(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    z = x.data
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function that never exponentiates a positive number."""
     s = np.empty_like(z)
     pos = z >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     e = np.exp(z[~pos])
     s[~pos] = e / (1.0 + e)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    s = _sigmoid(x.data)
     out = Tensor(s, requires_grad=x.requires_grad)
 
     def bw(g: np.ndarray) -> None:
@@ -384,22 +390,93 @@ def conv_bank(inp: Tensor, kernels: Tensor) -> Tensor:
         raise WindowError(f"conv_bank: window must be >= 1, got {w}")
     if n < 1:
         raise WindowError(f"conv_bank: window {w} does not fit padded sequence of length {n}")
+    k = kernels.shape[0]
     padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
-    # windows[c, i, d, o] = padded[c, i + o, d]
+    # im2col: cols[i, (c, o, d)] = padded[c, i + o, d], the kernels' own order
     windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    out_data = np.einsum("cido,kcod->ik", windows, kernels.data)
-    out = Tensor(out_data, requires_grad=inp.requires_grad or kernels.requires_grad)
+    cols = windows.transpose(1, 0, 3, 2).reshape(n, c * w * d)
+    k_flat = kernels.data.reshape(k, c * w * d)
+    out = Tensor(cols @ k_flat.T, requires_grad=inp.requires_grad or kernels.requires_grad)
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(kernels, np.einsum("ik,cido->kcod", g, windows))
+        _accumulate(kernels, (g.T @ cols).reshape(kernels.shape))
         if inp.requires_grad:
-            contrib = np.einsum("ik,kcod->icod", g, kernels.data)
+            contrib = (g @ k_flat).reshape(n, c, w, d)
             dpad = np.zeros((c, n + w - 1, d))
             for o in range(w):
                 dpad[:, o:o + n, :] += contrib[:, :, o, :].transpose(1, 0, 2)
             _accumulate(inp, dpad[:, :n, :])
 
     _record("conv_bank", (inp, kernels), out, bw)
+    return out
+
+
+def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over an (n, f) sequence -> (n, hidden) states.
+
+    Gates are laid out (input, forget, candidate, output) along the 4*hidden
+    columns of ``wx`` (f, 4h), ``wh`` (h, 4h) and ``bias`` (4h,); the state
+    starts at zero and runs from the last position to the first when
+    ``reverse``. The input projection of all positions is one matmul; the
+    backward is hand-written BPTT whose weight and input gradients are
+    single matmuls over the stored pre-activation gradients.
+    """
+    _require_2d("lstm", x)
+    _require_2d("lstm", wh)
+    n, f = x.shape
+    hidden = wh.shape[0]
+    if wx.shape != (f, 4 * hidden) or wh.shape != (hidden, 4 * hidden) \
+            or bias.shape != (4 * hidden,):
+        raise DimensionError(
+            f"lstm: weights {wx.shape}, {wh.shape}, bias {bias.shape} do not fit "
+            f"input {x.shape} with hidden size {hidden}")
+    h2, h3 = 2 * hidden, 3 * hidden
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    zx = x.data @ wx.data + bias.data
+    gates = np.empty((n, 4 * hidden))       # activated i, f, g, o
+    tanh_cells = np.empty((n, hidden))
+    states = np.empty((n, hidden))
+    prev_states = np.zeros((n, hidden))     # h entering each position
+    prev_cells = np.zeros((n, hidden))
+    h = np.zeros(hidden)
+    cell = np.zeros(hidden)
+    for t in steps:
+        prev_states[t] = h
+        prev_cells[t] = cell
+        z = zx[t] + h @ wh.data
+        a = gates[t]
+        a[:] = _sigmoid(z)
+        a[h2:h3] = np.tanh(z[h2:h3])
+        cell = a[hidden:h2] * cell + a[:hidden] * a[h2:h3]
+        tanh_cells[t] = np.tanh(cell)
+        h = a[h3:] * tanh_cells[t]
+        states[t] = h
+    out = Tensor(states, requires_grad=x.requires_grad or wx.requires_grad
+                 or wh.requires_grad or bias.requires_grad)
+
+    def bw(g: np.ndarray) -> None:
+        dz = np.empty((n, 4 * hidden))
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in reversed(steps):
+            a = gates[t]
+            gi, gf, gg, go = a[:hidden], a[hidden:h2], a[h2:h3], a[h3:]
+            dh = g[t] + dh_next
+            dc = dh * go * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
+            d = dz[t]
+            d[:hidden] = dc * gg * gi * (1.0 - gi)
+            d[hidden:h2] = dc * prev_cells[t] * gf * (1.0 - gf)
+            d[h2:h3] = dc * gi * (1.0 - gg * gg)
+            d[h3:] = dh * tanh_cells[t] * go * (1.0 - go)
+            dc_next = dc * gf
+            dh_next = d @ wh.data.T
+        _accumulate(wx, x.data.T @ dz)
+        _accumulate(wh, prev_states.T @ dz)
+        _accumulate(bias, dz.sum(axis=0))
+        _accumulate(x, dz @ wx.data.T)
+
+    _record("lstm", (x, wx, wh, bias), out, bw)
     return out
 
 
@@ -518,7 +595,8 @@ def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> 
         if p.grad is None:
             raise StateError("sgd_step: parameter has no gradient (run backward first)")
     for p in params:
-        p.data -= lr * p.grad
+        p.grad *= lr            # same bits as p.data -= lr * p.grad, no temporary
+        p.data -= p.grad
         p.grad = None
 
 

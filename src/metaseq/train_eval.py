@@ -45,7 +45,12 @@ class SentenceRecord:
 
 
 def parse_dataset(path) -> list[SentenceRecord]:
-    """Read the 7-column TSV; a blank line ends a sentence."""
+    """Read the 7-column TSV; a blank line ends a sentence.
+
+    Within a sentence every row carries the same ``sentence_id`` and the
+    ``token_index`` column counts 0, 1, 2, ...; anything else is a
+    ``ParseError`` naming the line, so two sentences are never merged.
+    """
     sentences: list[SentenceRecord] = []
     current: list[TokenRecord] = []
     current_id: str | None = None
@@ -66,7 +71,7 @@ def parse_dataset(path) -> list[SentenceRecord]:
             cols = line.split("\t")
             if len(cols) != 7:
                 raise ParseError(f"line {lineno}: expected 7 columns, got {len(cols)}")
-            sent_id, genre, _token_index, token, pos, label_text, target_text = cols
+            sent_id, genre, token_index, token, pos, label_text, target_text = cols
             if label_text not in ("0", "1"):
                 raise ParseError(f"line {lineno}: unknown label {label_text!r}")
             if target_text not in ("0", "1"):
@@ -75,6 +80,13 @@ def parse_dataset(path) -> list[SentenceRecord]:
                 current_id = sent_id
                 genre_norm = genre.strip().lower()
                 current_genre = genre_norm if genre_norm in GENRES else "other"
+            elif sent_id != current_id:
+                raise ParseError(
+                    f"line {lineno}: sentence id {sent_id!r} inside sentence "
+                    f"{current_id!r}; a blank line must end each sentence")
+            if token_index != str(len(current)):
+                raise ParseError(f"line {lineno}: token index {token_index!r} in sentence "
+                                 f"{current_id!r}, expected {len(current)}")
             current.append(TokenRecord(token, pos, int(label_text), target_text == "1"))
     flush()
     return sentences

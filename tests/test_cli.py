@@ -107,6 +107,60 @@ class TestTrainCommand:
         assert main(args) == 3
 
 
+
+@pytest.fixture(scope="module")
+def readme_demo(tmp_path_factory):
+    """The README demo inputs (``build_separable_corpus()``, README model.cfg),
+    trained for one epoch."""
+    base = tmp_path_factory.mktemp("demo")
+    paths = write_corpus_files(build_separable_corpus(), base)
+    paths["config"] = base / "model.cfg"
+    paths["config"].write_text(
+        "unified_dim=16\nstatic_dim=8\nkernels_per_window=4\nhidden_size=8\n"
+        "input_dropout=0.0\nhidden_dropout=0.0\nepochs=1\n")
+    return paths
+
+
+class TestDevSplit:
+    """Dev sentence i is scored on the contextual rows of training sentence i,
+    so it must have that sentence's tokens."""
+
+    def _run(self, paths, tmp_path, blocks):
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("".join(blocks))
+        args = _train_args(paths, tmp_path / "run") + ["--dev", str(dev)]
+        return main(args), dev
+
+    @staticmethod
+    def _blocks(paths):
+        return [b + "\n\n" for b in paths["data"].read_text().split("\n\n") if b.strip()]
+
+    def test_prefix_of_training_file_is_accepted(self, readme_demo, tmp_path):
+        code, _ = self._run(readme_demo, tmp_path, self._blocks(readme_demo)[:5])
+        assert code == 0
+
+    def test_other_sentence_at_a_position_is_data_error(self, readme_demo, tmp_path, capsys):
+        blocks = self._blocks(readme_demo)
+        code, dev = self._run(readme_demo, tmp_path, [blocks[0], blocks[2], blocks[1]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {dev}: dev sentence s2 (#1) ")
+        assert "training sentence s1" in err
+
+    def test_same_length_other_tokens_is_data_error(self, readme_demo, tmp_path, capsys):
+        blocks = self._blocks(readme_demo)
+        renamed = blocks[1].replace("\tw1_0\t", "\tother\t")
+        code, dev = self._run(readme_demo, tmp_path, [blocks[0], renamed])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: {dev}: dev sentence s1 (#1) ")
+
+    def test_more_dev_than_training_sentences_is_data_error(self, readme_demo, tmp_path,
+                                                            capsys):
+        blocks = self._blocks(readme_demo)
+        code, _ = self._run(readme_demo, tmp_path, blocks + blocks[:1])
+        assert code == 3
+        assert f"dev sentence s0 (#{len(blocks)}) " in capsys.readouterr().err
+
 @pytest.fixture(scope="module")
 def trained(corpus_files, tmp_path_factory):
     _, paths = corpus_files
@@ -275,6 +329,18 @@ class TestProbeCommand:
         assert main(args) == 3
         assert capsys.readouterr().err.startswith(f"error: {scores}: line 3: ")
 
+    def test_duplicate_layer_score_is_parse_error(self, tmp_path, capsys):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.4])
+        scores = tmp_path / "f1.csv"
+        scores.write_text("layer,score\n1,0.2\n1,0.9\n")
+        args = ["probe", "--data", str(data), "--layer-files",
+                str(layers[0]), str(layers[0]), "--mode", "l2",
+                "--scores", str(scores), "--out", str(tmp_path / "probe")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: {scores}: line 3: layer 1 already scored on line 2\n")
+
     def test_threads_do_not_change_results(self, tmp_path):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.2, 0.5, 0.8, 1.1])
@@ -323,6 +389,23 @@ class TestConfigFile:
         p.write_text("unified_dim 32\n")
         with pytest.raises(ParseError):
             parse_config_file(p)
+
+    @pytest.mark.parametrize("line,message", [
+        ("class_weights=1", "2 class weights"),
+        ("class_weights=1,2,3", "2 class weights"),
+        ("window_sizes=2,2", "repeated window size"),
+        ("channel_order=G,E,E", "repeated channel"),
+    ])
+    def test_invalid_model_config_is_usage_error(self, corpus_files, tmp_path, capsys,
+                                                 line, message):
+        _, paths = corpus_files
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(paths["config"].read_text() + line + "\n")
+        args = _train_args(paths, tmp_path / "run")
+        args[args.index("--config") + 1] = str(cfg)
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.mseq").exists()
 
     def test_usage_exit_code_for_missing_required(self):
         assert main(["train", "--out", "x"]) == 2

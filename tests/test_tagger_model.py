@@ -48,6 +48,12 @@ class TestModelConfig:
             ModelConfig(class_weights=(0.0, 2.0))
         with pytest.raises(ParameterError):
             ModelConfig(window_sizes=())
+        with pytest.raises(ParameterError, match="2 class weights"):
+            ModelConfig(class_weights=(1.0,))
+        with pytest.raises(ParameterError, match="repeated window size"):
+            ModelConfig(window_sizes=(2, 2))
+        with pytest.raises(ParameterError, match="repeated channel"):
+            ModelConfig(channel_order=("G", "E", "E"))
 
     def test_static_input_dim_with_features(self):
         cfg = ModelConfig(use_pos=True, use_abstractness=True,
@@ -75,7 +81,8 @@ class TestForward:
         assert feats.shape == (7, 400)
         fwd = model._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = model._lstm_direction(feats, "lstm_b", reverse=True)
-        hidden = tc.stack_rows([tc.concat_cols([fwd[t], bwd[t]]) for t in range(7)])
+        assert fwd.shape == bwd.shape == (7, 256)
+        hidden = tc.concat_cols([fwd, bwd])
         assert hidden.shape == (7, 512)
         probs = model.forward(stack, tc.RngStream(0), training=False)
         assert probs.shape == (7, 2)
@@ -107,6 +114,72 @@ class TestForward:
         a = model.forward(stack, tc.RngStream(1, 0), training=True).data
         b = model.forward(stack, tc.RngStream(2, 0), training=True).data
         assert not np.array_equal(a, b)
+
+
+def _per_timestep_direction(model, act, prefix, reverse):
+    """One BiLSTM direction composed from per-timestep tape ops: the oracle
+    for the fused ``tc.lstm``."""
+    hidden = model.config.hidden_size
+    wx = model.params[f"{prefix}_wx"]
+    wh = model.params[f"{prefix}_wh"]
+    bias = model.params[f"{prefix}_b"]
+    n = act.shape[0]
+    h = tc.Tensor(np.zeros((1, hidden)))
+    c = tc.Tensor(np.zeros((1, hidden)))
+    outs = [None] * n
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        z = tc.add_bias(tc.add(tc.matmul(tc.row(act, t), wx), tc.matmul(h, wh)), bias)
+        gate_in = tc.sigmoid(tc.slice_cols(z, 0, hidden))
+        gate_forget = tc.sigmoid(tc.slice_cols(z, hidden, 2 * hidden))
+        candidate = tc.tanh_act(tc.slice_cols(z, 2 * hidden, 3 * hidden))
+        gate_out = tc.sigmoid(tc.slice_cols(z, 3 * hidden, 4 * hidden))
+        c = tc.add(tc.mul(gate_forget, c), tc.mul(gate_in, candidate))
+        h = tc.mul(gate_out, tc.tanh_act(c))
+        outs[t] = h
+    return tc.stack_rows(outs)
+
+
+def _probs_and_grads(model, channels, labels):
+    params = model.parameters()
+    tc.zero_grads(params.values())
+    with tc.Tape() as tape:
+        probs = model.forward(model.build_stack(channels), tc.RngStream(4, 3), training=True)
+        loss = tc.weighted_cross_entropy(probs, labels, model.config.class_weights)
+    tc.backward(loss, tape, params.values())
+    grads = {name: p.grad.copy() for name, p in params.items()}
+    tc.zero_grads(params.values())
+    return probs.data.copy(), grads
+
+
+class TestFusedLstm:
+    def test_matches_per_timestep_composition_at_desk_config(self, monkeypatch):
+        corpus = build_separable_corpus(n_sentences=3, seed=21)
+        cfg = dataclasses.replace(corpus.config, input_dropout=0.5, hidden_dropout=0.1)
+        model = MetaphorTagger(cfg)
+        for i, sent in enumerate(corpus.sentences):
+            channels = corpus.provider.channels(sent, i)
+            fused_probs, fused_grads = _probs_and_grads(model, channels, sent.labels())
+            with monkeypatch.context() as m:
+                m.setattr(MetaphorTagger, "_lstm_direction", _per_timestep_direction)
+                ref_probs, ref_grads = _probs_and_grads(model, channels, sent.labels())
+            np.testing.assert_allclose(fused_probs, ref_probs, rtol=0, atol=1e-12)
+            assert set(fused_grads) == set(ref_grads)
+            for name, grad in ref_grads.items():
+                assert np.abs(grad).max() > 0, name
+                np.testing.assert_allclose(fused_grads[name], grad, rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+    def test_training_forward_tape_length(self):
+        model = MetaphorTagger(ModelConfig(unified_dim=8, static_dim=5, kernels_per_window=2,
+                                           hidden_size=4))
+        rng = np.random.default_rng(3)
+        channels = {"G": rng.normal(size=(20, 5)),
+                    "E": rng.normal(size=(20, 8)),
+                    "B": rng.normal(size=(20, 8))}
+        with tc.Tape() as tape:
+            model.sentence_loss(model.build_stack(channels), rng.integers(0, 2, size=20),
+                                tc.RngStream(0), training=True)
+        assert len(tape) <= 25
 
 
 class TestGradients:

@@ -192,6 +192,41 @@ class TestSigmoid:
         check_grads(lambda: tc.sum_all(tc.sigmoid(x)), [x])
 
 
+
+class TestLstm:
+    @staticmethod
+    def _weights(rng, f, hidden):
+        return (tc.Tensor(rng.normal(size=(f, 4 * hidden))),
+                tc.Tensor(rng.normal(size=(hidden, 4 * hidden))),
+                tc.Tensor(rng.normal(size=4 * hidden)))
+
+    def test_single_step_closed_form(self):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(1, 3))
+        wx, wh, bias = self._weights(rng, 3, 2)
+        z = x[0] @ wx.data + bias.data
+        sig = 1.0 / (1.0 + np.exp(-z))
+        expected = sig[6:] * np.tanh(sig[:2] * np.tanh(z[4:6]))
+        got = tc.lstm(tc.Tensor(x), wx, wh, bias).data
+        np.testing.assert_allclose(got[0], expected, rtol=0, atol=1e-15)
+
+    def test_reverse_is_forward_over_reversed_rows(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(6, 3))
+        wx, wh, bias = self._weights(rng, 3, 2)
+        backward = tc.lstm(tc.Tensor(x), wx, wh, bias, reverse=True).data
+        forward = tc.lstm(tc.Tensor(x[::-1]), wx, wh, bias).data
+        np.testing.assert_array_equal(backward, forward[::-1])
+        assert not np.allclose(backward, tc.lstm(tc.Tensor(x), wx, wh, bias).data)
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(32)
+        wx, wh, bias = self._weights(rng, 3, 2)
+        with pytest.raises(DimensionError):
+            tc.lstm(tc.Tensor(np.zeros((4, 5))), wx, wh, bias)
+        with pytest.raises(DimensionError):
+            tc.lstm(tc.Tensor(np.zeros((4, 3))), wx, wh, tc.Tensor(np.zeros(7)))
+
 class TestSoftmax:
     def test_equal_logits(self):
         np.testing.assert_allclose(tc.softmax(tc.Tensor([3.0, 3.0])).data, [0.5, 0.5])
@@ -439,3 +474,25 @@ class TestOpGradientsAgainstFiniteDifferences:
         check_grads(lambda: tc.sum_all(tc.tanh_act(
             tc.stack_rows([tc.row(a, 0), tc.row(b, 2)]))), [a, b])
         check_grads(lambda: tc.sum_all(tc.mul(m := tc.stack_mats([a, b]), m)), [a, b])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_lstm(self, n, reverse):
+        rng = np.random.default_rng(10 * n + reverse)
+        hidden = 3
+        x = tc.Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        wx = tc.Tensor(rng.normal(size=(4, 4 * hidden)), requires_grad=True)
+        wh = tc.Tensor(rng.normal(size=(hidden, 4 * hidden)), requires_grad=True)
+        bias = tc.Tensor(rng.normal(size=4 * hidden), requires_grad=True)
+        probe = tc.Tensor(rng.normal(size=(n, hidden)))   # weights every output
+
+        check_grads(lambda: tc.sum_all(tc.mul(tc.lstm(x, wx, wh, bias, reverse), probe)),
+                    [x, wx, wh, bias])
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_conv_bank(self, w):
+        rng = np.random.default_rng(20 + w)
+        stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        kernels = tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
+        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
+                    [stack, kernels])

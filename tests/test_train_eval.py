@@ -49,6 +49,32 @@ class TestParseDataset:
         with pytest.raises(ParseError, match="label"):
             parse_dataset(p)
 
+    def test_sentence_id_change_without_blank_line(self, tmp_path):
+        p = tmp_path / "merged.tsv"
+        p.write_text("s1\tnews\t0\ta\tNOUN\t0\t1\n"
+                     "s1\tnews\t1\tb\tVERB\t0\t1\n"
+                     "s2\tnews\t0\tc\tNOUN\t1\t1\n")
+        with pytest.raises(ParseError, match=r"line 3: sentence id 's2' inside sentence 's1'"):
+            parse_dataset(p)
+
+    @pytest.mark.parametrize("indices,bad_line", [
+        ((1, 2), 1),        # does not start at 0
+        ((0, 2), 2),        # gap
+        ((0, 0), 2),        # repeat
+        ((0, "x"), 2),      # not a number
+    ])
+    def test_token_index_must_count_from_zero(self, tmp_path, indices, bad_line):
+        p = tmp_path / "idx.tsv"
+        p.write_text("".join(f"s1\tnews\t{i}\tw\tNOUN\t0\t1\n" for i in indices))
+        with pytest.raises(ParseError, match=f"line {bad_line}: token index"):
+            parse_dataset(p)
+
+    def test_token_index_restarts_after_blank_line(self, tmp_path):
+        p = tmp_path / "two.tsv"
+        p.write_text("s1\tnews\t0\ta\tNOUN\t0\t1\ns1\tnews\t1\tb\tVERB\t0\t1\n\n"
+                     "s2\tnews\t0\tc\tNOUN\t1\t1\n")
+        assert [len(s) for s in parse_dataset(p)] == [2, 1]
+
     def test_unknown_genre_becomes_other(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("s1\temail\t0\tword\tNOUN\t0\t1\n")
