@@ -36,20 +36,13 @@ from .tagger_model import ModelConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
-_CONFIG_TUPLE_KEYS = {"window_sizes": int, "class_weights": float,
-                      "channel_order": str, "pos_tags": str}
-_CONFIG_INT_KEYS = {"unified_dim", "static_dim", "kernels_per_window",
-                    "hidden_size", "epochs", "seed"}
-_CONFIG_FLOAT_KEYS = {"input_dropout", "hidden_dropout", "learning_rate"}
-_CONFIG_BOOL_KEYS = {"use_pos", "use_abstractness", "lowercase_lexicon"}
-
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
 def parse_config_file(path) -> dict:
-    """`key=value` lines; `#` starts a comment; lists are comma-separated."""
+    """`key=value` lines typed by ``ModelConfig.field_value``; `#` starts a comment."""
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -60,36 +53,24 @@ def parse_config_file(path) -> dict:
                 raise ParseError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             try:
-                if key in _CONFIG_TUPLE_KEYS:
-                    cast = _CONFIG_TUPLE_KEYS[key]
-                    out[key] = tuple(cast(v.strip()) for v in value.split(",") if v.strip())
-                elif key in _CONFIG_INT_KEYS:
-                    out[key] = int(value)
-                elif key in _CONFIG_FLOAT_KEYS:
-                    out[key] = float(value)
-                elif key in _CONFIG_BOOL_KEYS:
-                    if value.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError(f"bad boolean {value!r}")
-                    out[key] = value.lower() in ("true", "1")
-                else:
-                    raise ParameterError(f"{path}: line {lineno}: unknown key {key!r}")
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+                out[key] = ModelConfig.field_value(key, value, text=True)
+            except MetaseqError as exc:
+                raise type(exc)(f"{path}: line {lineno}: {exc}") from None
     return out
 
 
 def _resolve_seed(args, file_values: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in file_values:
-        return file_values["seed"]
-    env = os.environ.get("METASEQ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParameterError(f"METASEQ_SEED={env!r} is not an integer") from None
-    return 0
+    """Seed from the flag, else the config file, else ``METASEQ_SEED``, else 0."""
+    sources = (("--seed", args.seed), ("config seed", file_values.get("seed")),
+               ("METASEQ_SEED", os.environ.get("METASEQ_SEED", "0")))
+    source, seed = next((name, value) for name, value in sources if value is not None)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ParameterError(f"{source}={seed!r} is not an integer") from None
+    if seed < 0:
+        raise ParameterError(f"{source} {seed} is negative; seeds must be >= 0")
+    return seed
 
 
 def _build_config(args) -> ModelConfig:
@@ -195,9 +176,9 @@ def _check_dev_rows(dev_path, dev_sentences, train_sentences) -> None:
 
 
 def cmd_train(args, parser, argv: list[str]) -> int:
+    config = _build_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _build_config(args)
     train_sentences = train_eval.parse_dataset(args.data)
     inputs = [args.data]
     if args.dev:
@@ -255,17 +236,8 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
     inputs = [args.checkpoint, args.data, *extra_inputs]
 
     model = tagger_model.MetaphorTagger.from_checkpoint(checkpoint)
-    predictions = []
-    flat_pred, flat_gold, flat_mask = [], [], []
-    for index, sent in enumerate(sentences):
-        probs = model.predict_probs(provider.channels(sent, index))
-        labels = np.argmax(probs, axis=1)
-        predictions.append(labels.tolist())
-        flat_pred.extend(labels.tolist())
-        flat_gold.extend(sent.labels().tolist())
-        flat_mask.extend(sent.target_mask().tolist())
-
-    overall = train_eval.compute_metrics(flat_pred, flat_gold, flat_mask)
+    predictions, overall = tagger_model.label_sentences(
+        model, sentences, (provider.channels(s, i) for i, s in enumerate(sentences)))
     rows = [_report_row("overall", "ALL", overall)]
     if args.breakdown:
         per_class = train_eval.breakdown(sentences, predictions, key=args.breakdown)
@@ -340,10 +312,10 @@ def _map_layers(one, layers, threads: int) -> list:
 
 
 def cmd_probe(args, parser, argv: list[str]) -> int:
+    seed = _resolve_seed(args, {})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sentences = train_eval.parse_dataset(args.data)
-    seed = _resolve_seed(args, {})
     layers = [load_contextual(p) for p in args.layer_files]
     inputs = [args.data, *args.layer_files]
     outputs: list[Path] = []

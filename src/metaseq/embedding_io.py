@@ -63,19 +63,21 @@ def load_static_text(path) -> StaticEmbeddingTable:
             token, values = parts[0], parts[1:]
             if dimension is None:
                 if not values:
-                    raise ParseError(f"line {lineno}: no vector values")
+                    raise ParseError(f"{path}: line {lineno}: no vector values")
                 dimension = len(values)
             if len(values) != dimension:
                 raise ParseError(
-                    f"line {lineno}: expected {dimension} values, got {len(values)}")
+                    f"{path}: line {lineno}: expected {dimension} values, got {len(values)}")
             try:
                 vec = np.array([float(v) for v in values])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: non-numeric field ({exc})") from None
+                raise ParseError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
+            if not np.isfinite(vec).all():
+                raise ParseError(f"{path}: line {lineno}: non-finite value")
             if token not in entries:  # duplicates keep the first occurrence
                 entries[token] = vec
     if dimension is None:
-        raise ParseError("empty embedding file")
+        raise ParseError(f"{path}: empty embedding file")
     return StaticEmbeddingTable(dimension, entries)
 
 
@@ -159,9 +161,10 @@ def load_contextual(path) -> ContextualLayerFile:
             payload = _read_exact(fh, 4 * tokens * dimension,
                                   f"sentence {idx} payload")
             mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, dimension)
+            if not np.isfinite(mat).all():
+                raise FormatError(f"{path}: sentence {idx}: non-finite value")
             sentences[idx] = mat.copy()
-        trailing = fh.read(1)
-        if trailing:
+        if fh.read(1):
             raise FormatError("trailing bytes after declared sentences")
     return ContextualLayerFile(layer_index, dimension, sentences)
 

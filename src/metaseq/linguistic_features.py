@@ -56,14 +56,14 @@ class AbstractnessLexicon:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 2:
-                    raise ParseError(f"line {lineno}: expected `word TAB score`")
+                    raise ParseError(f"{path}: line {lineno}: expected `word TAB score`")
                 word, score_text = parts
                 try:
                     score = float(score_text)
                 except ValueError:
-                    raise ParseError(f"line {lineno}: non-numeric score") from None
+                    raise ParseError(f"{path}: line {lineno}: non-numeric score") from None
                 if not 0.0 <= score <= 1.0:
-                    raise ParseError(f"line {lineno}: score {score} outside [0, 1]")
+                    raise ParseError(f"{path}: line {lineno}: score {score} outside [0, 1]")
                 entries[word] = score
         return cls(entries)
 

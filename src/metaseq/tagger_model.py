@@ -13,8 +13,9 @@ import dataclasses
 import json
 import math
 import struct
+import typing
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .errors import (
     DimensionError,
     FormatError,
     InputError,
+    MetaseqError,
     ParameterError,
+    ParseError,
 )
 
 CHECKPOINT_MAGIC = b"MSEQ"
@@ -92,20 +95,45 @@ class ModelConfig:
             width += 1
         return width
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key, value in d.items():
-            if isinstance(value, tuple):
-                d[key] = list(value)
-        return d
+    @staticmethod
+    def field_value(key: str, value, text: bool = False):
+        """``value`` as the type of field ``key``. Config-file ``text`` parses
+        (comma lists; true/false/1/0); any other value must already have the
+        field's type, where a list passes as a tuple and an int as a float."""
+        hint = _FIELD_TYPES.get(key)
+        if hint is None:
+            raise ParameterError(f"unknown key {key!r}")
+        if typing.get_origin(hint) is not tuple:
+            return _typed(key, hint, value, text)
+        if text:
+            value = [v.strip() for v in value.split(",") if v.strip()]
+        if not isinstance(value, (list, tuple)):
+            raise ParseError(f"{key}: expected a list, got {value!r:.80}")
+        return tuple(_typed(key, typing.get_args(hint)[0], v, text) for v in value)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ModelConfig":
-        kwargs = dict(data)
-        for key in ("window_sizes", "class_weights", "channel_order", "pos_tags"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        if not isinstance(data, Mapping):
+            raise ParseError(f"config: expected an object, got {data!r:.80}")
+        return cls(**{key: cls.field_value(key, value) for key, value in data.items()})
+
+
+_FIELD_TYPES = typing.get_type_hints(ModelConfig)
+
+
+def _typed(key: str, kind: type, value, text: bool = False):
+    """One scalar of type ``kind``: parsed from text, or checked as is."""
+    try:
+        if text and kind is bool:
+            return {"true": True, "1": True, "false": False, "0": False}[value.lower()]
+        if text:
+            return kind(value)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
+            return kind(value)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise ParseError(f"{key}: expected {kind.__name__}, got {value!r:.80}")
 
 
 @dataclass
@@ -241,10 +269,9 @@ class MetaphorTagger:
         return tc.softmax(logits)
 
     def sentence_loss(self, stack: tc.Tensor, labels: Sequence[int],
-                      rng: tc.RngStream, training: bool = True,
-                      mask: Sequence[bool] | None = None) -> tc.Tensor:
+                      rng: tc.RngStream, training: bool = True) -> tc.Tensor:
         probs = self.forward(stack, rng, training)
-        return tc.weighted_cross_entropy(probs, labels, self.config.class_weights, mask)
+        return tc.weighted_cross_entropy(probs, labels, self.config.class_weights)
 
     def predict_probs(self, channels: Mapping[str, np.ndarray]) -> np.ndarray:
         """Inference probabilities (n, 2); no tape, no dropout."""
@@ -261,18 +288,21 @@ class MetaphorTagger:
 # Training loop
 # ---------------------------------------------------------------------------
 
-def _score(model: MetaphorTagger, sentences, channel_list) -> train_eval.MetricsReport:
-    preds, gold, masks = [], [], []
-    for sent, channels in zip(sentences, channel_list):
-        probs = model.predict_probs(channels)
-        preds.extend(np.argmax(probs, axis=1).tolist())
+def label_sentences(model: MetaphorTagger, sentences, channels: Iterable[Mapping]
+                    ) -> tuple[list[list[int]], train_eval.MetricsReport]:
+    """Argmax labels per sentence and the target-token metrics over all of
+    them. ``channels`` is read one sentence at a time, right before that
+    sentence is scored, so a generator holds one sentence's channels."""
+    predictions, gold, masks = [], [], []
+    for sent, sent_channels in zip(sentences, channels):
+        predictions.append(np.argmax(model.predict_probs(sent_channels), axis=1).tolist())
         gold.extend(sent.labels().tolist())
         masks.extend(sent.target_mask().tolist())
-    return train_eval.compute_metrics(preds, gold, masks)
+    flat = [label for labels in predictions for label in labels]
+    return predictions, train_eval.compute_metrics(flat, gold, masks)
 
 
-def train(train_sentences, provider, config: ModelConfig,
-          dev_sentences=None, dev_provider=None,
+def train(train_sentences, provider, config: ModelConfig, dev_sentences=None,
           on_epoch: Callable[[int, float, float], None] | None = None,
           stop_at_f1: float | None = None) -> Checkpoint:
     """Seeded SGD over shuffled sentences; returns the best-dev-F1 snapshot.
@@ -289,8 +319,7 @@ def train(train_sentences, provider, config: ModelConfig,
         dev_sentences, dev_channels = train_sentences, train_channels
     else:
         dev_sentences = list(dev_sentences)
-        dev_channels = [(dev_provider or provider).channels(s, i)
-                        for i, s in enumerate(dev_sentences)]
+        dev_channels = [provider.channels(s, i) for i, s in enumerate(dev_sentences)]
 
     model = MetaphorTagger(config)
     shuffle_rng = tc.RngStream(config.seed, _SHUFFLE_STREAM)
@@ -309,7 +338,7 @@ def train(train_sentences, provider, config: ModelConfig,
             tc.backward(loss, tape, params.values())
             tc.sgd_step(params, config.learning_rate)
             total_loss += float(loss.data)
-        dev_f1 = _score(model, dev_sentences, dev_channels).f1
+        dev_f1 = label_sentences(model, dev_sentences, dev_channels)[1].f1
         if on_epoch is not None:
             on_epoch(epoch, total_loss / len(train_sentences), dev_f1)
         if best is None or dev_f1 > best.dev_f1:
@@ -325,7 +354,7 @@ def train(train_sentences, provider, config: ModelConfig,
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     blob = json.dumps(
-        {"config": checkpoint.config.to_dict(),
+        {"config": dataclasses.asdict(checkpoint.config),
          "epoch": checkpoint.epoch,
          "dev_f1": checkpoint.dev_f1},
         sort_keys=True).encode("utf-8")
@@ -343,7 +372,19 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path, expected_dim: int | None = None) -> Checkpoint:
+def _read_meta(path, blob: bytes) -> tuple[ModelConfig, int, float]:
+    """Config, best epoch and dev F1 from the checkpoint's JSON blob."""
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+        if not isinstance(meta, dict) or sorted(meta) != ["config", "dev_f1", "epoch"]:
+            raise ParseError(f"expected an object of config, dev_f1, epoch; got {meta!r:.60}")
+        return (ModelConfig.from_dict(meta["config"]), _typed("epoch", int, meta["epoch"]),
+                _typed("dev_f1", float, meta["dev_f1"]))
+    except (ValueError, RecursionError, MetaseqError) as exc:
+        raise FormatError(f"{path}: config blob: {exc}") from None
+
+
+def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
@@ -351,8 +392,7 @@ def load_checkpoint(path, expected_dim: int | None = None) -> Checkpoint:
         version, blob_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
-        meta = json.loads(_read_exact(fh, blob_len, "config blob").decode("utf-8"))
-        config = ModelConfig.from_dict(meta["config"])
+        config, epoch, dev_f1 = _read_meta(path, _read_exact(fh, blob_len, "config blob"))
         params: dict[str, np.ndarray] = {}
         while fh.peek(1):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter header"))
@@ -362,7 +402,4 @@ def load_checkpoint(path, expected_dim: int | None = None) -> Checkpoint:
             count = math.prod(shape)
             payload = _read_exact(fh, 8 * count, f"parameter {name} payload")
             params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    if expected_dim is not None and config.unified_dim != expected_dim:
-        raise CompatibilityError(
-            f"checkpoint dimension {config.unified_dim} != expected {expected_dim}")
-    return Checkpoint(config, params, int(meta["epoch"]), float(meta["dev_f1"]))
+    return Checkpoint(config, params, epoch, dev_f1)

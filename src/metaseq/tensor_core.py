@@ -55,9 +55,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -163,14 +160,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+        seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
         self._gen = np.random.Generator(np.random.PCG64(seq))
-
-    def spawn(self, stream_id: int) -> "RngStream":
-        """A sibling stream under the same seed."""
-        return RngStream(self.seed, stream_id)
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
@@ -319,9 +310,8 @@ def softmax(logits: Tensor) -> Tensor:
 
 
 def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
-                           weights: Sequence[float],
-                           mask: Sequence[bool] | None = None) -> Tensor:
-    """Class-weighted negative log likelihood over masked positions.
+                           weights: Sequence[float]) -> Tensor:
+    """Class-weighted negative log likelihood summed over all positions.
 
     ``probs`` is (n, k) with rows summing to 1; probabilities are clamped
     at PROB_FLOOR before the log so confident mistakes stay finite.
@@ -336,18 +326,15 @@ def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (k,):
         raise DimensionError(f"weights shape {w.shape} does not match {k} classes")
-    m = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m.shape != (n,):
-        raise DimensionError(f"mask shape {m.shape} does not match {n} rows")
 
     picked = probs.data[np.arange(n), y]
     clamped = np.maximum(picked, PROB_FLOOR)
-    loss = -(w[y] * np.log(clamped) * m).sum()
+    loss = -(w[y] * np.log(clamped)).sum()
     out = Tensor(loss, requires_grad=probs.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         dp = np.zeros_like(probs.data)
-        live = m & (picked >= PROB_FLOOR)  # inside the clamp the log is flat
+        live = picked >= PROB_FLOOR  # inside the clamp the log is flat
         rows = np.arange(n)[live]
         dp[rows, y[live]] = -w[y[live]] / picked[live] * float(g)
         _accumulate(probs, dp)

@@ -70,23 +70,23 @@ def parse_dataset(path) -> list[SentenceRecord]:
                 continue
             cols = line.split("\t")
             if len(cols) != 7:
-                raise ParseError(f"line {lineno}: expected 7 columns, got {len(cols)}")
+                raise ParseError(f"{path}: line {lineno}: expected 7 columns, got {len(cols)}")
             sent_id, genre, token_index, token, pos, label_text, target_text = cols
             if label_text not in ("0", "1"):
-                raise ParseError(f"line {lineno}: unknown label {label_text!r}")
+                raise ParseError(f"{path}: line {lineno}: unknown label {label_text!r}")
             if target_text not in ("0", "1"):
-                raise ParseError(f"line {lineno}: unknown target flag {target_text!r}")
+                raise ParseError(f"{path}: line {lineno}: unknown target flag {target_text!r}")
             if current_id is None:
                 current_id = sent_id
                 genre_norm = genre.strip().lower()
                 current_genre = genre_norm if genre_norm in GENRES else "other"
             elif sent_id != current_id:
                 raise ParseError(
-                    f"line {lineno}: sentence id {sent_id!r} inside sentence "
+                    f"{path}: line {lineno}: sentence id {sent_id!r} inside sentence "
                     f"{current_id!r}; a blank line must end each sentence")
             if token_index != str(len(current)):
-                raise ParseError(f"line {lineno}: token index {token_index!r} in sentence "
-                                 f"{current_id!r}, expected {len(current)}")
+                raise ParseError(f"{path}: line {lineno}: token index {token_index!r} "
+                                 f"in sentence {current_id!r}, expected {len(current)}")
             current.append(TokenRecord(token, pos, int(label_text), target_text == "1"))
     flush()
     return sentences

@@ -1,14 +1,17 @@
 """End-to-end CLI runs over synthetic file fixtures."""
 
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from metaseq import cli
 from metaseq.cli import main, parse_config_file
-from metaseq.embedding_io import write_contextual
+from metaseq.embedding_io import ChannelProvider, load_contextual, write_contextual
 from metaseq.errors import MetaseqError, ParameterError, ParseError
+from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from conftest import build_separable_corpus, write_corpus_files
 
 
@@ -219,6 +222,91 @@ class TestEvalCommand:
                 sums[i] += int(parts[6 + i])
         assert sums == [int(v) for v in overall[6:10]]
 
+    def test_channels_are_built_right_before_each_sentence_is_scored(
+            self, corpus_files, trained, tmp_path, monkeypatch):
+        # one sentence's channels alive at a time; the benchmark's eval unit
+        # markers also rely on this order
+        _, paths = corpus_files
+        calls = []
+        channels = ChannelProvider.channels
+        predict = MetaphorTagger.predict_probs
+
+        def channels_hook(self, sent, index):
+            calls.append(("channels", index))
+            return channels(self, sent, index)
+
+        def predict_hook(self, chans):
+            calls.append(("predict", len(calls) // 2))
+            return predict(self, chans)
+
+        monkeypatch.setattr(ChannelProvider, "channels", channels_hook)
+        monkeypatch.setattr(MetaphorTagger, "predict_probs", predict_hook)
+        assert main(self._eval_args(paths, trained, tmp_path / "eval")) == 0
+        assert calls == [(step, i) for i in range(8) for step in ("channels", "predict")]
+
+    def test_layer_dimension_mismatch_is_exit_3(self, corpus_files, trained, tmp_path,
+                                                capsys):
+        _, paths = corpus_files
+        wrong = tmp_path / "wrong.cemb"
+        write_contextual(wrong, 9, 7, {i: np.zeros((5, 7), dtype=np.float32)
+                                       for i in range(8)})
+        args = self._eval_args(paths, trained, tmp_path / "eval")
+        args[args.index("--layers") + 2] = str(wrong)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (f"error: {wrong}: layer dimension 7 != "
+                                           f"configured unified dimension 16\n")
+
+
+def _meta(**config_changes) -> dict:
+    config = dict(dataclasses.asdict(ModelConfig(unified_dim=16, static_dim=8)),
+                  **config_changes)
+    return {"config": config, "epoch": 1, "dev_f1": 0.5}
+
+
+def _json(meta) -> bytes:
+    return json.dumps(meta).encode("utf-8")
+
+
+class TestMalformedCheckpointConfig:
+    """Every flaw in a checkpoint's JSON blob is a data error naming it."""
+
+    @pytest.mark.parametrize("blob,problem", [
+        pytest.param(_json(_meta(bogus=1)), "unknown key 'bogus'", id="unknown-key"),
+        pytest.param(_json(_meta(unified_dim="16")), "unified_dim: expected int, got '16'",
+                     id="string-unified-dim"),
+        pytest.param(_json(_meta(window_sizes=3)), "window_sizes: expected a list, got 3",
+                     id="int-window-sizes"),
+        pytest.param(_json(_meta(hidden_size=10.0)), "hidden_size: expected int, got 10.0",
+                     id="float-hidden-size"),
+        pytest.param(_json(_meta(use_pos=1)), "use_pos: expected bool, got 1",
+                     id="int-use-pos"),
+        pytest.param(_json(_meta(learning_rate=10 ** 400)), "learning_rate: expected float",
+                     id="int-beyond-float"),
+        pytest.param(_json(_meta(window_sizes=[])), "bad window sizes", id="no-windows"),
+        pytest.param(_json({"config": _meta()["config"], "dev_f1": 0.5}),
+                     "expected an object of config, dev_f1, epoch",
+                     id="missing-epoch"),
+        pytest.param(_json(dict(_meta(), epoch="1")), "epoch: expected int, got '1'",
+                     id="string-epoch"),
+        pytest.param(_json(dict(_meta(), dev_f1=None)), "dev_f1: expected float, got None",
+                     id="null-dev-f1"),
+        pytest.param(_json(dict(_meta(), config=[])), "config: expected an object, got []",
+                     id="config-list"),
+        pytest.param(b'{"config": ', "Expecting value", id="bad-json"),
+        pytest.param(b"\xff\xfe{}", "can't decode byte 0xff", id="bad-utf8"),
+        pytest.param(b"[1, 2]", "expected an object of config", id="json-list"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "recursion", id="deep-nesting"),
+    ])
+    def test_eval_exits_3_naming_the_problem(self, tmp_path, capsys, blob, problem):
+        ckpt = tmp_path / "bad.mseq"
+        ckpt.write_bytes(b"MSEQ" + struct.pack("<II", 1, len(blob)) + blob)
+        args = ["eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "unread.tsv"),
+                "--out", str(tmp_path / "eval")]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: config blob: ")
+        assert problem in err
+
 
 class TestProbeCommand:
     def _layer_paths(self, tmp_path, sentences_count, thetas):
@@ -341,6 +429,19 @@ class TestProbeCommand:
         assert capsys.readouterr().err == (
             f"error: {scores}: line 3: layer 1 already scored on line 2\n")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_layer_value_is_exit_3(self, tmp_path, capsys, bad):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.3, 0.9])
+        sentences = load_contextual(layers[1]).sentences
+        sentences[3] = np.where(np.arange(6) == 2, bad, sentences[3]).astype(np.float32)
+        write_contextual(layers[1], 2, 6, sentences)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", "cosine", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {layers[1]}: sentence 3: non-finite value\n"
+        assert not (out / "probe_cosine.csv").exists()
+
     def test_threads_do_not_change_results(self, tmp_path):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.2, 0.5, 0.8, 1.1])
@@ -384,6 +485,24 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("line,code,message", [
+        ("bogus=1", 2, "unknown key 'bogus'"),
+        ("hidden_size=8.5", 3, "hidden_size: expected int, got '8.5'"),
+        ("use_pos=yes", 3, "use_pos: expected bool, got 'yes'"),
+        ("window_sizes=2,x", 3, "window_sizes: expected int, got 'x'"),
+        ("learning_rate=fast", 3, "learning_rate: expected float, got 'fast'"),
+    ])
+    def test_config_errors_name_file_and_line(self, corpus_files, tmp_path, capsys,
+                                              line, code, message):
+        _, paths = corpus_files
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(paths["config"].read_text() + line + "\n")
+        lineno = len(cfg.read_text().splitlines())
+        args = _train_args(paths, tmp_path / "run")
+        args[args.index("--config") + 1] = str(cfg)
+        assert main(args) == code
+        assert capsys.readouterr().err == f"error: {cfg}: line {lineno}: {message}\n"
+
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "m.cfg"
         p.write_text("unified_dim 32\n")
@@ -420,6 +539,36 @@ class TestConfigFile:
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+class TestNegativeSeed:
+    """A negative seed from any source is a usage error, before any input is read."""
+
+    @pytest.mark.parametrize("command,source", [
+        ("train", "flag"), ("train", "config"), ("train", "env"),
+        ("probe", "flag"), ("probe", "env"),
+    ])
+    def test_negative_seed_is_usage_error(self, corpus_files, tmp_path, monkeypatch, capsys,
+                                          command, source):
+        _, paths = corpus_files
+        if command == "train":
+            args = _train_args(paths, tmp_path / "run")
+            del args[args.index("--seed"):args.index("--seed") + 2]
+        else:
+            args = ["probe", "--data", str(paths["data"]), "--layer-files", str(paths["E"]),
+                    "--mode", "cosine", "--out", str(tmp_path / "run")]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "seed.cfg"
+            cfg.write_text(paths["config"].read_text() + "seed=-1\n")
+            args[args.index("--config") + 1] = str(cfg)
+        else:
+            monkeypatch.setenv("METASEQ_SEED", "-4")
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seeds must be >= 0" in err
+        assert not (tmp_path / "run").exists()
 
 
 def _error_classes(cls=MetaseqError) -> list:

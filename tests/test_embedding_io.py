@@ -1,5 +1,6 @@
 """Static/contextual embedding loaders, the channel stack, and projections."""
 
+import re
 import struct
 
 import numpy as np
@@ -51,13 +52,20 @@ class TestStaticTable:
     def test_length_mismatch_reports_line(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\nb 3.0 4.0\nc 1.0\n")
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 3: expected 2 values")):
             load_static_text(p)
 
     def test_non_numeric_field(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 x\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: non-numeric")):
+            load_static_text(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"a 1.0 2.0\nb 3.0 {bad}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: non-finite value")):
             load_static_text(p)
 
     def test_duplicates_keep_first(self, tmp_path):
@@ -127,6 +135,15 @@ class TestContextualCodec:
         p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 0, dimension, 1)
                       + struct.pack("<II", 0, tokens) + b"\x00" * 4)
         with pytest.raises(TruncatedError, match="sentence 0 payload"):
+            load_contextual(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        p = tmp_path / "layer.cemb"
+        rows = np.ones((2, 4), dtype=np.float32)
+        rows[1, 3] = bad
+        write_contextual(p, 1, 4, {0: np.ones((1, 4), dtype=np.float32), 7: rows})
+        with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 7: non-finite value")):
             load_contextual(p)
 
     def test_trailing_bytes_rejected(self, tmp_path):

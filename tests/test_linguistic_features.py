@@ -1,5 +1,7 @@
 """PoS one-hots, cosine, and the abstractness backoff chain."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -72,13 +74,13 @@ class TestLexicon:
     def test_score_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "lex.tsv"
         p.write_text("word\t1.5\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: score 1.5 outside")):
             AbstractnessLexicon.load(p)
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "lex.tsv"
-        p.write_text("word only\n")
-        with pytest.raises(ParseError):
+        p.write_text("word\t0.5\nword only\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: expected `word TAB")):
             AbstractnessLexicon.load(p)
 
 

@@ -1,5 +1,7 @@
 """Dataset parsing, metric arithmetic, breakdowns, and fold plans."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestParseDataset:
     def test_missing_column_reports_line(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("s1\tnews\t0\tword\tNOUN\t0\n")
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: expected 7 columns")):
             parse_dataset(p)
 
     def test_unknown_label(self, tmp_path):
