@@ -30,6 +30,7 @@ from .errors import (
     MetaseqError,
     ParameterError,
     ParseError,
+    open_text,
 )
 from .linguistic_features import AbstractnessLexicon, AbstractnessScorer, PosVocabulary
 from .tagger_model import ModelConfig
@@ -44,7 +45,7 @@ def _fmt(value: float) -> str:
 def parse_config_file(path) -> dict:
     """`key=value` lines typed by ``ModelConfig.field_value``; `#` starts a comment."""
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -125,14 +126,34 @@ def _load_layers(config: ModelConfig, layer_paths: list[str], parser) -> dict[st
     return files
 
 
-def _make_provider(config: ModelConfig, args, parser) -> tuple[ChannelProvider, list]:
-    """Wire static table, layer files and feature encoders per the config."""
+def _make_provider(config: ModelConfig, args, parser,
+                   sentences: list) -> tuple[ChannelProvider, list]:
+    """Wire static table, layer files and feature encoders per the config.
+
+    The static table keeps only the vectors the run can read: every token
+    of ``sentences`` as written, lowercased too when the lexicon lookup
+    lowercases, and the lexicon words, which are the abstractness backoff's
+    candidates. So the lexicon is read before the vector file.
+    """
+    static = "G" in config.channel_order
+    if static and not args.glove:
+        parser.error("channel G is configured but --glove is missing")
+    if config.use_abstractness and not getattr(args, "abst_lexicon", None):
+        parser.error("use_abstractness is configured but --abst-lexicon is missing")
+    if config.use_abstractness and not static:
+        parser.error("use_abstractness requires the static channel G")
     inputs = list(args.layers or [])
-    static_table = None
-    if "G" in config.channel_order:
-        if not args.glove:
-            parser.error("channel G is configured but --glove is missing")
-        static_table = load_static_text(args.glove)
+    lexicon = static_table = None
+    if config.use_abstractness:
+        lexicon = AbstractnessLexicon.load(args.abst_lexicon)
+        inputs.append(args.abst_lexicon)
+    if static:
+        words = {t.text for s in sentences for t in s.tokens}
+        if lexicon is not None:
+            if config.lowercase_lexicon:
+                words |= {w.lower() for w in words}
+            words.update(lexicon.entries)
+        static_table = load_static_text(args.glove, words)
         inputs.append(args.glove)
         if static_table.dimension != config.static_dim:
             raise CompatibilityError(
@@ -141,16 +162,9 @@ def _make_provider(config: ModelConfig, args, parser) -> tuple[ChannelProvider, 
     layer_files = _load_layers(config, args.layers or [], parser)
 
     pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
-
     scorer = None
-    if config.use_abstractness:
-        if not getattr(args, "abst_lexicon", None):
-            parser.error("use_abstractness is configured but --abst-lexicon is missing")
-        if static_table is None:
-            parser.error("use_abstractness requires the static channel G")
-        lexicon = AbstractnessLexicon.load(args.abst_lexicon)
+    if lexicon is not None:
         scorer = AbstractnessScorer(lexicon, static_table, config.lowercase_lexicon)
-        inputs.append(args.abst_lexicon)
 
     provider = ChannelProvider(config.channel_order, static_table, layer_files,
                                pos_vocab, scorer)
@@ -188,7 +202,8 @@ def cmd_train(args, parser, argv: list[str]) -> int:
             _check_dev_rows(args.dev, dev_sentences, train_sentences)
     else:
         dev_sentences = None
-    provider, extra_inputs = _make_provider(config, args, parser)
+    provider, extra_inputs = _make_provider(
+        config, args, parser, train_sentences + (dev_sentences or []))
     inputs.extend(extra_inputs)
     if args.config:
         inputs.append(args.config)
@@ -232,7 +247,7 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
     checkpoint = tagger_model.load_checkpoint(args.checkpoint)
     config = checkpoint.config
     sentences = train_eval.parse_dataset(args.data)
-    provider, extra_inputs = _make_provider(config, args, parser)
+    provider, extra_inputs = _make_provider(config, args, parser, sentences)
     inputs = [args.checkpoint, args.data, *extra_inputs]
 
     model = tagger_model.MetaphorTagger.from_checkpoint(checkpoint)
@@ -262,7 +277,7 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
 
 def _read_scores_csv(path) -> dict[int, float]:
     scores, first_line = {}, {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         if not header.lower().startswith("layer,"):
             raise ParseError(f"{path}: expected header `layer,score`")

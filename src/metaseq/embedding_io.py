@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Mapping, Sequence
+from typing import AbstractSet, BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     ParseError,
     TruncatedError,
+    open_text,
 )
 
 CONTEXTUAL_MAGIC = b"CEMB"
@@ -33,52 +34,111 @@ CONTEXTUAL_VERSION = 1
 # ---------------------------------------------------------------------------
 
 class StaticEmbeddingTable:
-    """Token -> fixed-width vector map; absent tokens read as zeros."""
+    """Token -> fixed-width vector map over one (V, d) matrix; absent
+    tokens read as zeros."""
 
-    def __init__(self, dimension: int, entries: dict[str, np.ndarray]):
-        self.dimension = int(dimension)
-        self.entries = entries
+    def __init__(self, rows: dict[str, int], matrix: np.ndarray):
+        self.rows = rows
+        self.matrix = matrix
+        self.dimension = matrix.shape[1]
         self._zero = np.zeros(self.dimension)
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        return token in self.rows
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def vector(self, token: str) -> np.ndarray:
-        return self.entries.get(token, self._zero)
+        row = self.rows.get(token)
+        return self._zero if row is None else self.matrix[row]
 
 
-def load_static_text(path) -> StaticEmbeddingTable:
-    """Parse `token v1 ... vd` lines; the first line fixes the dimension."""
-    entries: dict[str, np.ndarray] = {}
+# Lines handed to one np.loadtxt call: enough to amortise its set-up, few
+# enough that one chunk's floats stay under 10 MB at d = 300.
+GLOVE_CHUNK_LINES = 4096
+
+
+def _parse_vectors(values: list[str]) -> np.ndarray:
+    """The `v1 ... vd` parts of vector lines, by numpy's C float parser."""
+    return np.loadtxt(values, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _checked_vectors(path, values: list[str], linenos: list[int]) -> np.ndarray:
+    """The chunk's vectors; if any value is not a finite float, a
+    ParseError naming the first bad line, found by parsing line by line."""
+    try:
+        block = _parse_vectors(values)
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    rows = []
+    for text, lineno in zip(values, linenos):
+        try:
+            row = _parse_vectors([text])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
+        if not np.isfinite(row).all():
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
+    return np.concatenate(rows)
+
+
+def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
+    """Parse `token v1 ... vd` lines; the first line fixes the dimension.
+
+    Every line is checked for its width and for finite float values, in
+    chunks of ``GLOVE_CHUNK_LINES``; only the first occurrence of each
+    token in ``words`` is kept.
+    """
+    rows: dict[str, int] = {}
+    blocks: list[np.ndarray] = []
+    tokens: list[str] = []
+    values: list[str] = []
+    linenos: list[int] = []
     dimension = None
-    with open(path, encoding="utf-8") as fh:
+
+    def keep_chunk() -> None:
+        block = _checked_vectors(path, values, linenos)
+        take = []
+        for i, token in enumerate(tokens):
+            if token in words and token not in rows:
+                rows[token] = len(rows)
+                take.append(i)
+        if take:
+            blocks.append(block[take])
+        tokens.clear()
+        values.clear()
+        linenos.clear()
+
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
-            parts = line.split(" ")
-            token, values = parts[0], parts[1:]
+            width = line.count(" ")
             if dimension is None:
-                if not values:
+                if not width:
                     raise ParseError(f"{path}: line {lineno}: no vector values")
-                dimension = len(values)
-            if len(values) != dimension:
+                dimension = width
+            if width != dimension:
                 raise ParseError(
-                    f"{path}: line {lineno}: expected {dimension} values, got {len(values)}")
-            try:
-                vec = np.array([float(v) for v in values])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: non-numeric field ({exc})") from None
-            if not np.isfinite(vec).all():
-                raise ParseError(f"{path}: line {lineno}: non-finite value")
-            if token not in entries:  # duplicates keep the first occurrence
-                entries[token] = vec
+                    f"{path}: line {lineno}: expected {dimension} values, got {width}")
+            token, _, text = line.partition(" ")
+            if not text:  # `token ` with d = 1; loadtxt would skip, not reject, it
+                raise ParseError(f"{path}: line {lineno}: non-numeric field (empty value)")
+            tokens.append(token)
+            values.append(text)
+            linenos.append(lineno)
+            if len(values) == GLOVE_CHUNK_LINES:
+                keep_chunk()
     if dimension is None:
         raise ParseError(f"{path}: empty embedding file")
-    return StaticEmbeddingTable(dimension, entries)
+    if values:
+        keep_chunk()
+    matrix = np.concatenate(blocks) if blocks else np.zeros((0, dimension))
+    return StaticEmbeddingTable(rows, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Each class carries the CLI exit code it maps to: 2 usage, 3 data/format,
 4 numeric failure. Subclasses inherit the code of their parent.
+``open_text`` opens every text input, so a byte sequence that is not
+UTF-8 is a ``ParseError`` too.
 """
+
+from contextlib import contextmanager
 
 
 class MetaseqError(Exception):
@@ -71,3 +75,14 @@ class DegeneracyError(MetaseqError):
     """The input is degenerate (zero variance, rank zero, empty)."""
 
     exit_code = 4
+
+
+@contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text; a decoding failure while
+    the block reads it is a ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None

@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, open_text
 
 
 class PosVocabulary:
@@ -49,7 +49,7 @@ class AbstractnessLexicon:
     @classmethod
     def load(cls, path) -> "AbstractnessLexicon":
         entries: dict[str, float] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\n")
                 if not line:
@@ -111,9 +111,7 @@ class AbstractnessScorer:
         if self._candidates is not None:
             return
         words = sorted(w for w in self.lexicon.entries if w in self.table)
-        rows = np.zeros((len(words), self.table.dimension))
-        for i, w in enumerate(words):
-            rows[i] = np.asarray(self.table.vector(w), dtype=np.float64)
+        rows = self.table.matrix[[self.table.rows[w] for w in words]]
         self._candidates = words
         self._rows = rows
         self._row_norms = np.linalg.norm(rows, axis=1)

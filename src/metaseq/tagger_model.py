@@ -73,8 +73,12 @@ class ModelConfig:
         if len(self.class_weights) != 2:
             raise ParameterError(
                 f"need 2 class weights (literal, metaphor), got {self.class_weights}")
-        if min(self.class_weights) <= 0.0:
-            raise ParameterError(f"class weights must be positive, got {self.class_weights}")
+        if not all(0.0 < w < math.inf for w in self.class_weights):
+            raise ParameterError(
+                f"class weights must be finite and positive, got {self.class_weights}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ParameterError(
+                f"learning rate must be finite and positive, got {self.learning_rate}")
         if not self.channel_order:
             raise ParameterError("channel order must name at least one channel")
         if len(set(self.channel_order)) != len(self.channel_order):

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, InputError, ParameterError, ParseError
+from .errors import ContractError, InputError, ParameterError, ParseError, open_text
 from .tensor_core import RngStream
 
 LITERAL, METAPHOR = 0, 1
@@ -62,7 +62,7 @@ def parse_dataset(path) -> list[SentenceRecord]:
             sentences.append(SentenceRecord(current_id, current_genre, current))
         current, current_id, current_genre = [], None, "other"
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

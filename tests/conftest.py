@@ -22,6 +22,13 @@ POS_CYCLE = ("VERB", "NOUN", "ADJ", "ADV")
 GENRE_CYCLE = ("news", "academic", "fiction", "conversation")
 
 
+def static_table(dimension: int, vectors) -> StaticEmbeddingTable:
+    """A static table holding ``vectors`` (token -> values), in their order."""
+    matrix = np.array([np.asarray(v, dtype=np.float64) for v in vectors.values()])
+    return StaticEmbeddingTable({word: i for i, word in enumerate(vectors)},
+                                matrix.reshape(len(vectors), dimension))
+
+
 @dataclass
 class SynthCorpus:
     sentences: list
@@ -72,7 +79,7 @@ def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
         e_sents[i] = e_mat
         b_sents[i] = b_mat
 
-    table = StaticEmbeddingTable(static_dim, glove)
+    table = static_table(static_dim, glove)
     layers = {"E": ContextualLayerFile(1, dim, e_sents),
               "B": ContextualLayerFile(2, dim, b_sents)}
     provider = ChannelProvider(("G", "E", "B"), table, layers)
@@ -96,7 +103,8 @@ def write_corpus_files(corpus: SynthCorpus, out_dir: Path) -> dict[str, Path]:
             fh.write("\n")
     glove_path = out_dir / "glove.txt"
     with open(glove_path, "w", encoding="utf-8") as fh:
-        for word, vec in corpus.static_table.entries.items():
+        for word, row in corpus.static_table.rows.items():
+            vec = corpus.static_table.matrix[row]
             fh.write(word + " " + " ".join(f"{v:.8f}" for v in vec) + "\n")
     paths = {"data": data_path, "glove": glove_path}
     for name, layer in corpus.layer_files.items():

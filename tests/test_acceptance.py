@@ -16,7 +16,6 @@ import pytest
 from metaseq import tensor_core as tc
 from metaseq.embedding_io import (
     ContextualLayerFile,
-    StaticEmbeddingTable,
     load_contextual,
     write_contextual,
 )
@@ -36,7 +35,7 @@ from metaseq.train_eval import (
     f1_from_pr,
     parse_dataset,
 )
-from conftest import DATA_DIR, build_separable_corpus
+from conftest import DATA_DIR, build_separable_corpus, static_table
 from helpers import micro_gradcheck
 
 
@@ -290,8 +289,8 @@ def test_criterion6_probe_sensitivity(tmp_path):
 
 def test_criterion7_abstractness_contract():
     lexicon = AbstractnessLexicon.load(DATA_DIR / "abstractness_small.tsv")
-    table = StaticEmbeddingTable(3, {"purism": np.array([1.0, 0.0, 0.0]),
-                                     "ski": np.array([0.0, 1.0, 0.0])})
+    table = static_table(3, {"purism": np.array([1.0, 0.0, 0.0]),
+                             "ski": np.array([0.0, 1.0, 0.0])})
     scorer = AbstractnessScorer(lexicon, table)
     assert scorer.score("purism") == 0.97
     assert scorer.score("ski") == 0.25
@@ -305,7 +304,7 @@ def test_criterion7_abstractness_contract():
     for q in queries:
         vectors[q] = rng.integers(-4, 5, size=5).astype(float)
     big_lexicon = AbstractnessLexicon(scores)
-    big_table = StaticEmbeddingTable(5, {k: np.asarray(v) for k, v in vectors.items()})
+    big_table = static_table(5, vectors)
     big_scorer = AbstractnessScorer(big_lexicon, big_table)
     for q in queries:
         best_word, best_sim = None, -np.inf

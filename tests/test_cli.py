@@ -283,6 +283,10 @@ class TestMalformedCheckpointConfig:
         pytest.param(_json(_meta(learning_rate=10 ** 400)), "learning_rate: expected float",
                      id="int-beyond-float"),
         pytest.param(_json(_meta(window_sizes=[])), "bad window sizes", id="no-windows"),
+        pytest.param(_json(_meta(learning_rate=-0.1)),
+                     "learning rate must be finite and positive", id="negative-rate"),
+        pytest.param(_json(_meta(class_weights=[float("nan"), 1.0])),
+                     "class weights must be finite and positive", id="nan-class-weight"),
         pytest.param(_json({"config": _meta()["config"], "dev_f1": 0.5}),
                      "expected an object of config, dev_f1, epoch",
                      id="missing-epoch"),
@@ -514,6 +518,12 @@ class TestConfigFile:
         ("class_weights=1,2,3", "2 class weights"),
         ("window_sizes=2,2", "repeated window size"),
         ("channel_order=G,E,E", "repeated channel"),
+        ("learning_rate=-0.2", "learning rate must be finite and positive"),
+        ("learning_rate=0", "learning rate must be finite and positive"),
+        ("learning_rate=nan", "learning rate must be finite and positive"),
+        ("learning_rate=inf", "learning rate must be finite and positive"),
+        ("class_weights=nan,1", "class weights must be finite and positive"),
+        ("class_weights=1,inf", "class weights must be finite and positive"),
     ])
     def test_invalid_model_config_is_usage_error(self, corpus_files, tmp_path, capsys,
                                                  line, message):
@@ -522,6 +532,7 @@ class TestConfigFile:
         cfg.write_text(paths["config"].read_text() + line + "\n")
         args = _train_args(paths, tmp_path / "run")
         args[args.index("--config") + 1] = str(cfg)
+        args[args.index("--data") + 1] = str(tmp_path / "unread.tsv")  # no data is read
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.mseq").exists()
@@ -539,6 +550,98 @@ class TestConfigFile:
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+class TestInvalidUtf8:
+    """A text input that is not UTF-8 is a data error naming the file."""
+
+    BAD_LINES = {"glove": b"\xff\xfe 0.3 0.4\n", "data": b"s9\tnews\t0\t\xff\tNOUN\t0\t1\n",
+                 "lexicon": b"\xff\t0.5\n", "config": b"# \xff\n", "scores": b"2,\xff\n"}
+
+    @pytest.mark.parametrize("reader", sorted(BAD_LINES))
+    def test_invalid_utf8_is_parse_error(self, corpus_files, tmp_path, capsys, reader):
+        _, paths = corpus_files
+        files = {"glove": paths["glove"], "data": paths["data"],
+                 "lexicon": tmp_path / "lex.tsv", "config": tmp_path / "model.cfg",
+                 "scores": tmp_path / "f1.csv"}
+        files["lexicon"].write_text("w0_0\t0.5\n")
+        files["config"].write_text(paths["config"].read_text() + "use_abstractness=true\n")
+        files["scores"].write_text("layer,score\n1,0.5\n")
+        bad = tmp_path / f"bad_{files[reader].name}"
+        bad.write_bytes(files[reader].read_bytes() + self.BAD_LINES[reader])
+        files[reader] = bad
+        if reader == "scores":
+            layer = tmp_path / "layer.cemb"
+            write_contextual(layer, 1, 2, {0: np.ones((1, 2), dtype=np.float32)})
+            data = tmp_path / "one.tsv"
+            data.write_text("s0\tnews\t0\tw\tVERB\t0\t1\n")
+            args = ["probe", "--data", str(data), "--layer-files", str(layer), str(layer),
+                    "--mode", "l2", "--scores", str(bad), "--out", str(tmp_path / "probe")]
+        else:
+            args = ["train", "--data", str(files["data"]), "--glove", str(files["glove"]),
+                    "--layers", str(paths["E"]), str(paths["B"]),
+                    "--abst-lexicon", str(files["lexicon"]), "--config", str(files["config"]),
+                    "--out", str(tmp_path / "run")]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8\n"
+
+
+class TestStaticRowsKept:
+    """The vector file is read for the rows a run can use: every token of
+    the training and dev data as written, lowercased for the lexicon, and
+    the lexicon words."""
+
+    CONFIG = ("unified_dim=4\nstatic_dim=2\nkernels_per_window=1\nhidden_size=2\n"
+              "window_sizes=2\nchannel_order=G\nepochs=1\n")
+
+    def _train(self, monkeypatch, tmp_path, data_rows, dev_rows, glove, config,
+               lexicon=None):
+        """Run `train` and return the ChannelProvider it trained with."""
+        seen = []
+        real_train = cli.tagger_model.train
+
+        def spy(sentences, provider, *args, **kwargs):
+            seen.append(provider)
+            return real_train(sentences, provider, *args, **kwargs)
+
+        monkeypatch.setattr(cli.tagger_model, "train", spy)
+        files = {"data": data_rows, "dev": dev_rows, "glove": glove,
+                 "config": config, "abst-lexicon": lexicon}
+        args = ["train", "--out", str(tmp_path / "run")]
+        for flag, text in files.items():
+            if text is not None:
+                (tmp_path / flag).write_text(text)
+                args += [f"--{flag}", str(tmp_path / flag)]
+        assert main(args) == 0
+        return seen[0]
+
+    @staticmethod
+    def _tsv(sentence_id, words):
+        return "".join(f"{sentence_id}\tnews\t{i}\t{w}\tNOUN\t{i % 2}\t1\n"
+                       for i, w in enumerate(words)) + "\n"
+
+    def test_dev_only_word_gets_its_vector(self, monkeypatch, tmp_path):
+        glove = "unused 9.0 9.0\nalpha 1.0 0.0\nbeta 0.0 1.0\nheldout 0.25 -0.5\n"
+        dev = self._tsv("d0", ["heldout", "alpha"])
+        provider = self._train(monkeypatch, tmp_path, self._tsv("s0", ["alpha", "beta"]),
+                               dev, glove, self.CONFIG)
+        sentence = cli.train_eval.parse_dataset(tmp_path / "dev")[0]
+        np.testing.assert_array_equal(provider.channels(sentence, 0)["G"][0], [0.25, -0.5])
+        assert "unused" not in provider.static_table
+
+    def test_capitalised_word_keeps_its_row_and_scores_lowercased(self, monkeypatch,
+                                                                  tmp_path):
+        glove = ("Stone 0.0 1.0\nstone 1.0 0.0\nrock 0.9 0.1\nidea 0.1 0.9\n"
+                 "falls 0.5 0.5\n")
+        lexicon = "rock\t0.1\nidea\t0.9\n"
+        config = self.CONFIG + "use_abstractness=true\n"
+        provider = self._train(monkeypatch, tmp_path, self._tsv("s0", ["Stone", "falls"]),
+                               None, glove, config, lexicon)
+        sentence = cli.train_eval.parse_dataset(tmp_path / "data")[0]
+        row = provider.channels(sentence, 0)["G"][0]
+        # the G vector is "Stone"'s; the score is that of "stone"'s nearest
+        # lexicon word, "rock", where "Stone"'s own would be "idea"
+        np.testing.assert_array_equal(row, [0.0, 1.0, 0.1])
 
 
 class TestNegativeSeed:

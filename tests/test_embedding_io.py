@@ -8,9 +8,9 @@ import pytest
 
 from metaseq import tensor_core as tc
 from metaseq.embedding_io import (
+    GLOVE_CHUNK_LINES,
     ChannelProvider,
     ContextualLayerFile,
-    StaticEmbeddingTable,
     _read_exact,
     load_contextual,
     load_static_text,
@@ -32,12 +32,25 @@ from metaseq.linguistic_features import (
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import SentenceRecord, TokenRecord
 
+from conftest import static_table
+
+
+def float_reference(path) -> dict[str, np.ndarray]:
+    """The vector file read with one Python ``float()`` per value; the first
+    occurrence of a token wins."""
+    out: dict[str, np.ndarray] = {}
+    with open(path, encoding="utf-8") as fh:
+        for raw in fh:
+            token, *values = raw.rstrip("\n").split(" ")
+            out.setdefault(token, np.array([float(v) for v in values]))
+    return out
+
 
 class TestStaticTable:
     def test_minimal_file(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\nb 3.0 4.0\n")
-        table = load_static_text(p)
+        table = load_static_text(p, {"a", "b"})
         assert table.dimension == 2
         assert len(table) == 2
         np.testing.assert_array_equal(table.vector("a"), [1.0, 2.0])
@@ -45,7 +58,7 @@ class TestStaticTable:
     def test_oov_returns_zero_vector(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\n")
-        table = load_static_text(p)
+        table = load_static_text(p, {"a", "zzz"})
         np.testing.assert_array_equal(table.vector("zzz"), [0.0, 0.0])
         assert "zzz" not in table
 
@@ -53,26 +66,80 @@ class TestStaticTable:
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\nb 3.0 4.0\nc 1.0\n")
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 3: expected 2 values")):
-            load_static_text(p)
+            load_static_text(p, {"a", "b", "c"})
 
     def test_non_numeric_field(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 x\n")
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: non-numeric")):
-            load_static_text(p)
+            load_static_text(p, {"a"})
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
-    def test_non_finite_value_rejected(self, tmp_path, bad):
+    def test_empty_value_is_non_numeric(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("a 1.0\nb \nc 2.0\n")  # d = 1; line 2's one value is empty
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: non-numeric")):
+            load_static_text(p, {"a", "c"})
+
+    @pytest.mark.parametrize("bad,words", [
+        *(pytest.param(bad, {"a", "b"}, id=bad)
+          for bad in ("nan", "inf", "-inf", "NaN", "Infinity")),
+        pytest.param("inf", {"a"}, id="inf-unused"),
+        pytest.param("nan", {"a"}, id="nan-unused"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, bad, words):
         p = tmp_path / "emb.txt"
         p.write_text(f"a 1.0 2.0\nb 3.0 {bad}\n")
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: non-finite value")):
-            load_static_text(p)
+            load_static_text(p, words)
 
     def test_duplicates_keep_first(self, tmp_path):
         p = tmp_path / "emb.txt"
         p.write_text("a 1.0 2.0\na 9.0 9.0\n")
-        table = load_static_text(p)
+        table = load_static_text(p, {"a"})
         np.testing.assert_array_equal(table.vector("a"), [1.0, 2.0])
+
+    def test_matches_float_reference_bit_for_bit(self, tmp_path):
+        # 10,000 lines span three chunks; "dup" first sits in chunk 0 and
+        # again in chunk 2, with other values.
+        rng = np.random.default_rng(3)
+        n, dim = 2 * GLOVE_CHUNK_LINES + 1808, 5
+        values = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-30, 30, size=(n, dim))
+        formats = (repr, "{:.8f}".format, "{:.17e}".format, "{:+.4g}".format)
+        words = [f"w{i}" for i in range(n)]
+        words[100] = words[n - 50] = "dup"
+        p = tmp_path / "emb.txt"
+        with open(p, "w", encoding="utf-8") as fh:
+            for i, (word, row) in enumerate(zip(words, values)):
+                fields = (formats[(i + j) % len(formats)](float(v)) for j, v in enumerate(row))
+                fh.write(word + " " + " ".join(fields) + "\n")
+        wanted = set(words[::3]) | {"dup", "absent"}
+        table = load_static_text(p, wanted)
+        reference = float_reference(p)
+        kept = wanted & reference.keys()
+        assert set(table.rows) == kept
+        for word in kept:
+            assert table.vector(word).tobytes() == reference[word].tobytes(), word
+        np.testing.assert_allclose(table.vector("dup"), values[100], rtol=1e-3)
+
+    def test_crlf_file_loads_like_its_lf_twin(self, tmp_path):
+        text = "a 1.5 -2.25\n\nb 3e-3 4.0\nc 0.1 0.2\n"
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        a, b = load_static_text(lf, {"a", "b"}), load_static_text(crlf, {"a", "b"})
+        assert a.rows == b.rows
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    @pytest.mark.parametrize("bad,problem", [("x", "non-numeric field"),
+                                             ("inf", "non-finite value")])
+    def test_unused_line_past_first_chunk_is_checked(self, tmp_path, bad, problem):
+        lineno = GLOVE_CHUNK_LINES + 10
+        lines = [f"w{i} 0.5 0.25" for i in range(GLOVE_CHUNK_LINES + 20)]
+        lines[lineno - 1] = f"unused 0.5 {bad}"
+        p = tmp_path / "emb.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line {lineno}: {problem}")):
+            load_static_text(p, {"w0"})
 
 
 class TestContextualCodec:
@@ -242,7 +309,7 @@ class TestProjectStatic:
 def static_row(dim: int, tags, score: float | None, pos: str = "NOUN") -> np.ndarray:
     """The G-channel row of one token absent from the static table, so its
     vector reads as zeros; ``tags``/``score`` switch on PoS and abstractness."""
-    table = StaticEmbeddingTable(dim, {})
+    table = static_table(dim, {})
     vocab = PosVocabulary(tags) if tags is not None else None
     scorer = None
     if score is not None:
@@ -298,19 +365,19 @@ class TestChannelProvider:
                               [TokenRecord(w, "NOUN", 0, True) for w in words])
 
     def test_contextual_row_count_checked(self):
-        table = StaticEmbeddingTable(2, {"a": np.ones(2)})
+        table = static_table(2, {"a": np.ones(2)})
         layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4), dtype=np.float32)})
         provider = ChannelProvider(("G", "E"), table, {"E": layer})
         with pytest.raises(AlignmentError, match="sX"):
             provider.channels(self._sentence(["a", "b", "c"]), 0)
 
     def test_static_rows_include_oov_zero(self):
-        table = StaticEmbeddingTable(2, {"a": np.array([1.0, 2.0])})
+        table = static_table(2, {"a": np.array([1.0, 2.0])})
         provider = ChannelProvider(("G",), table)
         out = provider.channels(self._sentence(["a", "b"]), 0)
         np.testing.assert_array_equal(out["G"], [[1.0, 2.0], [0.0, 0.0]])
 
     def test_missing_layer_file_rejected_up_front(self):
-        table = StaticEmbeddingTable(2, {})
+        table = static_table(2, {})
         with pytest.raises(DimensionError, match="channel E"):
             ChannelProvider(("G", "E"), table, {})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from metaseq.embedding_io import StaticEmbeddingTable
 from metaseq.errors import ParameterError, ParseError
 from metaseq.linguistic_features import (
     AbstractnessLexicon,
@@ -15,6 +14,8 @@ from metaseq.linguistic_features import (
     cosine,
 )
 from metaseq.tagger_model import ModelConfig
+
+from conftest import static_table
 
 
 class TestPosOneHot:
@@ -85,9 +86,7 @@ class TestLexicon:
 
 
 def _table(entries):
-    dim = len(next(iter(entries.values())))
-    return StaticEmbeddingTable(dim, {k: np.asarray(v, dtype=float)
-                                      for k, v in entries.items()})
+    return static_table(len(next(iter(entries.values()))), entries)
 
 
 def scored(word, lex, table, lowercase=True) -> float:
@@ -140,7 +139,7 @@ class TestAbstractness:
         table = _table({"stone": [1.0, 0.0], "rock": [0.8, 0.2]})
         scorer = AbstractnessScorer(lex, table)
         assert scorer.score("rock") == 0.05
-        table.entries["stone"] = np.array([0.0, 1.0])  # memo hides later mutation
+        table.matrix[table.rows["stone"]] = [0.0, 1.0]  # memo hides later mutation
         assert scorer.score("rock") == 0.05
 
     def test_backoff_matches_exhaustive_scan_oracle(self):
