@@ -2,7 +2,8 @@
 
 Every run writes one JSON manifest (command, seed, input digests, output
 paths) next to its result CSVs; reruns of an identical invocation produce
-byte-identical outputs. Numeric CSV fields carry 6 decimal places.
+byte-identical outputs. Numeric CSV fields carry 6 decimal places, and a
+value that rounds to zero prints unsigned.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric failure. Each
 error class carries its code (``MetaseqError.exit_code``); OS errors are 3.
@@ -39,7 +40,8 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+    text = f"{value:.6f}"
+    return text[1:] if text == "-0.000000" else text   # no signed zero
 
 
 def parse_config_file(path) -> dict:
@@ -326,12 +328,28 @@ def _map_layers(one, layers, threads: int) -> list:
         return sorted(pool.map(one, layers), key=lambda item: item[0])
 
 
+def _check_layer_indices(paths: list[str], layers: list) -> None:
+    """Each probed file must carry its own header layer index: outputs are
+    keyed by it, so a repeat would overwrite or double-count a layer."""
+    first: dict[int, str] = {}
+    for path, layer in zip(paths, layers):
+        if layer.layer_index in first:
+            raise InputError(f"{path}: layer index {layer.layer_index} already "
+                             f"given by {first[layer.layer_index]}")
+        first[layer.layer_index] = path
+
+
 def cmd_probe(args, parser, argv: list[str]) -> int:
     seed = _resolve_seed(args, {})
+    if args.mode == "l2" and len(args.layer_files) < 2:
+        parser.error("mode=l2 needs a reference file plus at least one layer file")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sentences = train_eval.parse_dataset(args.data)
     layers = [load_contextual(p) for p in args.layer_files]
+    # The l2 reference file yields no row of its own, so it may share an index.
+    probed = 1 if args.mode == "l2" else 0
+    _check_layer_indices(args.layer_files[probed:], layers[probed:])
     inputs = [args.data, *args.layer_files]
     outputs: list[Path] = []
     extra: dict = {}
@@ -351,8 +369,6 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
         outputs.append(path)
 
     elif args.mode == "l2":
-        if len(layers) < 2:
-            parser.error("mode=l2 needs a reference file plus at least one layer file")
         reference = layers[0].all_rows()
 
         def one(layer):

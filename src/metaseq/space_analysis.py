@@ -3,9 +3,17 @@ alignment between two embedding spaces, 2-D PCA projection, and Pearson
 correlation.
 
 Matrices are token-major throughout: one row per token occurrence. The
-orthogonal alignment therefore factors E.T @ B (a d x d product), whose
-SVD gives the closed-form rotation minimizing the Frobenius distance
-between the rotated source rows and the target rows.
+orthogonal alignment therefore works on M = E.T @ B (a d x d product):
+the rotation minimizing the Frobenius distance between the rotated source
+rows and the target rows is the polar factor of M (Schoenemann 1966).
+It is computed as M V diag(lam)^-1/2 V.T from the symmetric eigenproblem
+M.T @ M = V diag(lam) V.T (Higham 1986), and taken from U Vt of the SVD of
+M instead when M is singular or so ill-conditioned that the eigh factor's
+orthogonality residual reaches a tenth of ``ORTHOGONALITY_TOL``. The 2-D
+PCA takes its two axes from the eigh of the d x d covariance when there
+are at least as many rows as columns, and from the SVD of the centred
+rows otherwise; the total variance is the squared Frobenius norm of the
+centred rows either way.
 """
 
 from __future__ import annotations
@@ -102,19 +110,32 @@ def avg_pair_cosine(pair_set: WordPairSet, layer) -> float:
 # Orthogonal alignment
 # ---------------------------------------------------------------------------
 
+def _finite_matrix(matrix, name: str) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionError(f"{name} expects a matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NumericError(f"{name} input contains non-finite entries")
+    return m
+
+
 def svd(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition M = U diag(S) Vt with the usual
     orthonormality and ordering guarantees."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"svd expects a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NumericError("svd input contains non-finite entries")
+    m = _finite_matrix(matrix, "svd")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"svd did not converge: {exc}") from None
     return u, s, vt
+
+
+def _eigh(symmetric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix."""
+    try:
+        return np.linalg.eigh(symmetric)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigh did not converge: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -134,29 +155,38 @@ def avg_l2(e_rows, b_rows) -> float:
     return float(np.mean(np.linalg.norm(e - b, axis=1)))
 
 
+def _orthogonality_residual(w: np.ndarray) -> float:
+    return float(np.linalg.norm(w @ w.T - np.eye(w.shape[0])))
+
+
 def procrustes_align(b_rows, e_rows) -> AlignmentResult:
     """Best orthogonal map of token-major B onto token-major E.
 
-    With rows as tokens, W = U Vt for U S Vt = svd(E.T @ B); the rotated
-    source is B @ W.T, and the summary is the mean per-row distance to E.
+    With rows as tokens, W is the polar factor of M = E.T @ B, i.e. U Vt
+    for U S Vt = svd(M). It is computed as M V diag(lam)^-1/2 V.T from
+    eigh(M.T @ M), and from the SVD instead when M is singular or the eigh
+    factor's orthogonality residual is not below ORTHOGONALITY_TOL / 10.
+    The rotated source is B @ W.T, and the summary is the mean per-row
+    distance to E.
     """
     b = np.asarray(b_rows, dtype=np.float64)
     e = np.asarray(e_rows, dtype=np.float64)
     if b.shape != e.shape or b.ndim != 2:
         raise DimensionError(f"procrustes_align: shapes differ, {b.shape} vs {e.shape}")
-    u, _, vt = svd(e.T @ b)
-    w = u @ vt
-    residual = float(np.linalg.norm(w @ w.T - np.eye(w.shape[0])))
+    m = _finite_matrix(e.T @ b, "procrustes_align")
+    lam, v = _eigh(m.T @ m)    # NaN eigenvalues when M.T @ M overflows
+    residual = np.inf
+    if lam[0] > 0:
+        w = (m @ (v / np.sqrt(lam))) @ v.T
+        residual = _orthogonality_residual(w)
+    if not residual < ORTHOGONALITY_TOL / 10:    # singular or ill-conditioned M
+        u, _, vt = svd(m)
+        w = u @ vt
+        residual = _orthogonality_residual(w)
     if residual >= ORTHOGONALITY_TOL:
         raise NumericError(f"rotation lost orthogonality (residual {residual:.3e})")
     rotated = b @ w.T
     return AlignmentResult(w, rotated, avg_l2(e, rotated), residual)
-
-
-def random_orthogonal(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (rotations and reflections)."""
-    q, r = np.linalg.qr(rng.normal((dim, dim)))
-    return q * np.sign(np.diag(r))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +204,12 @@ class PcaProjection:
 def pca_2d(data) -> PcaProjection:
     """Project rows onto the top-2 principal axes of the centered data.
 
-    Axis signs are fixed so each axis's largest-magnitude component is
-    positive, making outputs reproducible.
+    The axes are the top-2 eigenvectors of the d x d covariance when
+    n >= d, and the top-2 right singular vectors of the centered rows
+    otherwise. Explained-variance ratios are the eigenvalues, clamped at 0
+    (or the squared singular values), over the squared Frobenius norm of
+    the centered rows. Axis signs are fixed so each axis's
+    largest-magnitude component is positive, making outputs reproducible.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -185,19 +219,26 @@ def pca_2d(data) -> PcaProjection:
         raise ParameterError(f"pca_2d needs at least 3 rows, got {n}")
     if d < 2:
         raise ParameterError(f"pca_2d needs at least 2 columns, got {d}")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    _, s, vt = svd(centered)
-    total = float((s * s).sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        total = float(np.vdot(centered, centered))
+    if not np.isfinite(total):
+        raise NumericError("pca_2d input is not finite, or its variance overflows")
     if total == 0.0:
         raise DegeneracyError("all rows identical: no variance to project")
-    axes = vt[:2].copy()
+    if n >= d:
+        lam, vecs = _eigh(centered.T @ centered)
+        top, axes = lam[:-3:-1], vecs[:, :-3:-1].T.copy()
+    else:
+        _, s, vt = svd(centered)
+        top, axes = s[:2] ** 2, vt[:2].copy()
     for i in range(2):
         peak = np.argmax(np.abs(axes[i]))
         if axes[i, peak] < 0:
             axes[i] = -axes[i]
     points = centered @ axes.T
-    ratios = (float(s[0] ** 2 / total), float(s[1] ** 2 / total))
+    ratios = (max(float(top[0]), 0.0) / total, max(float(top[1]), 0.0) / total)
     return PcaProjection(mean, axes, points, ratios)
 
 

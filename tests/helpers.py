@@ -1,4 +1,4 @@
-"""Shared verification utilities for model-level tests."""
+"""Shared verification utilities for model-level and probe tests."""
 
 import numpy as np
 
@@ -66,3 +66,9 @@ def micro_gradcheck(param_names=None, h=1e-6, seed=0) -> float:
     numeric = tc.fd_gradient(lambda: batch_loss_value(model, batch), tensors, h=h)
     return max(max_relative_error(analytic[name], num)
                for name, num in zip(names, numeric))
+
+
+def random_orthogonal(dim: int, rng: tc.RngStream) -> np.ndarray:
+    """Haar-distributed orthogonal matrix (rotations and reflections)."""
+    q, r = np.linalg.qr(rng.normal((dim, dim)))
+    return q * np.sign(np.diag(r))

@@ -25,7 +25,6 @@ from metaseq.space_analysis import (
     build_pairs,
     pearson_r,
     procrustes_align,
-    random_orthogonal,
 )
 from metaseq.tagger_model import train
 from metaseq.train_eval import (
@@ -36,7 +35,7 @@ from metaseq.train_eval import (
     parse_dataset,
 )
 from conftest import DATA_DIR, build_separable_corpus, static_table
-from helpers import micro_gradcheck
+from helpers import micro_gradcheck, random_orthogonal
 
 
 def _report(criterion: int, message: str) -> None:

@@ -459,6 +459,54 @@ class TestProbeCommand:
             outs.append((out / "probe_cosine.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("mode", ["cosine", "l2", "pca"])
+    def test_repeated_layer_index_is_data_error(self, tmp_path, capsys, mode):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.3, 0.9, 0.5])
+        write_contextual(layers[2], 2, 6, load_contextual(layers[2]).sentences)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", mode, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {layers[2]}: layer index 2 already given by {layers[1]}\n")
+        assert list(out.iterdir()) == []
+
+    def test_l2_reference_may_share_the_index_of_a_probed_file(self, tmp_path):
+        data = self._paired_dataset(tmp_path)
+        layers = self._layer_paths(tmp_path, 6, [0.3, 0.9])
+        write_contextual(layers[0], 2, 6, load_contextual(layers[0]).sentences)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", "l2", "--out", str(out)]) == 0
+        assert (out / "probe_l2.csv").read_text().splitlines()[1].startswith("2,")
+
+    def test_l2_with_one_file_is_usage_error_before_any_output(self, tmp_path, capsys):
+        data = self._paired_dataset(tmp_path)
+        out = tmp_path / "probe"
+        missing = tmp_path / "never_read.cemb"
+        assert main(["probe", "--data", str(data), "--layer-files", str(missing),
+                     "--mode", "l2", "--out", str(out)]) == 2
+        assert "needs a reference file plus at least one layer file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
+    def test_pca_rank_one_prints_no_negative_zero(self, tmp_path, scale):
+        n = 8
+        p = tmp_path / "line.tsv"
+        p.write_text("".join(f"s{i}\tnews\t0\tw{i}\tNOUN\t0\t1\n\n" for i in range(n)))
+        t = np.random.default_rng(len(scale)).integers(-20, 20, size=n)
+        sents = {i: np.asarray([t[i] * np.asarray(scale)], dtype=np.float32)
+                 for i in range(n)}
+        layer = tmp_path / "line.cemb"
+        write_contextual(layer, 1, len(scale), sents)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(p), "--layer-files", str(layer),
+                     "--mode", "pca", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["explained_variance"]["1"] == ["1.000000", "0.000000"]
+        for path in out.iterdir():
+            assert "-0.000000" not in path.read_text()
+
 
 class TestCsvPrecision:
     def test_six_decimal_round_trip(self, corpus_files, trained, tmp_path):

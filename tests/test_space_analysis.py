@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from metaseq import space_analysis
 from metaseq.embedding_io import ContextualLayerFile
 from metaseq.errors import (
     AlignmentError,
@@ -13,17 +14,18 @@ from metaseq.errors import (
     ParameterError,
 )
 from metaseq.space_analysis import (
+    ORTHOGONALITY_TOL,
     avg_l2,
     avg_pair_cosine,
     build_pairs,
     pca_2d,
     pearson_r,
     procrustes_align,
-    random_orthogonal,
     svd,
 )
 from metaseq.tensor_core import RngStream
 from metaseq.train_eval import SentenceRecord, TokenRecord
+from helpers import random_orthogonal
 
 
 def _sentence(sid, rows):
@@ -191,6 +193,81 @@ class TestProcrustes:
                 assert best <= np.linalg.norm(b @ q.T - e) + 1e-9
 
 
+def _planted_rows(rng, n, d):
+    """Isotropic noise plus two strong planted axes, like the benchmark's layers."""
+    axes = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+    rows = rng.normal(0.0, 0.3, (n, d))
+    rows += np.outer(rng.normal(0.0, 6.0, n), axes[0])
+    rows += np.outer(rng.normal(0.0, 4.0, n), axes[1])
+    return rows
+
+
+def _oracle_rotation(b, e):
+    u, _, vt = np.linalg.svd(e.T @ b)
+    return u @ vt
+
+
+def _no_svd(monkeypatch):
+    def fail(matrix):
+        raise AssertionError("the full SVD ran on the eigh path")
+    monkeypatch.setattr(space_analysis, "svd", fail)
+
+
+class TestProcrustesAgainstSvdOracle:
+    """The rotation is the polar factor U Vt of E.T @ B, however it is computed."""
+
+    def test_eigh_path_on_planted_axes(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, d = 3000, 64
+        e = _planted_rows(rng, n, d)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        b = (e + rng.normal(0.0, 0.1, (n, d))) @ q.T
+        oracle = _oracle_rotation(b, e)
+        _no_svd(monkeypatch)
+        result = procrustes_align(b, e)
+        assert np.abs(result.rotation - oracle).max() <= 1e-9
+        want = avg_l2(e, b @ oracle.T)
+        assert abs(result.avg_l2 - want) <= 1e-12 * want
+        assert result.orthogonality_residual < ORTHOGONALITY_TOL / 10
+
+    def _assert_svd_path(self, b, e):
+        result = procrustes_align(b, e)
+        np.testing.assert_array_equal(result.rotation, _oracle_rotation(b, e))
+        assert result.orthogonality_residual < ORTHOGONALITY_TOL
+
+    def test_fewer_tokens_than_dimensions_falls_back(self):
+        rng = np.random.default_rng(12)
+        self._assert_svd_path(rng.normal(size=(5, 8)), rng.normal(size=(5, 8)))
+
+    def test_zero_cross_product_falls_back(self):
+        b = np.array([[1.0], [-1.0]])
+        e = np.array([[1.0], [1.0]])
+        assert (e.T @ b == 0.0).all()
+        self._assert_svd_path(b, e)
+
+    def test_ill_conditioned_spectrum_falls_back(self):
+        # E.T @ B = U diag(sigma) V.T with sigma from 1 to 1e-7, so the
+        # eigenvalues of M.T @ M span lambda_min / lambda_max = 1e-14.
+        rng = np.random.default_rng(13)
+        n, d = 64, 16
+        basis = np.linalg.qr(rng.normal(size=(n, d)))[0]
+        u = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        sigma = np.logspace(0.0, -7.0, d)
+        b, e = basis, basis @ (v * sigma) @ u.T
+        lam = np.linalg.eigvalsh((e.T @ b).T @ (e.T @ b))
+        assert lam[0] / lam[-1] == pytest.approx(1e-14, rel=1e-3)
+        self._assert_svd_path(b, e)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        b = np.ones((4, 3))
+        e = np.ones((4, 3))
+        e[2, 1] = bad
+        with pytest.raises(NumericError):
+            procrustes_align(b, e)
+
+
 class TestAvgL2:
     def test_identical(self):
         m = np.arange(12.0).reshape(4, 3)
@@ -260,6 +337,49 @@ class TestPca2d:
         rng = np.random.default_rng(9)
         proj = pca_2d(rng.normal(size=(12, 4)))
         np.testing.assert_allclose(proj.axes @ proj.axes.T, np.eye(2), atol=1e-10)
+
+
+def _oracle_pca(x):
+    centered = x - x.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    axes = vt[:2].copy()
+    for axis in axes:
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis *= -1.0
+    return centered @ axes.T, s[:2] ** 2 / (s * s).sum()
+
+
+class TestPcaAgainstSvdOracle:
+    def test_covariance_path_matches_svd(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = _planted_rows(rng, 500, 32) + 2.0
+        points, ratios = _oracle_pca(x)
+        _no_svd(monkeypatch)
+        proj = pca_2d(x)
+        assert np.abs(proj.points - points).max() <= 1e-9
+        assert np.abs(np.array(proj.explained_variance) - ratios).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rank_one_second_ratio_not_negative(self, d):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = np.outer(rng.normal(size=6), rng.normal(size=d)) + rng.normal(size=d)
+            proj = pca_2d(x)
+            assert proj.explained_variance[1] >= 0.0
+            assert proj.explained_variance[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, shape, bad):
+        x = np.arange(18.0).reshape(shape)
+        x[1, 2] = bad
+        with pytest.raises(NumericError):
+            pca_2d(x)
+
+    def test_variance_overflow_rejected(self):
+        x = np.random.default_rng(15).normal(size=(6, 3)) * 1e200
+        with pytest.raises(NumericError, match="overflows"):
+            pca_2d(x)
 
 
 class TestPearson:
