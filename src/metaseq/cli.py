@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     open_text,
 )
-from .linguistic_features import AbstractnessLexicon, AbstractnessScorer, PosVocabulary
+from .linguistic_features import AbstractnessScorer, PosVocabulary, load_abstractness_lexicon
 from .tagger_model import ModelConfig
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
@@ -135,7 +135,8 @@ def _make_provider(config: ModelConfig, args, parser,
     The static table keeps only the vectors the run can read: every token
     of ``sentences`` as written, lowercased too when the lexicon lookup
     lowercases, and the lexicon words, which are the abstractness backoff's
-    candidates. So the lexicon is read before the vector file.
+    candidates. So the lexicon is read before the vector file, and the
+    scorer scores the same tokens once, before any sentence is assembled.
     """
     static = "G" in config.channel_order
     if static and not args.glove:
@@ -145,16 +146,17 @@ def _make_provider(config: ModelConfig, args, parser,
     if config.use_abstractness and not static:
         parser.error("use_abstractness requires the static channel G")
     inputs = list(args.layers or [])
-    lexicon = static_table = None
+    tokens = {t.text for s in sentences for t in s.tokens}
+    lexicon = static_table = scorer = None
     if config.use_abstractness:
-        lexicon = AbstractnessLexicon.load(args.abst_lexicon)
+        lexicon = load_abstractness_lexicon(args.abst_lexicon)
         inputs.append(args.abst_lexicon)
     if static:
-        words = {t.text for s in sentences for t in s.tokens}
+        words = set(tokens)
         if lexicon is not None:
             if config.lowercase_lexicon:
-                words |= {w.lower() for w in words}
-            words.update(lexicon.entries)
+                words |= {w.lower() for w in tokens}
+            words.update(lexicon)
         static_table = load_static_text(args.glove, words)
         inputs.append(args.glove)
         if static_table.dimension != config.static_dim:
@@ -164,9 +166,8 @@ def _make_provider(config: ModelConfig, args, parser,
     layer_files = _load_layers(config, args.layers or [], parser)
 
     pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
-    scorer = None
     if lexicon is not None:
-        scorer = AbstractnessScorer(lexicon, static_table, config.lowercase_lexicon)
+        scorer = AbstractnessScorer(lexicon, static_table, tokens, config.lowercase_lexicon)
 
     provider = ChannelProvider(config.channel_order, static_table, layer_files,
                                pos_vocab, scorer)
@@ -244,8 +245,6 @@ def _report_row(split: str, cls: str, r: train_eval.MetricsReport) -> str:
 
 
 def cmd_eval(args, parser, argv: list[str]) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = tagger_model.load_checkpoint(args.checkpoint)
     config = checkpoint.config
     sentences = train_eval.parse_dataset(args.data)
@@ -264,6 +263,8 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
             order = sorted(per_class)
         rows.extend(_report_row(args.breakdown, cls, per_class[cls]) for cls in order)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(_REPORT_HEADER)
@@ -343,15 +344,13 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
     seed = _resolve_seed(args, {})
     if args.mode == "l2" and len(args.layer_files) < 2:
         parser.error("mode=l2 needs a reference file plus at least one layer file")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sentences = train_eval.parse_dataset(args.data)
     layers = [load_contextual(p) for p in args.layer_files]
     # The l2 reference file yields no row of its own, so it may share an index.
     probed = 1 if args.mode == "l2" else 0
     _check_layer_indices(args.layer_files[probed:], layers[probed:])
     inputs = [args.data, *args.layer_files]
-    outputs: list[Path] = []
+    files: dict[str, str] = {}   # output file name -> text, written once all succeed
     extra: dict = {}
 
     if args.mode == "cosine":
@@ -361,12 +360,8 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
             return layer.layer_index, space_analysis.avg_pair_cosine(pairs, layer)
 
         rows = _map_layers(one, layers, args.threads)
-        path = out_dir / "probe_cosine.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("layer,avg_cosine,n_pairs\n")
-            for layer_index, value in rows:
-                fh.write(f"{layer_index},{_fmt(value)},{len(pairs)}\n")
-        outputs.append(path)
+        files["probe_cosine.csv"] = "layer,avg_cosine,n_pairs\n" + "".join(
+            f"{layer_index},{_fmt(value)},{len(pairs)}\n" for layer_index, value in rows)
 
     elif args.mode == "l2":
         reference = layers[0].all_rows()
@@ -388,12 +383,8 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
             if len(series) >= 2:
                 pearson_text = _fmt(space_analysis.pearson_r(
                     [a for a, _ in series], [b for _, b in series]))
-        path = out_dir / "probe_l2.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("layer,avg_l2,pearson_vs_f1\n")
-            for layer_index, value in rows:
-                fh.write(f"{layer_index},{_fmt(value)},{pearson_text}\n")
-        outputs.append(path)
+        files["probe_l2.csv"] = "layer,avg_l2,pearson_vs_f1\n" + "".join(
+            f"{layer_index},{_fmt(value)},{pearson_text}\n" for layer_index, value in rows)
         extra["l2_variant"] = args.l2_variant
 
     else:  # pca
@@ -406,18 +397,20 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
 
         results = _map_layers(one, layers, args.threads)
         for layer_index, projection, tokens in results:
-            path = out_dir / f"pca_layer{layer_index}.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("token,pos,x,y\n")
-                for tok, (x, y) in zip(tokens, projection.points):
-                    fh.write(f"{tok.text},{tok.pos},{_fmt(x)},{_fmt(y)}\n")
-            outputs.append(path)
+            files[f"pca_layer{layer_index}.csv"] = "token,pos,x,y\n" + "".join(
+                f"{tok.text},{tok.pos},{_fmt(x)},{_fmt(y)}\n"
+                for tok, (x, y) in zip(tokens, projection.points))
             variance[str(layer_index)] = tuple(
                 _fmt(v) for v in projection.explained_variance)
             print(f"layer {layer_index}: explained variance "
                   f"{variance[str(layer_index)]}")
         extra["explained_variance"] = variance
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [out_dir / name for name in files]
+    for path, text in zip(outputs, files.values()):
+        path.write_text(text, encoding="utf-8")
     _write_manifest(out_dir, argv, None, seed, inputs, outputs, extra=extra)
     return EXIT_OK
 

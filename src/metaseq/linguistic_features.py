@@ -2,7 +2,10 @@
 
 A word missing from the abstractness lexicon inherits the score of its
 most cosine-similar lexicon word (measured on static vectors); a word
-missing from both lexicon and vector table scores 0.5.
+missing from both lexicon and vector table scores 0.5. Every word a run
+reads is scored once, when the scorer is built, with the backoff words
+compared against all candidates in a few blocked matrix products; lexicon
+words with identical vectors count once, under the smallest word.
 """
 
 from __future__ import annotations
@@ -40,41 +43,26 @@ class PosVocabulary:
         return vec
 
 
-class AbstractnessLexicon:
-    """Word -> abstractness score in [0, 1]."""
-
-    def __init__(self, entries: dict[str, float]):
-        self.entries = entries
-
-    @classmethod
-    def load(cls, path) -> "AbstractnessLexicon":
-        entries: dict[str, float] = {}
-        with open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(f"{path}: line {lineno}: expected `word TAB score`")
-                word, score_text = parts
-                try:
-                    score = float(score_text)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric score") from None
-                if not 0.0 <= score <= 1.0:
-                    raise ParseError(f"{path}: line {lineno}: score {score} outside [0, 1]")
-                entries[word] = score
-        return cls(entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def score(self, word: str) -> float:
-        return self.entries[word]
+def load_abstractness_lexicon(path) -> dict[str, float]:
+    """Word -> abstractness score in [0, 1], from `word TAB score` lines."""
+    entries: dict[str, float] = {}
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"{path}: line {lineno}: expected `word TAB score`")
+            word, score_text = parts
+            try:
+                score = float(score_text)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric score") from None
+            if not 0.0 <= score <= 1.0:
+                raise ParseError(f"{path}: line {lineno}: score {score} outside [0, 1]")
+            entries[word] = score
+    return entries
 
 
 def cosine(u, v) -> float:
@@ -90,60 +78,58 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
-class AbstractnessScorer:
-    """Memoized abstractness lookup over one lexicon/table pair.
+# Query rows per similarity block: a block of (rows x candidates) floats
+# stays near 2**21 (16 MB), so backing off many words never allocates one
+# (queries x candidates) matrix.
+SIMILARITY_BLOCK_FLOATS = 1 << 21
 
-    Candidate neighbors are the lexicon words that have static vectors,
-    held in lexicographic order so the first argmax hit is also the
-    tie-break winner.
+
+class AbstractnessScorer:
+    """Abstractness of every word of one run, scored once at construction.
+
+    ``words`` are the words the run will look up, lowercased when
+    ``lowercase`` is set; ``score`` of any other word raises ``KeyError``.
     """
 
-    def __init__(self, lexicon: AbstractnessLexicon, table, lowercase: bool = True):
-        self.lexicon = lexicon
-        self.table = table
+    def __init__(self, lexicon: dict[str, float], table, words: Iterable[str],
+                 lowercase: bool = True):
         self.lowercase = bool(lowercase)
-        self._memo: dict[str, float] = {}
-        self._candidates: list[str] | None = None
-        self._rows: np.ndarray | None = None
-        self._row_norms: np.ndarray | None = None
-
-    def _ensure_candidates(self) -> None:
-        if self._candidates is not None:
-            return
-        words = sorted(w for w in self.lexicon.entries if w in self.table)
-        rows = self.table.matrix[[self.table.rows[w] for w in words]]
-        self._candidates = words
-        self._rows = rows
-        self._row_norms = np.linalg.norm(rows, axis=1)
-
-    def _nearest_score(self, word: str) -> float:
-        self._ensure_candidates()
-        if not self._candidates:
-            return 0.5
-        vec = np.asarray(self.table.vector(word), dtype=np.float64)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return 0.5
-        # dot / (|u| * |v|), matching the scalar cosine term for term so
-        # exact ties land on identical floats and the lexicographic
-        # tie-break (first argmax over sorted candidates) is well defined
-        dots = self._rows @ vec
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(self._row_norms > 0.0,
-                            dots / (self._row_norms * norm), 0.0)
-        best = self._candidates[int(np.argmax(sims))]
-        return self.lexicon.score(best)
+        keys = {w.lower() for w in words} if self.lowercase else set(words)
+        self._scores = {k: lexicon.get(k, 0.5) for k in keys}
+        backoff = sorted(k for k in keys if k not in lexicon and k in table)
+        self._scores.update(zip(backoff, _nearest_scores(lexicon, table, backoff)))
 
     def score(self, word: str) -> float:
-        key = word.lower() if self.lowercase else word
-        if key in self._memo:
-            return self._memo[key]
-        if key in self.lexicon:
-            value = self.lexicon.score(key)
-        elif key in self.table:
-            value = self._nearest_score(key)
-        else:
-            value = 0.5
-        self._memo[key] = value
-        return value
+        return self._scores[word.lower() if self.lowercase else word]
 
+
+def _nearest_scores(lexicon: dict[str, float], table, queries: list[str]) -> list[float]:
+    """The lexicon score of each query's most cosine-similar candidate, the
+    lexicon words with static vectors; a zero query vector scores 0.5.
+
+    Candidates are taken in lexicographic order, and identical vectors count
+    once, under their smallest word: a matrix product may round the dot
+    products of two identical rows differently, depending on where they sit.
+    So the first argmax is the tie-break winner.
+    """
+    first: dict[bytes, str] = {}
+    for word in sorted(w for w in lexicon if w in table):
+        first.setdefault((table.vector(word) + 0.0).tobytes(), word)  # -0.0 -> 0.0
+    if not queries or not first:
+        return [0.5] * len(queries)
+    candidates = list(first.values())
+    rows = table.matrix[[table.rows[w] for w in candidates]]
+    row_norms = np.linalg.norm(rows, axis=1)
+    query_rows = table.matrix[[table.rows[w] for w in queries]]
+    query_norms = np.linalg.norm(query_rows, axis=1)
+    step = max(1, SIMILARITY_BLOCK_FLOATS // len(candidates))
+    best = []
+    for start in range(0, len(queries), step):
+        block = slice(start, start + step)
+        sims = query_rows[block] @ rows.T
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims /= np.outer(query_norms[block], row_norms)
+        sims[:, row_norms == 0.0] = 0.0
+        best.extend(np.argmax(sims, axis=1).tolist())
+    return [lexicon[candidates[b]] if norm > 0.0 else 0.5
+            for b, norm in zip(best, query_norms)]

@@ -1,9 +1,8 @@
 """Dense float64 tensors with tape-recorded reverse-mode differentiation.
 
 The operation set is deliberately small: exactly what a projection +
-multi-window sequence convolution + BiLSTM + softmax classifier needs,
-plus the finite-difference utility used to verify every gradient. All
-arithmetic is 64-bit. There is no broadcasting beyond the explicit
+multi-window sequence convolution + BiLSTM + softmax classifier needs.
+All arithmetic is 64-bit. There is no broadcasting beyond the explicit
 ``add_bias`` row op.
 
 Tape recording is thread-local: each model instance runs its forward and
@@ -143,11 +142,6 @@ def backward(loss: Tensor, tape: Tape,
                 p.grad = np.zeros_like(p.data)
 
 
-def zero_grads(parameters: Iterable[Tensor]) -> None:
-    for p in parameters:
-        p.grad = None
-
-
 # ---------------------------------------------------------------------------
 # Random streams
 # ---------------------------------------------------------------------------
@@ -165,9 +159,6 @@ class RngStream:
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
-
-    def normal(self, shape=None, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, scale, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -571,7 +562,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Optimizer and verification
+# Optimizer
 # ---------------------------------------------------------------------------
 
 def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> None:
@@ -585,27 +576,3 @@ def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> 
         p.grad *= lr            # same bits as p.data -= lr * p.grad, no temporary
         p.data -= p.grad
         p.grad = None
-
-
-def fd_gradient(f: Callable[[], float], tensors: Sequence[Tensor],
-                h: float = 1e-6) -> list[np.ndarray]:
-    """Central finite-difference gradients of ``f()`` w.r.t. each tensor.
-
-    ``f`` must be a pure function of the tensors' current data. This is the
-    independent oracle used to verify every analytic gradient.
-    """
-    grads = []
-    for t in tensors:
-        g = np.zeros_like(t.data)
-        flat = t.data.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = float(f())
-            flat[i] = keep - h
-            down = float(f())
-            flat[i] = keep
-            gflat[i] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads

@@ -6,6 +6,34 @@ from metaseq import tensor_core as tc
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
 
 
+def zero_grads(parameters) -> None:
+    for p in parameters:
+        p.grad = None
+
+
+def fd_gradient(f, tensors, h: float = 1e-6) -> list[np.ndarray]:
+    """Central finite-difference gradients of ``f()`` w.r.t. each tensor.
+
+    ``f`` must be a pure function of the tensors' current data. This is the
+    independent oracle used to verify every analytic gradient.
+    """
+    grads = []
+    for t in tensors:
+        g = np.zeros_like(t.data)
+        flat = t.data.ravel()
+        gflat = g.ravel()
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = float(f())
+            flat[i] = keep - h
+            down = float(f())
+            flat[i] = keep
+            gflat[i] = (up - down) / (2.0 * h)
+        grads.append(g)
+    return grads
+
+
 def micro_model_and_batch(seed=0):
     """The small gradient-check configuration: unified dim 8, 2 kernels per
     window, hidden 4, two sentences."""
@@ -35,7 +63,7 @@ def batch_loss_value(model, batch) -> float:
 
 def analytic_batch_grads(model, batch) -> dict[str, np.ndarray]:
     params = model.parameters()
-    tc.zero_grads(params.values())
+    zero_grads(params.values())
     rng = tc.RngStream(0)
     with tc.Tape() as tape:
         parts = []
@@ -47,7 +75,7 @@ def analytic_batch_grads(model, batch) -> dict[str, np.ndarray]:
             loss = tc.add(loss, part)
     tc.backward(loss, tape, params.values())
     grads = {name: p.grad.copy() for name, p in params.items()}
-    tc.zero_grads(params.values())
+    zero_grads(params.values())
     return grads
 
 
@@ -63,12 +91,14 @@ def micro_gradcheck(param_names=None, h=1e-6, seed=0) -> float:
     analytic = analytic_batch_grads(model, batch)
     names = sorted(analytic) if param_names is None else list(param_names)
     tensors = [model.parameters()[name] for name in names]
-    numeric = tc.fd_gradient(lambda: batch_loss_value(model, batch), tensors, h=h)
+    numeric = fd_gradient(lambda: batch_loss_value(model, batch), tensors, h=h)
     return max(max_relative_error(analytic[name], num)
                for name, num in zip(names, numeric))
 
 
 def random_orthogonal(dim: int, rng: tc.RngStream) -> np.ndarray:
-    """Haar-distributed orthogonal matrix (rotations and reflections)."""
-    q, r = np.linalg.qr(rng.normal((dim, dim)))
+    """Haar-distributed orthogonal matrix (rotations and reflections), drawn
+    from the stream's generator: ``RngStream`` offers only the draws the
+    program makes."""
+    q, r = np.linalg.qr(rng._gen.normal(0.0, 1.0, size=(dim, dim)))
     return q * np.sign(np.diag(r))

@@ -19,7 +19,7 @@ from metaseq.embedding_io import (
     load_contextual,
     write_contextual,
 )
-from metaseq.linguistic_features import AbstractnessLexicon, AbstractnessScorer, cosine
+from metaseq.linguistic_features import AbstractnessScorer, cosine, load_abstractness_lexicon
 from metaseq.space_analysis import (
     avg_pair_cosine,
     build_pairs,
@@ -287,10 +287,10 @@ def test_criterion6_probe_sensitivity(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion7_abstractness_contract():
-    lexicon = AbstractnessLexicon.load(DATA_DIR / "abstractness_small.tsv")
+    lexicon = load_abstractness_lexicon(DATA_DIR / "abstractness_small.tsv")
     table = static_table(3, {"purism": np.array([1.0, 0.0, 0.0]),
                              "ski": np.array([0.0, 1.0, 0.0])})
-    scorer = AbstractnessScorer(lexicon, table)
+    scorer = AbstractnessScorer(lexicon, table, ["purism", "ski", "qqqnotaword"])
     assert scorer.score("purism") == 0.97
     assert scorer.score("ski") == 0.25
     assert scorer.score("qqqnotaword") == 0.5
@@ -302,9 +302,7 @@ def test_criterion7_abstractness_contract():
     queries = [f"q{i}" for i in range(40)]
     for q in queries:
         vectors[q] = rng.integers(-4, 5, size=5).astype(float)
-    big_lexicon = AbstractnessLexicon(scores)
-    big_table = static_table(5, vectors)
-    big_scorer = AbstractnessScorer(big_lexicon, big_table)
+    big_scorer = AbstractnessScorer(scores, static_table(5, vectors), queries)
     for q in queries:
         best_word, best_sim = None, -np.inf
         for w in words:  # exhaustive scan over the full lexicon

@@ -256,6 +256,23 @@ class TestEvalCommand:
         assert capsys.readouterr().err == (f"error: {wrong}: layer dimension 7 != "
                                            f"configured unified dimension 16\n")
 
+    def test_layer_row_count_mismatch_is_exit_3_and_leaves_no_out(
+            self, corpus_files, trained, tmp_path, capsys):
+        corpus, paths = corpus_files
+        layer = load_contextual(paths["B"])
+        sentences = dict(layer.sentences)
+        sentences[3] = sentences[3][:-1]
+        short = tmp_path / "short.cemb"
+        write_contextual(short, layer.layer_index, layer.dimension, sentences)
+        out = tmp_path / "eval"
+        args = self._eval_args(paths, trained, out)
+        args[args.index("--layers") + 2] = str(short)
+        assert main(args) == 3
+        n = len(corpus.sentences[3].tokens)
+        assert capsys.readouterr().err == (
+            f"error: sentence s3: {n - 1} rows in channel B for {n} tokens\n")
+        assert not out.exists()
+
 
 def _meta(**config_changes) -> dict:
     config = dict(dataclasses.asdict(ModelConfig(unified_dim=16, static_dim=8)),
@@ -469,7 +486,7 @@ class TestProbeCommand:
                      "--mode", mode, "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             f"error: {layers[2]}: layer index 2 already given by {layers[1]}\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_l2_reference_may_share_the_index_of_a_probed_file(self, tmp_path):
         data = self._paired_dataset(tmp_path)

@@ -25,7 +25,6 @@ from metaseq.errors import (
     TruncatedError,
 )
 from metaseq.linguistic_features import (
-    AbstractnessLexicon,
     AbstractnessScorer,
     PosVocabulary,
 )
@@ -313,7 +312,7 @@ def static_row(dim: int, tags, score: float | None, pos: str = "NOUN") -> np.nda
     vocab = PosVocabulary(tags) if tags is not None else None
     scorer = None
     if score is not None:
-        scorer = AbstractnessScorer(AbstractnessLexicon({"w": score}), table)
+        scorer = AbstractnessScorer({"w": score}, table, ["w"])
     provider = ChannelProvider(("G",), table, pos_vocab=vocab, abstractness_scorer=scorer)
     sentence = SentenceRecord("s0", "news", [TokenRecord("w", pos, 0, True)])
     return provider.channels(sentence, 0)["G"][0]

@@ -26,7 +26,7 @@ from metaseq.tagger_model import (
     train,
 )
 from conftest import build_separable_corpus
-from helpers import batch_loss_value, micro_gradcheck, micro_model_and_batch
+from helpers import batch_loss_value, micro_gradcheck, micro_model_and_batch, zero_grads
 
 
 class TestModelConfig:
@@ -216,13 +216,13 @@ def _per_timestep_direction(model, act, prefix, reverse):
 
 def _probs_and_grads(model, channels, labels):
     params = model.parameters()
-    tc.zero_grads(params.values())
+    zero_grads(params.values())
     with tc.Tape() as tape:
         probs = model.forward(model.build_stack(channels), tc.RngStream(4, 3), training=True)
         loss = tc.weighted_cross_entropy(probs, labels, model.config.class_weights)
     tc.backward(loss, tape, params.values())
     grads = {name: p.grad.copy() for name, p in params.items()}
-    tc.zero_grads(params.values())
+    zero_grads(params.values())
     return probs.data.copy(), grads
 
 
@@ -270,7 +270,7 @@ class TestGradients:
         losses = [batch_loss_value(model, batch)]
         params = model.parameters()
         for _ in range(5):
-            tc.zero_grads(params.values())
+            zero_grads(params.values())
             rng = tc.RngStream(0)
             with tc.Tape() as tape:
                 parts = [model.sentence_loss(model.build_stack(ch), labels, rng,

@@ -19,6 +19,8 @@ from metaseq.errors import (
     StateError,
 )
 
+from helpers import fd_gradient, zero_grads
+
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
@@ -27,15 +29,15 @@ def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def check_grads(build, tensors, tol=1e-4, h=1e-6):
     """Compare tape gradients of scalar ``build()`` against finite differences."""
-    tc.zero_grads(tensors)
+    zero_grads(tensors)
     with tc.Tape() as tape:
         loss = build()
     tc.backward(loss, tape, parameters=tensors)
     analytic = [t.grad.copy() for t in tensors]
-    numeric = tc.fd_gradient(lambda: build().data, tensors, h=h)
+    numeric = fd_gradient(lambda: build().data, tensors, h=h)
     for a, n in zip(analytic, numeric):
         assert rel_err(a, n) < tol
-    tc.zero_grads(tensors)
+    zero_grads(tensors)
 
 
 class TestTensor:
