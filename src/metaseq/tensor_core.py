@@ -7,6 +7,14 @@ All arithmetic is 64-bit. There is no broadcasting beyond the explicit
 
 Tape recording is thread-local: each model instance runs its forward and
 backward on one thread, while independent instances may run concurrently.
+
+Gradient storage belongs to the tensor and lives across steps. The first
+gradient a ``backward`` writes into a tensor lands in that storage (a
+matrix product straight through ``np.matmul(..., out=)``), later ones in
+the same pass are added with ``+=``. So a ``.grad`` array is valid until
+the next ``backward`` into that tensor; ``sgd_step`` sets ``.grad`` to
+None but keeps the storage for the next step. A caller that keeps a
+gradient must copy it.
 """
 
 from __future__ import annotations
@@ -37,14 +45,22 @@ def _asarray(data) -> np.ndarray:
 
 
 class Tensor:
-    """A dense float64 array plus an optional accumulated gradient."""
+    """A dense float64 array plus an optional accumulated gradient.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    ``grad_channels`` lists the indices along axis 0 whose gradient is read
+    further down the tape (None: all of them). ``stack_mats`` sets it to the
+    matrices that require a gradient, ``dropout`` passes it on, and
+    ``conv_bank`` computes its input gradient for those channels only.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "grad_channels", "_grad_store")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.grad_channels: tuple[int, ...] | None = None
+        self._grad_store: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -112,13 +128,35 @@ def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
         tape.nodes.append(_Node(op, inputs, output, backward_fn))
 
 
+def _grad_storage(t: Tensor) -> np.ndarray:
+    """The array that holds ``t``'s gradient, reused from step to step."""
+    store = t._grad_store
+    if store is None or store.shape != t.data.shape:
+        store = t._grad_store = np.empty(t.data.shape)
+    return store
+
+
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(grad, dtype=np.float64)
+        t.grad = _grad_storage(t)
+        np.copyto(t.grad, grad)
     else:
         t.grad += grad
+
+
+def _accumulate_product(t: Tensor, a: np.ndarray, b: np.ndarray) -> None:
+    """``_accumulate(t, a @ b)``, with the first product written straight
+    into the storage. ``a @ b`` has ``t``'s shape, or is ``t`` flattened to
+    2-D (the conv kernels)."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = _grad_storage(t)
+        np.matmul(a, b, out=t.grad.reshape(a.shape[0], b.shape[1]))
+    else:
+        t.grad += (a @ b).reshape(t.shape)
 
 
 def backward(loss: Tensor, tape: Tape,
@@ -139,7 +177,8 @@ def backward(loss: Tensor, tape: Tape,
     if parameters is not None:
         for p in parameters:
             if p.requires_grad and p.grad is None:
-                p.grad = np.zeros_like(p.data)
+                p.grad = _grad_storage(p)
+                p.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +224,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate_product(a, g, b.data.T)
+        _accumulate_product(b, a.data.T, g)
 
     _record("matmul", (a, b), out, bw)
     return out
@@ -342,6 +381,7 @@ def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
         return x
     keep = (rng.uniform(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
     out = Tensor(x.data * keep, requires_grad=x.requires_grad)
+    out.grad_channels = x.grad_channels
 
     def bw(g: np.ndarray) -> None:
         _accumulate(x, g * keep)
@@ -356,6 +396,9 @@ def conv_bank(inp: Tensor, kernels: Tensor) -> Tensor:
     Position i of map k is the full sum over channels, window offsets and
     embedding dimensions of input[c, i+o, d] * kernel[k, c, o, d], with the
     (c, n, d) input zero-padded at the end so every position yields a value.
+    The input gradient is computed for ``inp.grad_channels`` only, one
+    matmul over each channel's w*d kernel columns; the other channels get
+    zeros.
     """
     if inp.data.ndim != 3:
         raise DimensionError("conv_bank expects a (channel, position, dim) input")
@@ -377,12 +420,13 @@ def conv_bank(inp: Tensor, kernels: Tensor) -> Tensor:
     out = Tensor(cols @ k_flat.T, requires_grad=inp.requires_grad or kernels.requires_grad)
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(kernels, (g.T @ cols).reshape(kernels.shape))
+        _accumulate_product(kernels, g.T, cols)
         if inp.requires_grad:
-            contrib = (g @ k_flat).reshape(n, c, w, d)
             dpad = np.zeros((c, n + w - 1, d))
-            for o in range(w):
-                dpad[:, o:o + n, :] += contrib[:, :, o, :].transpose(1, 0, 2)
+            for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
+                contrib = (g @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
+                for o in range(w):
+                    dpad[ch, o:o + n, :] += contrib[:, o, :]
             _accumulate(inp, dpad[:, :n, :])
 
     _record("conv_bank", (inp, kernels), out, bw)
@@ -449,10 +493,10 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,
             d[h3:] = dh * tanh_cells[t] * go * (1.0 - go)
             dc_next = dc * gf
             dh_next = d @ wh.data.T
-        _accumulate(wx, x.data.T @ dz)
-        _accumulate(wh, prev_states.T @ dz)
+        _accumulate_product(wx, x.data.T, dz)
+        _accumulate_product(wh, prev_states.T, dz)
         _accumulate(bias, dz.sum(axis=0))
-        _accumulate(x, dz @ wx.data.T)
+        _accumulate_product(x, dz, wx.data.T)
 
     _record("lstm", (x, wx, wh, bias), out, bw)
     return out
@@ -542,6 +586,7 @@ def stack_mats(mats: Sequence[Tensor]) -> Tensor:
             raise DimensionError(f"stack_mats: shapes differ, {m.shape} vs {shape}")
     out = Tensor(np.stack([m.data for m in mats], axis=0),
                  requires_grad=any(m.requires_grad for m in mats))
+    out.grad_channels = tuple(i for i, m in enumerate(mats) if m.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         for i, m in enumerate(mats):
@@ -566,7 +611,8 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> None:
-    """In-place p <- p - lr * grad for every parameter; clears gradients."""
+    """In-place p <- p - lr * grad for every parameter; sets each ``grad``
+    to None and keeps its storage for the next ``backward``."""
     params = parameters.values() if isinstance(parameters, Mapping) else parameters
     params = list(params)
     for p in params:

@@ -79,6 +79,22 @@ def analytic_batch_grads(model, batch) -> dict[str, np.ndarray]:
     return grads
 
 
+def reference_sgd(model, steps, lr: float, rng: tc.RngStream) -> None:
+    """Batch-size-1 SGD with every gradient copied into a fresh array before
+    the update, and every parameter a new tensor after it, so no gradient
+    storage lives from one step to the next. ``steps`` holds
+    (channels, labels) pairs, one per step; dropout is on."""
+    params = model.parameters()
+    for channels, labels in steps:
+        with tc.Tape() as tape:
+            loss = model.sentence_loss(model.build_stack(channels), labels, rng, training=True)
+        tc.backward(loss, tape, params.values())
+        for name, p in list(params.items()):
+            grad = np.array(p.grad)
+            grad *= lr
+            params[name] = tc.Tensor(p.data - grad, requires_grad=True)
+
+
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
     return float(np.max(np.abs(analytic - numeric) / denom))

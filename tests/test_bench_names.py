@@ -2,6 +2,7 @@
 with timed wrappers (``bench/hooks.py``). Installing every hook here makes
 the removal or renaming of one of those names fail the test suite."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,3 +16,16 @@ def test_bench_hooks_install_on_the_program():
     result = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "bench")],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_train_benchmark_runs_clean():
+    """The tracer reads tape nodes as they are appended (the ``conv_bank``
+    input block's shape, the ``stack_mats`` inputs), so a change to those
+    nodes can break the traced benchmark while every other test passes."""
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "train-paper", "--scale", "smoke",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    last = json.loads(result.stdout.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), last

@@ -26,7 +26,13 @@ from metaseq.tagger_model import (
     train,
 )
 from conftest import build_separable_corpus
-from helpers import batch_loss_value, micro_gradcheck, micro_model_and_batch, zero_grads
+from helpers import (
+    batch_loss_value,
+    micro_gradcheck,
+    micro_model_and_batch,
+    reference_sgd,
+    zero_grads,
+)
 
 
 class TestModelConfig:
@@ -292,6 +298,80 @@ class TestGradients:
         doubled = tc.weighted_cross_entropy(probs, labels, (1.0, 4.0)).data
         met_only = tc.weighted_cross_entropy(probs, labels, (0.0, 2.0)).data
         np.testing.assert_allclose(doubled, base + met_only, rtol=1e-12)
+
+
+def _storage_model_and_steps(seed=0):
+    """A 3-channel (G, E, B) tagger with both dropouts on, and 3 sentences."""
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(unified_dim=8, static_dim=5, kernels_per_window=2, hidden_size=4,
+                         input_dropout=0.5, hidden_dropout=0.1, seed=seed)
+    steps = []
+    for n in (5, 7, 6):
+        channels = {"G": rng.normal(size=(n, 5)),
+                    "E": rng.normal(size=(n, 8)),
+                    "B": rng.normal(size=(n, 8))}
+        steps.append((channels, rng.integers(0, 2, size=n)))
+    return config, steps
+
+
+def _sentence_grads(model, channels, labels):
+    """Gradients of one sentence's loss, copied out of the parameters."""
+    params = model.parameters()
+    with tc.Tape() as tape:
+        loss = model.sentence_loss(model.build_stack(channels), labels, tc.RngStream(2, 3))
+    tc.backward(loss, tape, params.values())
+    return {name: p.grad.copy() for name, p in params.items()}
+
+
+class TestGradientStorage:
+    """Gradients land in storage each parameter keeps across steps; the
+    results must be those of fresh gradient arrays on every step."""
+
+    def test_sgd_matches_fresh_gradient_reference(self):
+        config, sentences = _storage_model_and_steps()
+        steps = sentences * 3
+        model = MetaphorTagger(config)
+        params = model.parameters()
+        rng = tc.RngStream(config.seed, 3)
+        for channels, labels in steps:
+            with tc.Tape() as tape:
+                loss = model.sentence_loss(model.build_stack(channels), labels, rng)
+            tc.backward(loss, tape, params.values())
+            tc.sgd_step(params, config.learning_rate)
+        reference = MetaphorTagger(config)
+        reference_sgd(reference, steps, config.learning_rate, tc.RngStream(config.seed, 3))
+        got, want = model.export_params(), reference.export_params()
+        assert set(got) == set(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert any(not np.array_equal(got[name], MetaphorTagger(config).params[name].data)
+                   for name in got)
+
+    def test_zeroed_gradients_keep_nothing_from_the_previous_sentence(self):
+        config, ((chan_a, labels_a), (chan_b, labels_b), _) = _storage_model_and_steps(1)
+        model = MetaphorTagger(config)
+        _sentence_grads(model, chan_a, labels_a)
+        zero_grads(model.parameters().values())
+        got = _sentence_grads(model, chan_b, labels_b)
+        want = _sentence_grads(MetaphorTagger(config), chan_b, labels_b)
+        for name in want:
+            assert np.abs(want[name]).max() > 0, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_parameter_unused_in_second_step_gets_exact_zeros(self):
+        config, ((channels, labels), _, _) = _storage_model_and_steps(2)
+        model = MetaphorTagger(config)
+        params = model.parameters()
+        used_first = _sentence_grads(model, channels, labels)
+        tc.sgd_step(params, config.learning_rate)
+        with tc.Tape() as tape:      # the projection alone: every other parameter unused
+            loss = tc.sum_all(model.build_stack(channels))
+        tc.backward(loss, tape, params.values())
+        unused = [name for name in params if not name.startswith("proj_")]
+        assert len(unused) == len(params) - 2
+        for name in unused:
+            assert np.abs(used_first[name]).max() > 0, name
+            assert params[name].grad.tobytes() == np.zeros(params[name].shape).tobytes(), name
 
 
 class TestTraining:

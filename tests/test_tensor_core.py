@@ -166,6 +166,58 @@ class TestConvSeq:
                     [stack, kernels])
 
 
+class TestConvBankTrainableChannels:
+    """A three-matrix stack with one trainable matrix, through dropout and
+    conv_bank: the input gradient is computed for that channel only."""
+
+    @staticmethod
+    def _graph(w, trainable):
+        rng = np.random.default_rng(40 + w)
+        mats = [tc.Tensor(rng.normal(size=(5, 3)), requires_grad=trainable in (i, "all"))
+                for i in range(3)]
+        kernels = tc.Tensor(rng.normal(size=(4, 3, w, 3)), requires_grad=True)
+
+        def build():
+            # a fresh stream per call: the same dropout mask every time
+            block = tc.dropout(tc.stack_mats(mats), 0.3, tc.RngStream(5), training=True)
+            out = tc.conv_bank(block, kernels)
+            return tc.sum_all(tc.tanh_act(out)), block, out
+
+        return mats, kernels, build
+
+    @pytest.mark.parametrize("trainable", [0, 1, 2])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_gradient_matches_finite_differences(self, w, trainable):
+        mats, kernels, build = self._graph(w, trainable)
+        check_grads(lambda: build()[0], [mats[trainable], kernels])
+
+    @pytest.mark.parametrize("trainable", [0, 1, 2])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_gradient_is_bit_equal_to_full_channel_computation(self, w, trainable):
+        mats, kernels, build = self._graph(w, trainable)
+        with tc.Tape() as tape:
+            loss, block, out = build()
+        tc.backward(loss, tape)
+        assert block.grad_channels == (trainable,)
+
+        # oracle: the input gradient of every channel from one matmul
+        c, n, d = block.shape
+        contrib = (out.grad @ kernels.data.reshape(4, -1)).reshape(n, c, w, d)
+        dpad = np.zeros((c, n + w - 1, d))
+        for o in range(w):
+            dpad[:, o:o + n, :] += contrib[:, :, o, :].transpose(1, 0, 2)
+        assert block.grad[trainable].tobytes() == dpad[trainable, :n, :].tobytes()
+        assert not np.delete(block.grad, trainable, axis=0).any()
+        for i, m in enumerate(mats):
+            assert (m.grad is None) == (i != trainable)
+
+        full_mats, _, full_build = self._graph(w, "all")
+        with tc.Tape() as tape:
+            full_loss = full_build()[0]
+        tc.backward(full_loss, tape)
+        assert mats[trainable].grad.tobytes() == full_mats[trainable].grad.tobytes()
+
+
 class TestTanh:
     def test_odd_at_zero(self):
         assert tc.tanh_act(tc.Tensor([0.0])).data[0] == 0.0
