@@ -317,9 +317,20 @@ def _open_class_rows(sentences, layer):
             if tok.target and tok.pos in train_eval.OPEN_CLASS_POS:
                 rows.append(mat[t_idx])
                 tokens.append(tok)
-    if not rows:
-        raise InputError("no open-class target tokens to project")
     return np.asarray(rows), tokens
+
+
+def _check_pca_inputs(data: str, sentences, paths: list[str], layers: list) -> None:
+    """The 2-D projection needs at least 3 rows and 2 dimensions; fewer is
+    a fault of the inputs, so it is a data error raised before any output."""
+    count = sum(tok.target and tok.pos in train_eval.OPEN_CLASS_POS
+                for sent in sentences for tok in sent.tokens)
+    for path, layer in zip(paths, layers):
+        if count < 3:
+            raise InputError(f"{path}: {count} open-class target tokens in {data}, "
+                             f"pca needs at least 3")
+        if layer.dimension < 2:
+            raise InputError(f"{path}: dimension {layer.dimension}, pca needs at least 2")
 
 
 def _map_layers(one, layers, threads: int) -> list:
@@ -388,6 +399,7 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
         extra["l2_variant"] = args.l2_variant
 
     else:  # pca
+        _check_pca_inputs(args.data, sentences, args.layer_files, layers)
         variance: dict[str, tuple[str, str]] = {}
 
         def one(layer):

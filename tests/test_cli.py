@@ -524,6 +524,63 @@ class TestProbeCommand:
         for path in out.iterdir():
             assert "-0.000000" not in path.read_text()
 
+    def _one_token_corpus(self, tmp_path, n):
+        p = tmp_path / "nouns.tsv"
+        p.write_text("".join(f"s{i}\tnews\t0\tw{i}\tNOUN\t0\t1\n\n" for i in range(n)))
+        return p
+
+    def test_pca_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
+        # 16-d rows with two planted axes: the certified subspace iteration
+        # gives the axes, so the full eigh must not run.
+        n, dim = 60, 16
+        data = self._one_token_corpus(tmp_path, n)
+        rng = np.random.default_rng(22)
+        layers = []
+        for k in range(3):
+            axes = np.linalg.qr(rng.normal(size=(dim, 2)))[0].T
+            rows = (rng.normal(0.0, 0.3, (n, dim)) + np.outer(rng.normal(0.0, 6.0, n), axes[0])
+                    + np.outer(rng.normal(0.0, 4.0, n), axes[1]))
+            layers.append(tmp_path / f"planted{k}.cemb")
+            write_contextual(layers[-1], k, dim,
+                             {i: rows[i:i + 1].astype(np.float32) for i in range(n)})
+
+        def no_eigh(symmetric):
+            raise AssertionError("the full eigh ran where the iteration must certify")
+        monkeypatch.setattr(cli.space_analysis, "_eigh", no_eigh)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"pca{threads}"
+            assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                         "--mode", "pca", "--threads", threads, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.append(([(out / f"pca_layer{k}.csv").read_bytes() for k in range(3)],
+                            manifest["explained_variance"]))
+        assert outputs[0] == outputs[1]
+
+    def test_pca_with_two_open_class_tokens_is_data_error(self, tmp_path, capsys):
+        data = self._one_token_corpus(tmp_path, 2)
+        layer = tmp_path / "two.cemb"
+        write_contextual(layer, 1, 4, {i: np.full((1, 4), i, dtype=np.float32)
+                                       for i in range(2)})
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(layer),
+                     "--mode", "pca", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {layer}: 2 open-class target tokens in {data}, pca needs at least 3\n")
+        assert not out.exists()
+
+    def test_pca_of_one_dimensional_layer_is_data_error(self, tmp_path, capsys):
+        data = self._one_token_corpus(tmp_path, 5)
+        layer = tmp_path / "flat.cemb"
+        write_contextual(layer, 1, 1, {i: np.full((1, 1), i, dtype=np.float32)
+                                       for i in range(5)})
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(layer),
+                     "--mode", "pca", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {layer}: dimension 1, pca needs at least 2\n")
+        assert not out.exists()
+
 
 class TestCsvPrecision:
     def test_six_decimal_round_trip(self, corpus_files, trained, tmp_path):

@@ -193,12 +193,13 @@ class TestProcrustes:
                 assert best <= np.linalg.norm(b @ q.T - e) + 1e-9
 
 
-def _planted_rows(rng, n, d):
-    """Isotropic noise plus two strong planted axes, like the benchmark's layers."""
-    axes = np.linalg.qr(rng.normal(size=(d, 2)))[0].T
+def _planted_rows(rng, n, d, scales=(6.0, 4.0)):
+    """Isotropic noise plus one strong planted axis per scale; the default
+    two are like the benchmark's layers."""
+    axes = np.linalg.qr(rng.normal(size=(d, len(scales))))[0].T
     rows = rng.normal(0.0, 0.3, (n, d))
-    rows += np.outer(rng.normal(0.0, 6.0, n), axes[0])
-    rows += np.outer(rng.normal(0.0, 4.0, n), axes[1])
+    for scale, axis in zip(scales, axes):
+        rows += np.outer(rng.normal(0.0, scale, n), axis)
     return rows
 
 
@@ -228,6 +229,34 @@ class TestProcrustesAgainstSvdOracle:
         assert np.abs(result.rotation - oracle).max() <= 1e-9
         want = avg_l2(e, b @ oracle.T)
         assert abs(result.avg_l2 - want) <= 1e-12 * want
+        assert result.orthogonality_residual < ORTHOGONALITY_TOL / 10
+
+    def test_newton_schulz_step_keeps_accurate_factor_off_the_svd(self, monkeypatch):
+        # Eigenvalues of M.T @ M off by a relative 1e-9 leave the eigh factor
+        # W = U Vt V diag(1 + eta)^-1/2 V.T: accurate, but with an
+        # orthogonality residual of about |eta| = 3e-9, inside the
+        # [TOL / 10, TOL) band that one Newton-Schulz step repairs.
+        rng = np.random.default_rng(16)
+        n, d = 3000, 64
+        e = _planted_rows(rng, n, d)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        b = (e + rng.normal(0.0, 0.1, (n, d))) @ q.T
+        oracle = _oracle_rotation(b, e)
+        eta = 3e-9 / np.sqrt(d) * np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+        exact_eigh = space_analysis._eigh
+
+        def perturbed_eigh(symmetric):
+            lam, v = exact_eigh(symmetric)
+            return lam * (1.0 + eta), v
+
+        m = e.T @ b
+        lam, v = perturbed_eigh(m.T @ m)
+        raw = space_analysis._orthogonality_residual((m @ (v / np.sqrt(lam))) @ v.T)
+        assert ORTHOGONALITY_TOL / 10 <= raw < ORTHOGONALITY_TOL
+        monkeypatch.setattr(space_analysis, "_eigh", perturbed_eigh)
+        _no_svd(monkeypatch)
+        result = procrustes_align(b, e)
+        assert np.abs(result.rotation - oracle).max() <= 1e-9
         assert result.orthogonality_residual < ORTHOGONALITY_TOL / 10
 
     def _assert_svd_path(self, b, e):
@@ -380,6 +409,99 @@ class TestPcaAgainstSvdOracle:
         x = np.random.default_rng(15).normal(size=(6, 3)) * 1e200
         with pytest.raises(NumericError, match="overflows"):
             pca_2d(x)
+
+
+def _eigh_pca(x):
+    """Points, axes and ratios from the full eigh of the covariance: the
+    reference for the certified iteration and the exact output of its
+    fallback."""
+    centered = x - x.mean(axis=0)
+    lam, vecs = np.linalg.eigh(centered.T @ centered)
+    top, axes = lam[:-3:-1], vecs[:, :-3:-1].T.copy()
+    for i in range(2):
+        if axes[i, np.argmax(np.abs(axes[i]))] < 0:
+            axes[i] = -axes[i]
+    total = float(np.vdot(centered, centered))
+    ratios = (max(float(top[0]), 0.0) / total, max(float(top[1]), 0.0) / total)
+    return centered @ axes.T, axes, ratios
+
+
+def _no_eigh(monkeypatch):
+    def fail(symmetric):
+        raise AssertionError("the full eigh ran where the iteration must certify")
+    monkeypatch.setattr(space_analysis, "_eigh", fail)
+
+
+def _counted_eigh(monkeypatch) -> list:
+    calls = []
+    exact_eigh = space_analysis._eigh
+
+    def counted(symmetric):
+        calls.append(symmetric.shape)
+        return exact_eigh(symmetric)
+    monkeypatch.setattr(space_analysis, "_eigh", counted)
+    return calls
+
+
+def _hadamard(order):
+    h = np.ones((1, 1))
+    while h.shape[0] < order:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+class TestPcaSubspaceIteration:
+    """With n >= d > block width, the top-2 axes come from a certified block
+    subspace iteration on the covariance, else from its full eigh."""
+
+    @pytest.mark.parametrize("scales", [(6.0, 4.0), (6.0, 5.9), (6.0, 4.0, 3.9)],
+                             ids=["wide", "narrow-12", "narrow-23"])
+    def test_certified_axes_match_eigh_oracle(self, monkeypatch, scales):
+        x = _planted_rows(np.random.default_rng(17), 2000, 64, scales) + 1.5
+        points, _, ratios = _eigh_pca(x)
+        _no_eigh(monkeypatch)
+        proj = pca_2d(x)
+        assert np.abs(proj.points - points).max() <= 1e-9
+        assert np.abs(np.array(proj.explained_variance) - ratios).max() <= 1e-12
+        np.testing.assert_allclose(proj.axes @ proj.axes.T, np.eye(2), atol=1e-14)
+
+    def test_repeated_calls_give_identical_bytes(self, monkeypatch):
+        x = _planted_rows(np.random.default_rng(18), 600, 48, (5.0, 3.0))
+        _no_eigh(monkeypatch)
+        first, second = pca_2d(x), pca_2d(x)
+        assert first.points.tobytes() == second.points.tobytes()
+        assert first.axes.tobytes() == second.axes.tobytes()
+        assert first.explained_variance == second.explained_variance
+
+    def _assert_eigh_fallback(self, monkeypatch, x):
+        calls = _counted_eigh(monkeypatch)
+        proj = pca_2d(x)
+        assert calls == [(x.shape[1], x.shape[1])]
+        points, axes, ratios = _eigh_pca(x)
+        np.testing.assert_array_equal(proj.points, points)
+        np.testing.assert_array_equal(proj.axes, axes)
+        assert proj.explained_variance == ratios
+
+    def test_isotropic_data_falls_back(self, monkeypatch):
+        self._assert_eigh_fallback(monkeypatch, np.random.default_rng(19).normal(size=(400, 64)))
+
+    def test_equal_second_and_third_eigenvalues_fall_back(self, monkeypatch):
+        # Hadamard columns are orthogonal and sum to zero, so the covariance
+        # is exactly diag(64 * scale**2): lambda_2 == lambda_3 in floating point.
+        scale = np.array([8.0, 4.0, 4.0, 2.0] + [1.0] * 12)
+        x = _hadamard(64)[:, 1:17] * scale
+        cov = x.T @ x
+        assert cov[1, 1] == cov[2, 2] and not cov[~np.eye(16, dtype=bool)].any()
+        self._assert_eigh_fallback(monkeypatch, x)
+
+    def test_rank_one_data_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        x = np.outer(rng.normal(size=50), rng.normal(size=20)) + rng.normal(size=20)
+        self._assert_eigh_fallback(monkeypatch, x)
+
+    def test_no_wider_than_the_block_uses_eigh(self, monkeypatch):
+        x = _planted_rows(np.random.default_rng(21), 200, 10, (5.0, 3.0))
+        self._assert_eigh_fallback(monkeypatch, x)
 
 
 class TestPearson:
