@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, space_analysis, tagger_model, train_eval
-from .embedding_io import ChannelProvider, load_contextual, load_static_text
+from .embedding_io import ChannelProvider, check_alignment, load_contextual, load_static_text
 from .errors import (
     AlignmentError,
     CompatibilityError,
@@ -45,8 +45,10 @@ def _fmt(value: float) -> str:
 
 
 def parse_config_file(path) -> dict:
-    """`key=value` lines typed by ``ModelConfig.field_value``; `#` starts a comment."""
+    """`key=value` lines typed by ``ModelConfig.field_value``; `#` starts a
+    comment, and a key may be set once."""
     out: dict = {}
+    first_line: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -55,6 +57,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(f"{path}: line {lineno}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ParseError(f"{path}: line {lineno}: {key} already set "
+                                 f"on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 out[key] = ModelConfig.field_value(key, value, text=True)
             except MetaseqError as exc:
@@ -112,7 +118,10 @@ def _write_manifest(out_dir: Path, args_list: list[str], config_path,
     return path
 
 
-def _load_layers(config: ModelConfig, layer_paths: list[str], parser) -> dict[str, object]:
+def _load_layers(config: ModelConfig, layer_paths: list[str], parser,
+                 sentences: list) -> dict[str, object]:
+    """The ``--layers`` files by channel name, each checked against the
+    configured dimension and aligned with ``sentences``."""
     contextual_channels = [c for c in config.channel_order if c != "G"]
     if len(layer_paths) != len(contextual_channels):
         parser.error(f"expected {len(contextual_channels)} --layers files for "
@@ -124,17 +133,19 @@ def _load_layers(config: ModelConfig, layer_paths: list[str], parser) -> dict[st
             raise CompatibilityError(
                 f"{path}: layer dimension {layer.dimension} != configured "
                 f"unified dimension {config.unified_dim}")
+        check_alignment(path, layer, sentences)
         files[name] = layer
     return files
 
 
-def _make_provider(config: ModelConfig, args, parser,
-                   sentences: list) -> tuple[ChannelProvider, list]:
+def _make_provider(config: ModelConfig, args, parser, sentences: list,
+                   dev_sentences: list = ()) -> tuple[ChannelProvider, list]:
     """Wire static table, layer files and feature encoders per the config.
 
-    The static table keeps only the vectors the run can read: every token
-    of ``sentences`` as written, lowercased too when the lexicon lookup
-    lowercases, and the lexicon words, which are the abstractness backoff's
+    The layer files must line up with ``sentences``; ``dev_sentences`` are
+    scored on their rows. The static table keeps only the vectors the run
+    can read: every token of both as written, lowercased too when the lexicon
+    lookup lowercases, and the lexicon words, which are the abstractness backoff's
     candidates. So the lexicon is read before the vector file, and the
     scorer scores the same tokens once, before any sentence is assembled.
     """
@@ -146,7 +157,7 @@ def _make_provider(config: ModelConfig, args, parser,
     if config.use_abstractness and not static:
         parser.error("use_abstractness requires the static channel G")
     inputs = list(args.layers or [])
-    tokens = {t.text for s in sentences for t in s.tokens}
+    tokens = {t.text for s in (*sentences, *dev_sentences) for t in s.tokens}
     lexicon = static_table = scorer = None
     if config.use_abstractness:
         lexicon = load_abstractness_lexicon(args.abst_lexicon)
@@ -163,7 +174,7 @@ def _make_provider(config: ModelConfig, args, parser,
             raise CompatibilityError(
                 f"{args.glove}: vector dimension {static_table.dimension} != "
                 f"configured static dimension {config.static_dim}")
-    layer_files = _load_layers(config, args.layers or [], parser)
+    layer_files = _load_layers(config, args.layers or [], parser, sentences)
 
     pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
     if lexicon is not None:
@@ -194,8 +205,6 @@ def _check_dev_rows(dev_path, dev_sentences, train_sentences) -> None:
 
 def cmd_train(args, parser, argv: list[str]) -> int:
     config = _build_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_sentences = train_eval.parse_dataset(args.data)
     inputs = [args.data]
     if args.dev:
@@ -206,7 +215,7 @@ def cmd_train(args, parser, argv: list[str]) -> int:
     else:
         dev_sentences = None
     provider, extra_inputs = _make_provider(
-        config, args, parser, train_sentences + (dev_sentences or []))
+        config, args, parser, train_sentences, dev_sentences or [])
     inputs.extend(extra_inputs)
     if args.config:
         inputs.append(args.config)
@@ -216,6 +225,8 @@ def cmd_train(args, parser, argv: list[str]) -> int:
         train_sentences, provider, config, dev_sentences=dev_sentences,
         on_epoch=lambda epoch, loss, f1: curve.append((epoch, loss, f1)))
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.mseq"
     tagger_model.save_checkpoint(checkpoint, ckpt_path)
     curve_path = out_dir / "training_curve.csv"
@@ -252,8 +263,7 @@ def cmd_eval(args, parser, argv: list[str]) -> int:
     inputs = [args.checkpoint, args.data, *extra_inputs]
 
     model = tagger_model.MetaphorTagger.from_checkpoint(checkpoint)
-    predictions, overall = tagger_model.label_sentences(
-        model, sentences, (provider.channels(s, i) for i, s in enumerate(sentences)))
+    predictions, overall = tagger_model.label_sentences(model, sentences, provider)
     rows = [_report_row("overall", "ALL", overall)]
     if args.breakdown:
         per_class = train_eval.breakdown(sentences, predictions, key=args.breakdown)
@@ -305,26 +315,9 @@ def _read_scores_csv(path) -> dict[int, float]:
     return scores
 
 
-def _open_class_rows(sentences, layer):
-    rows, tokens = [], []
-    for index, sent in enumerate(sentences):
-        mat = layer.matrix(index)
-        if mat.shape[0] != len(sent.tokens):
-            raise AlignmentError(
-                f"sentence {sent.sentence_id}: {mat.shape[0]} embedding rows "
-                f"for {len(sent.tokens)} tokens")
-        for t_idx, tok in enumerate(sent.tokens):
-            if tok.target and tok.pos in train_eval.OPEN_CLASS_POS:
-                rows.append(mat[t_idx])
-                tokens.append(tok)
-    return np.asarray(rows), tokens
-
-
-def _check_pca_inputs(data: str, sentences, paths: list[str], layers: list) -> None:
+def _check_pca_inputs(data: str, count: int, paths: list[str], layers: list) -> None:
     """The 2-D projection needs at least 3 rows and 2 dimensions; fewer is
     a fault of the inputs, so it is a data error raised before any output."""
-    count = sum(tok.target and tok.pos in train_eval.OPEN_CLASS_POS
-                for sent in sentences for tok in sent.tokens)
     for path, layer in zip(paths, layers):
         if count < 3:
             raise InputError(f"{path}: {count} open-class target tokens in {data}, "
@@ -356,7 +349,10 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
     if args.mode == "l2" and len(args.layer_files) < 2:
         parser.error("mode=l2 needs a reference file plus at least one layer file")
     sentences = train_eval.parse_dataset(args.data)
-    layers = [load_contextual(p) for p in args.layer_files]
+    layers = []
+    for path in args.layer_files:
+        layers.append(load_contextual(path))
+        check_alignment(path, layers[-1], sentences)
     # The l2 reference file yields no row of its own, so it may share an index.
     probed = 1 if args.mode == "l2" else 0
     _check_layer_indices(args.layer_files[probed:], layers[probed:])
@@ -399,19 +395,22 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
         extra["l2_variant"] = args.l2_variant
 
     else:  # pca
-        _check_pca_inputs(args.data, sentences, args.layer_files, layers)
+        # (sentence index, token index, token) of each open-class target token
+        targets = [(s, t, tok) for s, sent in enumerate(sentences)
+                   for t, tok in enumerate(sent.tokens)
+                   if tok.target and tok.pos in train_eval.OPEN_CLASS_POS]
+        _check_pca_inputs(args.data, len(targets), args.layer_files, layers)
         variance: dict[str, tuple[str, str]] = {}
 
         def one(layer):
-            data, tokens = _open_class_rows(sentences, layer)
-            projection = space_analysis.pca_2d(data)
-            return layer.layer_index, projection, tokens
+            rows = [layer.sentences[s][t] for s, t, _ in targets]
+            return layer.layer_index, space_analysis.pca_2d(np.asarray(rows, dtype=np.float64))
 
         results = _map_layers(one, layers, args.threads)
-        for layer_index, projection, tokens in results:
+        for layer_index, projection in results:
             files[f"pca_layer{layer_index}.csv"] = "token,pos,x,y\n" + "".join(
                 f"{tok.text},{tok.pos},{_fmt(x)},{_fmt(y)}\n"
-                for tok, (x, y) in zip(tokens, projection.points))
+                for (_, _, tok), (x, y) in zip(targets, projection.points))
             variance[str(layer_index)] = tuple(
                 _fmt(v) for v in projection.explained_variance)
             print(f"layer {layer_index}: explained variance "

@@ -156,21 +156,28 @@ class ContextualLayerFile:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def matrix(self, sentence_index: int) -> np.ndarray:
-        """Float64 view of one sentence; raises if the sentence is absent."""
-        try:
-            return self.sentences[sentence_index].astype(np.float64)
-        except KeyError:
-            raise AlignmentError(
-                f"sentence {sentence_index} not present in layer {self.layer_index} file"
-            ) from None
-
     def all_rows(self) -> np.ndarray:
         """Every token vector, sentences in index order, as one (N, dim) array."""
         if not self.sentences:
             return np.zeros((0, self.dimension))
         mats = [self.sentences[i] for i in sorted(self.sentences)]
         return np.concatenate(mats, axis=0).astype(np.float64)
+
+
+def check_alignment(path, layer: ContextualLayerFile, sentences: Sequence) -> None:
+    """The layer file read from ``path`` must hold exactly sentences 0..N-1 of
+    the dataset ``sentences`` it is read with, one row per token; otherwise an
+    AlignmentError names the file and the first sentence that does not fit."""
+    for index, sentence in enumerate(sentences):
+        mat = layer.sentences.get(index)
+        if mat is None or len(mat) != len(sentence.tokens):
+            rows = "no" if mat is None else len(mat)
+            raise AlignmentError(f"{path}: sentence {index} ({sentence.sentence_id}): "
+                                 f"{rows} rows for {len(sentence.tokens)} tokens")
+    if len(layer.sentences) > len(sentences):
+        extra = min(i for i in layer.sentences if i >= len(sentences))
+        raise AlignmentError(f"{path}: sentence {extra}: {len(layer.sentences[extra])} rows, "
+                             f"but the dataset has {len(sentences)} sentences")
 
 
 def write_contextual(path, layer_index: int, dimension: int,
@@ -193,11 +200,11 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     before any read, so a hostile header cannot size an allocation."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if count > left:
-        raise TruncatedError(f"file ended while reading {what}: "
+        raise TruncatedError(f"{fh.name}: file ended while reading {what}: "
                              f"{count} bytes declared, {left} left")
     data = fh.read(count)
     if len(data) != count:
-        raise TruncatedError(f"file ended while reading {what}")
+        raise TruncatedError(f"{fh.name}: file ended while reading {what}")
     return data
 
 
@@ -206,18 +213,18 @@ def load_contextual(path) -> ContextualLayerFile:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CONTEXTUAL_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {CONTEXTUAL_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {CONTEXTUAL_MAGIC!r}")
         version, layer_index, dimension, count = struct.unpack(
             "<IIII", _read_exact(fh, 16, "header"))
         if version != CONTEXTUAL_VERSION:
-            raise FormatError(f"unsupported version {version}")
+            raise FormatError(f"{path}: unsupported version {version}")
         if dimension < 1:
-            raise FormatError(f"non-positive dimension {dimension}")
+            raise FormatError(f"{path}: non-positive dimension {dimension}")
         sentences: dict[int, np.ndarray] = {}
         for _ in range(count):
             idx, tokens = struct.unpack("<II", _read_exact(fh, 8, "sentence header"))
             if idx in sentences:
-                raise FormatError(f"duplicate sentence index {idx}")
+                raise FormatError(f"{path}: duplicate sentence index {idx}")
             payload = _read_exact(fh, 4 * tokens * dimension,
                                   f"sentence {idx} payload")
             mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, dimension)
@@ -225,7 +232,7 @@ def load_contextual(path) -> ContextualLayerFile:
                 raise FormatError(f"{path}: sentence {idx}: non-finite value")
             sentences[idx] = mat.copy()
         if fh.read(1):
-            raise FormatError("trailing bytes after declared sentences")
+            raise FormatError(f"{path}: trailing bytes after declared sentences")
     return ContextualLayerFile(layer_index, dimension, sentences)
 
 
@@ -287,16 +294,12 @@ class ChannelProvider:
         return np.concatenate(parts)
 
     def channels(self, sentence, index: int) -> dict[str, np.ndarray]:
+        """The channel matrices of dataset sentence ``index``; its rows in the
+        layer files were checked by ``check_alignment`` when they were loaded."""
         out: dict[str, np.ndarray] = {}
-        n = len(sentence.tokens)
         for name in self.order:
             if name == "G":
                 out[name] = np.stack([self._static_row(t) for t in sentence.tokens])
             else:
-                mat = self.layer_files[name].matrix(index)
-                if mat.shape[0] != n:
-                    raise AlignmentError(
-                        f"sentence {sentence.sentence_id}: {mat.shape[0]} rows in "
-                        f"channel {name} for {n} tokens")
-                out[name] = mat
+                out[name] = self.layer_files[name].sentences[index].astype(np.float64)
         return out

@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    AlignmentError,
     DegeneracyError,
     DimensionError,
     NumericError,
@@ -103,23 +102,17 @@ def build_pairs(sentences: Sequence[SentenceRecord], seed: int = 0) -> WordPairS
     return WordPairSet(pairs, seed)
 
 
-def _resolve(layer, occ: Occurrence) -> np.ndarray:
-    mat = layer.matrix(occ.sentence_index)   # raises AlignmentError if absent
-    if occ.token_index >= mat.shape[0]:
-        raise AlignmentError(
-            f"token {occ.token_index} out of range for sentence "
-            f"{occ.sentence_index} ({mat.shape[0]} tokens)")
-    return mat[occ.token_index]
-
-
 def avg_pair_cosine(pair_set: WordPairSet, layer) -> float:
     """Mean cosine between the two occurrences of every pair (lower = the
-    layer separates the senses better)."""
+    layer separates the senses better). ``layer`` must line up with the
+    dataset the pairs were built from (``embedding_io.check_alignment``)."""
     if not pair_set.pairs:
         raise DegeneracyError("word-pair set is empty")
     total = 0.0
     for pair in pair_set.pairs:
-        total += cosine(_resolve(layer, pair.metaphor), _resolve(layer, pair.literal))
+        met, lit = pair.metaphor, pair.literal
+        total += cosine(layer.sentences[met.sentence_index][met.token_index],
+                        layer.sentences[lit.sentence_index][lit.token_index])
     return total / len(pair_set.pairs)
 
 

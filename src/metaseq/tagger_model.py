@@ -15,7 +15,7 @@ import math
 import struct
 import typing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -292,14 +292,15 @@ class MetaphorTagger:
 # Training loop
 # ---------------------------------------------------------------------------
 
-def label_sentences(model: MetaphorTagger, sentences, channels: Iterable[Mapping]
+def label_sentences(model: MetaphorTagger, sentences, provider
                     ) -> tuple[list[list[int]], train_eval.MetricsReport]:
     """Argmax labels per sentence and the target-token metrics over all of
-    them. ``channels`` is read one sentence at a time, right before that
-    sentence is scored, so a generator holds one sentence's channels."""
+    them. Each sentence's channels are built right before it is scored, so
+    one sentence's channels are alive at a time."""
     predictions, gold, masks = [], [], []
-    for sent, sent_channels in zip(sentences, channels):
-        predictions.append(np.argmax(model.predict_probs(sent_channels), axis=1).tolist())
+    for index, sent in enumerate(sentences):
+        probs = model.predict_probs(provider.channels(sent, index))
+        predictions.append(np.argmax(probs, axis=1).tolist())
         gold.extend(sent.labels().tolist())
         masks.extend(sent.target_mask().tolist())
     flat = [label for labels in predictions for label in labels]
@@ -313,17 +314,13 @@ def train(train_sentences, provider, config: ModelConfig, dev_sentences=None,
 
     Every token contributes to the loss (non-targets train as literal);
     scoring for model selection uses target tokens only. With no dev split
-    the training sentences double as the dev set.
+    the training sentences double as the dev set. A sentence's channels are
+    built when it is used: right before its step, and again when it is scored.
     """
     train_sentences = list(train_sentences)
     if not train_sentences:
         raise InputError("empty training dataset")
-    train_channels = [provider.channels(s, i) for i, s in enumerate(train_sentences)]
-    if dev_sentences is None:
-        dev_sentences, dev_channels = train_sentences, train_channels
-    else:
-        dev_sentences = list(dev_sentences)
-        dev_channels = [provider.channels(s, i) for i, s in enumerate(dev_sentences)]
+    dev_sentences = train_sentences if dev_sentences is None else list(dev_sentences)
 
     model = MetaphorTagger(config)
     shuffle_rng = tc.RngStream(config.seed, _SHUFFLE_STREAM)
@@ -335,14 +332,15 @@ def train(train_sentences, provider, config: ModelConfig, dev_sentences=None,
         order = shuffle_rng.permutation(len(train_sentences))
         total_loss = 0.0
         for idx in order:
+            channels = provider.channels(train_sentences[idx], idx)
             with tc.Tape() as tape:
-                stack = model.build_stack(train_channels[idx])
+                stack = model.build_stack(channels)
                 loss = model.sentence_loss(stack, train_sentences[idx].labels(),
                                            dropout_rng, training=True)
             tc.backward(loss, tape, params.values())
             tc.sgd_step(params, config.learning_rate)
             total_loss += float(loss.data)
-        dev_f1 = label_sentences(model, dev_sentences, dev_channels)[1].f1
+        dev_f1 = label_sentences(model, dev_sentences, provider)[1].f1
         if on_epoch is not None:
             on_epoch(epoch, total_loss / len(train_sentences), dev_f1)
         if best is None or dev_f1 > best.dev_f1:
@@ -392,15 +390,21 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         version, blob_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}")
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
         config, epoch, dev_f1 = _read_meta(path, _read_exact(fh, blob_len, "config blob"))
         params: dict[str, np.ndarray] = {}
         while fh.peek(1):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "parameter header"))
-            name = _read_exact(fh, name_len, "parameter name").decode("utf-8")
+            raw = _read_exact(fh, name_len, "parameter name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: parameter name {raw!r} is not UTF-8") from None
+            if name in params:
+                raise FormatError(f"{path}: parameter {name} appears twice")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "parameter rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "parameter dims"))
             count = math.prod(shape)

@@ -36,6 +36,14 @@ def corpus_files(tmp_path_factory):
     return corpus, paths
 
 
+def _config_with(paths, line: str) -> str:
+    """The fixture config with ``line`` in place of the line setting its key."""
+    key = line.split("=", 1)[0]
+    kept = [other for other in paths["config"].read_text().splitlines()
+            if other.split("=", 1)[0] != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 def _train_args(paths, out_dir, seed="9"):
     return ["train", "--data", str(paths["data"]), "--glove", str(paths["glove"]),
             "--layers", str(paths["E"]), str(paths["B"]),
@@ -99,6 +107,35 @@ class TestTrainCommand:
         args = _train_args(paths, tmp_path / "out")
         args[args.index("--data") + 1] = str(bad)
         assert main(args) == 3
+
+    def test_bad_layer_file_is_exit_3_and_leaves_no_out(self, corpus_files, tmp_path,
+                                                        capsys):
+        _, paths = corpus_files
+        bad = tmp_path / "bad.cemb"
+        bad.write_bytes(b"XXXX" + bytes(16))
+        out = tmp_path / "run"
+        args = _train_args(paths, out)
+        args[args.index("--layers") + 1] = str(bad)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: {bad}: bad magic b'XXXX', expected b'CEMB'\n")
+        assert not out.exists()
+
+    def test_layer_file_beyond_the_training_data_is_exit_3(self, corpus_files, tmp_path,
+                                                           capsys):
+        corpus, paths = corpus_files
+        layer = load_contextual(paths["B"])
+        extra = tmp_path / "extra.cemb"
+        write_contextual(extra, layer.layer_index, layer.dimension,
+                         {**layer.sentences, 8: layer.sentences[0]})
+        out = tmp_path / "run"
+        args = _train_args(paths, out)
+        args[args.index("--layers") + 2] = str(extra)
+        assert main(args) == 3
+        n = len(corpus.sentences[0].tokens)
+        assert capsys.readouterr().err == (
+            f"error: {extra}: sentence 8: {n} rows, but the dataset has 8 sentences\n")
+        assert not out.exists()
 
     def test_dimension_clash_is_exit_3(self, corpus_files, tmp_path):
         _, paths = corpus_files
@@ -270,7 +307,34 @@ class TestEvalCommand:
         assert main(args) == 3
         n = len(corpus.sentences[3].tokens)
         assert capsys.readouterr().err == (
-            f"error: sentence s3: {n - 1} rows in channel B for {n} tokens\n")
+            f"error: {short}: sentence 3 (s3): {n - 1} rows for {n} tokens\n")
+        assert not out.exists()
+
+
+    def test_layer_file_with_more_sentences_than_data_is_exit_3(
+            self, corpus_files, trained, tmp_path, capsys):
+        corpus, paths = corpus_files
+        data = tmp_path / "first7.tsv"
+        blocks = paths["data"].read_text().split("\n\n")
+        data.write_text("\n\n".join(blocks[:7]) + "\n\n")
+        out = tmp_path / "eval"
+        args = self._eval_args(paths, trained, out)
+        args[args.index("--data") + 1] = str(data)
+        assert main(args) == 3
+        n = len(corpus.sentences[7].tokens)
+        assert capsys.readouterr().err == (
+            f"error: {paths['E']}: sentence 7: {n} rows, but the dataset has 7 sentences\n")
+        assert not out.exists()
+
+    def test_non_utf8_parameter_name_is_exit_3(self, corpus_files, trained, tmp_path, capsys):
+        _, paths = corpus_files
+        ckpt = tmp_path / "bad.mseq"
+        ckpt.write_bytes(trained.read_bytes() + struct.pack("<I", 1) + b"\xff"
+                         + struct.pack("<II", 1, 1) + bytes(8))
+        out = tmp_path / "eval"
+        assert main(self._eval_args(paths, ckpt, out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: parameter name {bytes([255])!r} is not UTF-8\n")
         assert not out.exists()
 
 
@@ -414,6 +478,38 @@ class TestProbeCommand:
         args = ["probe", "--data", str(data), "--layer-files", str(layers[0]),
                 "--mode", "cosine", "--out", str(out)]
         assert main(args) == 3
+
+    @pytest.mark.parametrize("mode,rows,bad,message", [
+        pytest.param("l2", [{0: 2, 1: 1}, {5: 2, 9: 1}], 1,
+                     "sentence 0 (s0): no rows for 2 tokens", id="l2-foreign-indices"),
+        pytest.param("l2", [{5: 2, 9: 1}, {0: 2, 1: 1}], 0,
+                     "sentence 0 (s0): no rows for 2 tokens", id="l2-foreign-reference"),
+        pytest.param("l2", [{0: 2, 1: 1}, {0: 1, 1: 2}], 1,
+                     "sentence 0 (s0): 1 rows for 2 tokens", id="l2-same-total-split-differently"),
+        pytest.param("cosine", [{0: 7, 1: 1}], 0,
+                     "sentence 0 (s0): 7 rows for 2 tokens", id="cosine-extra-rows"),
+        pytest.param("cosine", [{0: 2, 1: 1, 2: 3}], 0,
+                     "sentence 2: 3 rows, but the dataset has 2 sentences",
+                     id="cosine-extra-sentence"),
+        pytest.param("pca", [{0: 2, 1: 3}], 0,
+                     "sentence 1 (s1): 3 rows for 1 tokens", id="pca-extra-rows"),
+    ])
+    def test_misaligned_layer_file_is_exit_3_before_out(self, tmp_path, capsys, mode, rows,
+                                                        bad, message):
+        data = tmp_path / "two.tsv"   # s0 = `w x` with w literal, s1 = `w` metaphoric
+        data.write_text("s0\tnews\t0\tw\tVERB\t0\t1\ns0\tnews\t1\tx\tNOUN\t0\t0\n\n"
+                        "s1\tnews\t0\tw\tVERB\t1\t1\n\n")
+        rng = np.random.default_rng(8)
+        layers = []
+        for k, counts in enumerate(rows):
+            layers.append(tmp_path / f"layer{k}.cemb")
+            write_contextual(layers[-1], k, 4, {i: rng.normal(size=(n, 4)).astype(np.float32)
+                                                for i, n in counts.items()})
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", mode, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {layers[bad]}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
     def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
@@ -622,12 +718,26 @@ class TestConfigFile:
                                               line, code, message):
         _, paths = corpus_files
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(paths["config"].read_text() + line + "\n")
+        cfg.write_text(_config_with(paths, line))
         lineno = len(cfg.read_text().splitlines())
         args = _train_args(paths, tmp_path / "run")
         args[args.index("--config") + 1] = str(cfg)
         assert main(args) == code
         assert capsys.readouterr().err == f"error: {cfg}: line {lineno}: {message}\n"
+
+    def test_repeated_key_names_both_lines(self, corpus_files, tmp_path, capsys):
+        _, paths = corpus_files
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("epochs=1\n# comment\nhidden_size=8\nepochs=3\n")
+        with pytest.raises(ParseError) as info:
+            parse_config_file(cfg)
+        assert str(info.value) == f"{cfg}: line 4: epochs already set on line 1"
+        out = tmp_path / "run"
+        args = _train_args(paths, out)
+        args[args.index("--config") + 1] = str(cfg)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         p = tmp_path / "m.cfg"
@@ -651,7 +761,7 @@ class TestConfigFile:
                                                  line, message):
         _, paths = corpus_files
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(paths["config"].read_text() + line + "\n")
+        cfg.write_text(_config_with(paths, line))
         args = _train_args(paths, tmp_path / "run")
         args[args.index("--config") + 1] = str(cfg)
         args[args.index("--data") + 1] = str(tmp_path / "unread.tsv")  # no data is read

@@ -12,6 +12,7 @@ from metaseq.embedding_io import (
     ChannelProvider,
     ContextualLayerFile,
     _read_exact,
+    check_alignment,
     load_contextual,
     load_static_text,
     stack_channels,
@@ -164,7 +165,7 @@ class TestContextualCodec:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "layer.cemb"
         p.write_bytes(b"XEMB" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: bad magic")):
             load_contextual(p)
 
     def test_bad_version(self, tmp_path):
@@ -173,7 +174,20 @@ class TestContextualCodec:
         raw = bytearray(p.read_bytes())
         raw[4] = 99
         p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: unsupported version 99")):
+            load_contextual(p)
+
+    def test_zero_dimension(self, tmp_path):
+        p = tmp_path / "layer.cemb"
+        p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 1, 0, 0))
+        with pytest.raises(FormatError, match=re.escape(f"{p}: non-positive dimension 0")):
+            load_contextual(p)
+
+    def test_duplicate_sentence_index(self, tmp_path):
+        p = tmp_path / "layer.cemb"
+        record = struct.pack("<II", 3, 1) + np.ones(2, dtype="<f4").tobytes()
+        p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 1, 2, 2) + record + record)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: duplicate sentence index 3")):
             load_contextual(p)
 
     def test_truncated_payload(self, tmp_path):
@@ -181,7 +195,7 @@ class TestContextualCodec:
         write_contextual(p, 1, 4, {0: np.ones((3, 4), dtype=np.float32)})
         raw = p.read_bytes()
         p.write_bytes(raw[:-10])
-        with pytest.raises(TruncatedError):
+        with pytest.raises(TruncatedError, match=re.escape(f"{p}: file ended")):
             load_contextual(p)
 
     def test_short_rows_detected(self, tmp_path):
@@ -190,7 +204,8 @@ class TestContextualCodec:
         body = b"CEMB" + struct.pack("<IIII", 1, 1, 8, 1)
         body += struct.pack("<II", 0, 1) + np.ones(6, dtype="<f4").tobytes()
         p.write_bytes(body)
-        with pytest.raises(FormatError):  # truncated payload is a format defect
+        # truncated payload is a format defect
+        with pytest.raises(FormatError, match=re.escape(f"{p}: file ended")):
             load_contextual(p)
 
     @pytest.mark.parametrize("dimension,tokens", [
@@ -200,7 +215,8 @@ class TestContextualCodec:
         p = tmp_path / "layer.cemb"
         p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 0, dimension, 1)
                       + struct.pack("<II", 0, tokens) + b"\x00" * 4)
-        with pytest.raises(TruncatedError, match="sentence 0 payload"):
+        with pytest.raises(TruncatedError,
+                           match=re.escape(f"{p}: file ended while reading sentence 0 payload")):
             load_contextual(p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -216,15 +232,66 @@ class TestContextualCodec:
         p = tmp_path / "layer.cemb"
         write_contextual(p, 1, 4, {0: np.ones((1, 4), dtype=np.float32)})
         p.write_bytes(p.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: trailing")):
             load_contextual(p)
+
+
+def _dataset(*lengths: int, ids=None) -> list[SentenceRecord]:
+    """One sentence of ``n`` NOUN target tokens per length; ids s0, s1, ..."""
+    ids = ids or [f"s{i}" for i in range(len(lengths))]
+    return [SentenceRecord(sid, "news", [TokenRecord(f"w{t}", "NOUN", 0, True)
+                                         for t in range(n)])
+            for sid, n in zip(ids, lengths)]
+
+
+class TestCheckAlignment:
+    """A layer file holds exactly the dataset's sentences 0..N-1, one row per token."""
+
+    def test_aligned_file_passes(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((3, 4))})
+        check_alignment("layer.cemb", layer, _dataset(2, 3))
 
     def test_missing_sentence_is_alignment_error(self, tmp_path):
         p = tmp_path / "layer.cemb"
-        write_contextual(p, 1, 4, {0: np.ones((1, 4), dtype=np.float32)})
+        write_contextual(p, 1, 4, {i: np.ones((1, 4), dtype=np.float32) for i in range(5)})
         loaded = load_contextual(p)
         with pytest.raises(AlignmentError, match="sentence 5"):
-            loaded.matrix(5)
+            check_alignment(p, loaded, _dataset(*[1] * 6))
+
+    def test_contextual_row_count_checked(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4), dtype=np.float32)})
+        with pytest.raises(AlignmentError, match="sX"):
+            check_alignment("layer.cemb", layer, _dataset(3, ids=["sX"]))
+
+    def test_unresolved_locator_names_sentence(self):
+        # the pair-probe dataset of two one-token sentences; the file lacks sentence 1
+        broken = ContextualLayerFile(1, 2, {0: np.asarray([[0.0, 1.0]], dtype=np.float32)})
+        with pytest.raises(AlignmentError, match="sentence 1"):
+            check_alignment("layer.cemb", broken, _dataset(1, 1, ids=["a", "b"]))
+
+    def test_message_names_file_sentence_and_both_counts(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((4, 4))})
+        with pytest.raises(AlignmentError) as info:
+            check_alignment("l.cemb", layer, _dataset(2, 3))
+        assert str(info.value) == "l.cemb: sentence 1 (s1): 4 rows for 3 tokens"
+
+    def test_missing_sentence_message(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 2: np.ones((3, 4))})
+        with pytest.raises(AlignmentError) as info:
+            check_alignment("l.cemb", layer, _dataset(2, 3))
+        assert str(info.value) == "l.cemb: sentence 1 (s1): no rows for 3 tokens"
+
+    def test_sentence_beyond_the_dataset_is_alignment_error(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((3, 4)),
+                                           7: np.ones((5, 4))})
+        with pytest.raises(AlignmentError) as info:
+            check_alignment("l.cemb", layer, _dataset(2, 3))
+        assert str(info.value) == "l.cemb: sentence 7: 5 rows, but the dataset has 2 sentences"
+
+    def test_same_total_rows_split_differently(self):
+        layer = ContextualLayerFile(1, 4, {0: np.ones((3, 4)), 1: np.ones((2, 4))})
+        with pytest.raises(AlignmentError, match="sentence 0 \\(s0\\): 3 rows for 2 tokens"):
+            check_alignment("l.cemb", layer, _dataset(2, 3))
 
 
 def projector(w, b) -> MetaphorTagger:
@@ -250,7 +317,9 @@ class TestReadExact:
         p.write_bytes(b"0123456789")
         with open(p, "rb") as fh:
             _read_exact(fh, 4, "head")
-            with pytest.raises(TruncatedError, match="body: 7 bytes declared, 6 left"):
+            with pytest.raises(TruncatedError,
+                               match=re.escape(f"{p}: file ended while reading body: "
+                                               "7 bytes declared, 6 left")):
                 _read_exact(fh, 7, "body")
             assert fh.tell() == 4          # nothing was consumed
             assert _read_exact(fh, 6, "rest") == b"456789"
@@ -362,13 +431,6 @@ class TestChannelProvider:
     def _sentence(self, words):
         return SentenceRecord("sX", "news",
                               [TokenRecord(w, "NOUN", 0, True) for w in words])
-
-    def test_contextual_row_count_checked(self):
-        table = static_table(2, {"a": np.ones(2)})
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4), dtype=np.float32)})
-        provider = ChannelProvider(("G", "E"), table, {"E": layer})
-        with pytest.raises(AlignmentError, match="sX"):
-            provider.channels(self._sentence(["a", "b", "c"]), 0)
 
     def test_static_rows_include_oov_zero(self):
         table = static_table(2, {"a": np.array([1.0, 2.0])})

@@ -1,6 +1,7 @@
 """Model configuration, forward contract, training behavior, checkpoints."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -454,7 +455,40 @@ class TestCheckpointCodec:
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: bad magic")):
+            load_checkpoint(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "m.mseq"
+        save_checkpoint(self._checkpoint(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}: unsupported checkpoint version 9")):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _record(name: bytes, values) -> bytes:
+        arr = np.asarray(values, dtype="<f8")
+        return (struct.pack("<I", len(name)) + name + struct.pack("<II", 1, arr.size)
+                + arr.tobytes())
+
+    def test_repeated_parameter_name_is_format_error(self, tmp_path):
+        # a second cls_b of the right shape would otherwise replace the first
+        path = tmp_path / "m.mseq"
+        save_checkpoint(self._checkpoint(), path)
+        path.write_bytes(path.read_bytes() + self._record(b"cls_b", [7.0, 9.0]))
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}: parameter cls_b appears twice")):
+            load_checkpoint(path)
+
+    def test_non_utf8_parameter_name_is_format_error(self, tmp_path):
+        path = tmp_path / "m.mseq"
+        save_checkpoint(self._checkpoint(), path)
+        path.write_bytes(path.read_bytes() + self._record(b"w\xff", [1.0]))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: parameter name {b'w' + bytes([255])!r} is not UTF-8")):
             load_checkpoint(path)
 
     def test_cut_inside_parameter_header_is_truncated(self, tmp_path):
@@ -462,7 +496,8 @@ class TestCheckpointCodec:
         cp = self._checkpoint()
         save_checkpoint(Checkpoint(cp.config, {}, epoch=1, dev_f1=0.0), path)
         path.write_bytes(path.read_bytes() + b"\x01\x00")
-        with pytest.raises(TruncatedError, match="parameter header"):
+        with pytest.raises(TruncatedError, match=re.escape(
+                f"{path}: file ended while reading parameter header")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("dims", [
@@ -477,7 +512,8 @@ class TestCheckpointCodec:
         record = (struct.pack("<I", 1) + b"w" + struct.pack("<I", len(dims))
                   + struct.pack(f"<{len(dims)}I", *dims) + b"\x00" * 8)
         path.write_bytes(path.read_bytes() + record)
-        with pytest.raises(TruncatedError, match="parameter w payload"):
+        with pytest.raises(TruncatedError, match=re.escape(
+                f"{path}: file ended while reading parameter w payload")):
             load_checkpoint(path)
 
     def test_wrong_shapes_rejected_at_model_build(self):
