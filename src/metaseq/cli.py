@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, space_analysis, tagger_model, train_eval
-from .embedding_io import ChannelProvider, check_alignment, load_contextual, load_static_text
+from .embedding_io import ChannelProvider, load_contextual, load_static_text
 from .errors import (
     AlignmentError,
     CompatibilityError,
@@ -120,20 +120,19 @@ def _write_manifest(out_dir: Path, args_list: list[str], config_path,
 
 def _load_layers(config: ModelConfig, layer_paths: list[str], parser,
                  sentences: list) -> dict[str, object]:
-    """The ``--layers`` files by channel name, each checked against the
-    configured dimension and aligned with ``sentences``."""
+    """The ``--layers`` files by channel name, each read against
+    ``sentences`` and checked against the configured dimension."""
     contextual_channels = [c for c in config.channel_order if c != "G"]
     if len(layer_paths) != len(contextual_channels):
         parser.error(f"expected {len(contextual_channels)} --layers files for "
                      f"channels {contextual_channels}, got {len(layer_paths)}")
     files = {}
     for name, path in zip(contextual_channels, layer_paths):
-        layer = load_contextual(path)
+        layer = load_contextual(path, sentences)
         if layer.dimension != config.unified_dim:
             raise CompatibilityError(
                 f"{path}: layer dimension {layer.dimension} != configured "
                 f"unified dimension {config.unified_dim}")
-        check_alignment(path, layer, sentences)
         files[name] = layer
     return files
 
@@ -349,10 +348,7 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
     if args.mode == "l2" and len(args.layer_files) < 2:
         parser.error("mode=l2 needs a reference file plus at least one layer file")
     sentences = train_eval.parse_dataset(args.data)
-    layers = []
-    for path in args.layer_files:
-        layers.append(load_contextual(path))
-        check_alignment(path, layers[-1], sentences)
+    layers = [load_contextual(path, sentences) for path in args.layer_files]
     # The l2 reference file yields no row of its own, so it may share an index.
     probed = 1 if args.mode == "l2" else 0
     _check_layer_indices(args.layer_files[probed:], layers[probed:])
@@ -362,6 +358,9 @@ def cmd_probe(args, parser, argv: list[str]) -> int:
 
     if args.mode == "cosine":
         pairs = space_analysis.build_pairs(sentences, seed)
+        if not pairs.pairs:
+            raise InputError(f"{args.data}: no word has both a metaphoric and a literal "
+                             f"target token, cosine needs at least one such pair")
 
         def one(layer):
             return layer.layer_index, space_analysis.avg_pair_cosine(pairs, layer)
@@ -447,11 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "embedding-space probes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="run seed (default: METASEQ_SEED env or 0)")
-        p.add_argument("--out", required=True, help="output directory")
-
     p_train = sub.add_parser("train", help="train a tagger")
     p_train.add_argument("--data", required=True, help="training TSV")
     p_train.add_argument("--dev", help="development TSV for model selection")
@@ -462,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="key=value model configuration file")
     p_train.add_argument("--epochs", type=int, default=None,
                          help="override the configured epoch count")
-    common(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset")
@@ -472,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--layers", nargs="*", default=[])
     p_eval.add_argument("--abst-lexicon")
     p_eval.add_argument("--breakdown", choices=("genre", "pos"))
-    common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_probe = sub.add_parser("probe", help="embedding-space diagnostics")
@@ -485,8 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
                          default="rotated")
     p_probe.add_argument("--threads", type=_positive_int, default=1,
                          help="worker threads for the per-layer probes (>= 1)")
-    common(p_probe)
     p_probe.set_defaults(func=cmd_probe)
+    for p in (p_train, p_probe):   # eval's seed is the checkpoint's
+        p.add_argument("--seed", type=int, default=None,
+                       help="run seed (default: METASEQ_SEED env or 0)")
+    for p in (p_train, p_eval, p_probe):
+        p.add_argument("--out", required=True, help="output directory")
     return parser
 
 

@@ -151,33 +151,13 @@ class ContextualLayerFile:
 
     layer_index: int
     dimension: int
-    sentences: dict[int, np.ndarray]  # sentence index -> float32 (tokens, dim)
-
-    def __len__(self) -> int:
-        return len(self.sentences)
+    sentences: list[np.ndarray]  # float32 (tokens, dim) per dataset sentence, in order
 
     def all_rows(self) -> np.ndarray:
-        """Every token vector, sentences in index order, as one (N, dim) array."""
+        """Every token vector, sentences in dataset order, as one (N, dim) array."""
         if not self.sentences:
             return np.zeros((0, self.dimension))
-        mats = [self.sentences[i] for i in sorted(self.sentences)]
-        return np.concatenate(mats, axis=0).astype(np.float64)
-
-
-def check_alignment(path, layer: ContextualLayerFile, sentences: Sequence) -> None:
-    """The layer file read from ``path`` must hold exactly sentences 0..N-1 of
-    the dataset ``sentences`` it is read with, one row per token; otherwise an
-    AlignmentError names the file and the first sentence that does not fit."""
-    for index, sentence in enumerate(sentences):
-        mat = layer.sentences.get(index)
-        if mat is None or len(mat) != len(sentence.tokens):
-            rows = "no" if mat is None else len(mat)
-            raise AlignmentError(f"{path}: sentence {index} ({sentence.sentence_id}): "
-                                 f"{rows} rows for {len(sentence.tokens)} tokens")
-    if len(layer.sentences) > len(sentences):
-        extra = min(i for i in layer.sentences if i >= len(sentences))
-        raise AlignmentError(f"{path}: sentence {extra}: {len(layer.sentences[extra])} rows, "
-                             f"but the dataset has {len(sentences)} sentences")
+        return np.concatenate(self.sentences, axis=0).astype(np.float64)
 
 
 def write_contextual(path, layer_index: int, dimension: int,
@@ -208,8 +188,11 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def load_contextual(path) -> ContextualLayerFile:
-    """Read a contextual layer file, validating header and payload sizes."""
+def load_contextual(path, sentences: Sequence) -> ContextualLayerFile:
+    """Read a contextual layer file that must hold exactly sentences 0..N-1 of
+    the dataset ``sentences``, one row per token. Each record's index and row
+    count are checked before its payload is read, its size and values after;
+    a sentence the file lacks is reported once every record has been read."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CONTEXTUAL_MAGIC:
@@ -220,20 +203,31 @@ def load_contextual(path) -> ContextualLayerFile:
             raise FormatError(f"{path}: unsupported version {version}")
         if dimension < 1:
             raise FormatError(f"{path}: non-positive dimension {dimension}")
-        sentences: dict[int, np.ndarray] = {}
+        rows: list[np.ndarray | None] = [None] * len(sentences)
         for _ in range(count):
             idx, tokens = struct.unpack("<II", _read_exact(fh, 8, "sentence header"))
-            if idx in sentences:
+            if idx >= len(sentences):
+                raise AlignmentError(f"{path}: sentence {idx}: {tokens} rows, "
+                                     f"but the dataset has {len(sentences)} sentences")
+            if rows[idx] is not None:
                 raise FormatError(f"{path}: duplicate sentence index {idx}")
+            sentence = sentences[idx]
+            if tokens != len(sentence.tokens):
+                raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
+                                     f"{tokens} rows for {len(sentence.tokens)} tokens")
             payload = _read_exact(fh, 4 * tokens * dimension,
                                   f"sentence {idx} payload")
             mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, dimension)
             if not np.isfinite(mat).all():
                 raise FormatError(f"{path}: sentence {idx}: non-finite value")
-            sentences[idx] = mat.copy()
+            rows[idx] = mat.copy()
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after declared sentences")
-    return ContextualLayerFile(layer_index, dimension, sentences)
+    for idx, (mat, sentence) in enumerate(zip(rows, sentences)):
+        if mat is None:
+            raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
+                                 f"no rows for {len(sentence.tokens)} tokens")
+    return ContextualLayerFile(layer_index, dimension, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,7 @@ class ChannelProvider:
     The static channel "G" yields rows of static vectors, optionally
     extended with PoS one-hots and abstractness scores; the projection to
     the unified dimension happens inside the model, where its weights are
-    trainable. Contextual channels come straight from layer files, keyed
+    trainable. Contextual channels come straight from layer files, indexed
     by the sentence's position in the dataset.
     """
 
@@ -294,8 +288,8 @@ class ChannelProvider:
         return np.concatenate(parts)
 
     def channels(self, sentence, index: int) -> dict[str, np.ndarray]:
-        """The channel matrices of dataset sentence ``index``; its rows in the
-        layer files were checked by ``check_alignment`` when they were loaded."""
+        """The channel matrices of dataset sentence ``index``; the layer files
+        were read against the same dataset by ``load_contextual``."""
         out: dict[str, np.ndarray] = {}
         for name in self.order:
             if name == "G":

@@ -21,12 +21,8 @@ class PosVocabulary:
     """Dense tag -> index map with a reserved trailing UNK slot."""
 
     def __init__(self, tags: Iterable[str]):
-        seen: dict[str, int] = {}
-        for tag in tags:
-            if tag not in seen:
-                seen[tag] = len(seen)
-        self.tags: tuple[str, ...] = tuple(seen)
-        self._index = seen
+        self.tags: tuple[str, ...] = tuple(tags)
+        self._index = {tag: i for i, tag in enumerate(self.tags)}
         self.unk_index = len(self.tags)
 
     @property
@@ -44,8 +40,9 @@ class PosVocabulary:
 
 
 def load_abstractness_lexicon(path) -> dict[str, float]:
-    """Word -> abstractness score in [0, 1], from `word TAB score` lines."""
+    """Word -> abstractness score in [0, 1], from `word TAB score` lines, one per word."""
     entries: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -61,7 +58,11 @@ def load_abstractness_lexicon(path) -> dict[str, float]:
                 raise ParseError(f"{path}: line {lineno}: non-numeric score") from None
             if not 0.0 <= score <= 1.0:
                 raise ParseError(f"{path}: line {lineno}: score {score} outside [0, 1]")
+            if word in first_line:
+                raise ParseError(f"{path}: line {lineno}: {word} already scored "
+                                 f"on line {first_line[word]}")
             entries[word] = score
+            first_line[word] = lineno
     return entries
 
 

@@ -104,8 +104,8 @@ def build_pairs(sentences: Sequence[SentenceRecord], seed: int = 0) -> WordPairS
 
 def avg_pair_cosine(pair_set: WordPairSet, layer) -> float:
     """Mean cosine between the two occurrences of every pair (lower = the
-    layer separates the senses better). ``layer`` must line up with the
-    dataset the pairs were built from (``embedding_io.check_alignment``)."""
+    layer separates the senses better). ``layer`` must be read against the
+    dataset the pairs were built from (``embedding_io.load_contextual``)."""
     if not pair_set.pairs:
         raise DegeneracyError("word-pair set is empty")
     total = 0.0

@@ -85,6 +85,8 @@ class ModelConfig:
             raise ParameterError(f"repeated channel in channel order {self.channel_order}")
         if self.use_pos and not self.pos_tags:
             raise ParameterError("use_pos requires pos_tags")
+        if len(set(self.pos_tags)) != len(self.pos_tags):
+            raise ParameterError(f"repeated tag in pos_tags {self.pos_tags}")
 
     @property
     def feature_width(self) -> int:

@@ -50,7 +50,7 @@ def parse_dataset(path) -> list[SentenceRecord]:
     Within a sentence every row carries the same ``sentence_id`` and the
     ``token_index`` column counts 0, 1, 2, ...; anything else is a
     ``ParseError`` naming the line, so two sentences are never merged.
-    """
+    A file with no sentence is an ``InputError``."""
     sentences: list[SentenceRecord] = []
     current: list[TokenRecord] = []
     current_id: str | None = None
@@ -89,6 +89,8 @@ def parse_dataset(path) -> list[SentenceRecord]:
                                  f"in sentence {current_id!r}, expected {len(current)}")
             current.append(TokenRecord(token, pos, int(label_text), target_text == "1"))
     flush()
+    if not sentences:
+        raise InputError(f"{path}: no sentences")
     return sentences
 
 

@@ -60,7 +60,7 @@ def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
     mu_static = unit(static_dim)
 
     sentences = []
-    e_sents, b_sents = {}, {}
+    e_sents, b_sents = [], []
     glove = {}
     for i in range(n_sentences):
         n = int(rng.integers(5, 9))
@@ -76,8 +76,8 @@ def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
             glove[word] = sign * margin * mu_static + noise * off_axis(mu_static)
             tokens.append(TokenRecord(word, POS_CYCLE[t % 4], label, True))
         sentences.append(SentenceRecord(f"s{i}", GENRE_CYCLE[i % 4], tokens))
-        e_sents[i] = e_mat
-        b_sents[i] = b_mat
+        e_sents.append(e_mat)
+        b_sents.append(b_mat)
 
     table = static_table(static_dim, glove)
     layers = {"E": ContextualLayerFile(1, dim, e_sents),
@@ -109,7 +109,8 @@ def write_corpus_files(corpus: SynthCorpus, out_dir: Path) -> dict[str, Path]:
     paths = {"data": data_path, "glove": glove_path}
     for name, layer in corpus.layer_files.items():
         p = out_dir / f"layer_{name}.cemb"
-        write_contextual(p, layer.layer_index, layer.dimension, layer.sentences)
+        write_contextual(p, layer.layer_index, layer.dimension,
+                         dict(enumerate(layer.sentences)))
         paths[name] = p
     return paths
 

@@ -266,7 +266,7 @@ def test_criterion6_probe_sensitivity(tmp_path):
             rows[2 * i + 1] = np.asarray([rotated], dtype=np.float32)
         path = tmp_path / f"layer{layer_idx}.cemb"
         write_contextual(path, layer_idx, dim, rows)
-        averages.append(avg_pair_cosine(pairs, load_contextual(path)))
+        averages.append(avg_pair_cosine(pairs, load_contextual(path, sentences)))
 
     for prev, nxt in zip(averages, averages[1:]):
         assert nxt < prev - 1e-9

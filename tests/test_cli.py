@@ -12,6 +12,7 @@ from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import ChannelProvider, load_contextual, write_contextual
 from metaseq.errors import MetaseqError, ParameterError, ParseError
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
+from metaseq.train_eval import parse_dataset
 from conftest import build_separable_corpus, write_corpus_files
 
 
@@ -124,10 +125,10 @@ class TestTrainCommand:
     def test_layer_file_beyond_the_training_data_is_exit_3(self, corpus_files, tmp_path,
                                                            capsys):
         corpus, paths = corpus_files
-        layer = load_contextual(paths["B"])
+        layer = load_contextual(paths["B"], corpus.sentences)
         extra = tmp_path / "extra.cemb"
         write_contextual(extra, layer.layer_index, layer.dimension,
-                         {**layer.sentences, 8: layer.sentences[0]})
+                         {**dict(enumerate(layer.sentences)), 8: layer.sentences[0]})
         out = tmp_path / "run"
         args = _train_args(paths, out)
         args[args.index("--layers") + 2] = str(extra)
@@ -137,14 +138,16 @@ class TestTrainCommand:
             f"error: {extra}: sentence 8: {n} rows, but the dataset has 8 sentences\n")
         assert not out.exists()
 
-    def test_dimension_clash_is_exit_3(self, corpus_files, tmp_path):
-        _, paths = corpus_files
-        wrong = tmp_path / "wrong.cemb"
-        write_contextual(wrong, 9, 7, {i: np.zeros((5, 7), dtype=np.float32)
-                                       for i in range(8)})
+    def test_dimension_clash_is_exit_3(self, corpus_files, tmp_path, capsys):
+        corpus, paths = corpus_files
+        wrong = tmp_path / "wrong.cemb"   # aligned rows, so the dimension is the one fault
+        write_contextual(wrong, 9, 7, {i: np.zeros((len(s.tokens), 7), dtype=np.float32)
+                                       for i, s in enumerate(corpus.sentences)})
         args = _train_args(paths, tmp_path / "out")
         args[args.index("--layers") + 1] = str(wrong)
         assert main(args) == 3
+        assert capsys.readouterr().err == (f"error: {wrong}: layer dimension 7 != "
+                                           f"configured unified dimension 16\n")
 
 
 
@@ -259,6 +262,14 @@ class TestEvalCommand:
                 sums[i] += int(parts[6 + i])
         assert sums == [int(v) for v in overall[6:10]]
 
+    def test_seed_flag_is_usage_error(self, corpus_files, trained, tmp_path, capsys):
+        # eval's seed is the checkpoint's, so there is no --seed to ignore
+        _, paths = corpus_files
+        out = tmp_path / "eval"
+        assert main(self._eval_args(paths, trained, out) + ["--seed", "5"]) == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_channels_are_built_right_before_each_sentence_is_scored(
             self, corpus_files, trained, tmp_path, monkeypatch):
         # one sentence's channels alive at a time; the benchmark's eval unit
@@ -283,10 +294,10 @@ class TestEvalCommand:
 
     def test_layer_dimension_mismatch_is_exit_3(self, corpus_files, trained, tmp_path,
                                                 capsys):
-        _, paths = corpus_files
-        wrong = tmp_path / "wrong.cemb"
-        write_contextual(wrong, 9, 7, {i: np.zeros((5, 7), dtype=np.float32)
-                                       for i in range(8)})
+        corpus, paths = corpus_files
+        wrong = tmp_path / "wrong.cemb"   # aligned rows, so the dimension is the one fault
+        write_contextual(wrong, 9, 7, {i: np.zeros((len(s.tokens), 7), dtype=np.float32)
+                                       for i, s in enumerate(corpus.sentences)})
         args = self._eval_args(paths, trained, tmp_path / "eval")
         args[args.index("--layers") + 2] = str(wrong)
         assert main(args) == 3
@@ -296,8 +307,8 @@ class TestEvalCommand:
     def test_layer_row_count_mismatch_is_exit_3_and_leaves_no_out(
             self, corpus_files, trained, tmp_path, capsys):
         corpus, paths = corpus_files
-        layer = load_contextual(paths["B"])
-        sentences = dict(layer.sentences)
+        layer = load_contextual(paths["B"], corpus.sentences)
+        sentences = dict(enumerate(layer.sentences))
         sentences[3] = sentences[3][:-1]
         short = tmp_path / "short.cemb"
         write_contextual(short, layer.layer_index, layer.dimension, sentences)
@@ -394,6 +405,11 @@ class TestMalformedCheckpointConfig:
 
 
 class TestProbeCommand:
+    @staticmethod
+    def _rows(path, data) -> dict:
+        """The rows of layer file ``path`` read against ``data``, by sentence index."""
+        return dict(enumerate(load_contextual(path, parse_dataset(data)).sentences))
+
     def _layer_paths(self, tmp_path, sentences_count, thetas):
         """One file per angle; pairs rotate apart by theta within each file."""
         rng = np.random.default_rng(5)
@@ -481,9 +497,13 @@ class TestProbeCommand:
 
     @pytest.mark.parametrize("mode,rows,bad,message", [
         pytest.param("l2", [{0: 2, 1: 1}, {5: 2, 9: 1}], 1,
-                     "sentence 0 (s0): no rows for 2 tokens", id="l2-foreign-indices"),
+                     "sentence 5: 2 rows, but the dataset has 2 sentences",
+                     id="l2-foreign-indices"),
         pytest.param("l2", [{5: 2, 9: 1}, {0: 2, 1: 1}], 0,
-                     "sentence 0 (s0): no rows for 2 tokens", id="l2-foreign-reference"),
+                     "sentence 5: 2 rows, but the dataset has 2 sentences",
+                     id="l2-foreign-reference"),
+        pytest.param("l2", [{0: 2, 1: 1}, {0: 2}], 1,
+                     "sentence 1 (s1): no rows for 1 tokens", id="l2-missing-sentence"),
         pytest.param("l2", [{0: 2, 1: 1}, {0: 1, 1: 2}], 1,
                      "sentence 0 (s0): 1 rows for 2 tokens", id="l2-same-total-split-differently"),
         pytest.param("cosine", [{0: 7, 1: 1}], 0,
@@ -509,6 +529,19 @@ class TestProbeCommand:
         assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
                      "--mode", mode, "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: {layers[bad]}: {message}\n"
+        assert not out.exists()
+
+    def test_cosine_without_a_word_pair_is_data_error(self, tmp_path, capsys):
+        # `w` is only literal and `v` only metaphoric, so no pair can be drawn
+        data = tmp_path / "unpaired.tsv"
+        data.write_text("s0\tnews\t0\tw\tVERB\t0\t1\n\ns1\tnews\t0\tv\tVERB\t1\t1\n\n")
+        layers = self._layer_paths(tmp_path, 2, [0.4])
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(layers[0]),
+                     "--mode", "cosine", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: no word has both a metaphoric and a literal target token, "
+            f"cosine needs at least one such pair\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2", "two"])
@@ -550,7 +583,7 @@ class TestProbeCommand:
     def test_non_finite_layer_value_is_exit_3(self, tmp_path, capsys, bad):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.3, 0.9])
-        sentences = load_contextual(layers[1]).sentences
+        sentences = self._rows(layers[1], data)
         sentences[3] = np.where(np.arange(6) == 2, bad, sentences[3]).astype(np.float32)
         write_contextual(layers[1], 2, 6, sentences)
         out = tmp_path / "probe"
@@ -576,7 +609,7 @@ class TestProbeCommand:
     def test_repeated_layer_index_is_data_error(self, tmp_path, capsys, mode):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.3, 0.9, 0.5])
-        write_contextual(layers[2], 2, 6, load_contextual(layers[2]).sentences)
+        write_contextual(layers[2], 2, 6, self._rows(layers[2], data))
         out = tmp_path / "probe"
         assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
                      "--mode", mode, "--out", str(out)]) == 3
@@ -587,7 +620,7 @@ class TestProbeCommand:
     def test_l2_reference_may_share_the_index_of_a_probed_file(self, tmp_path):
         data = self._paired_dataset(tmp_path)
         layers = self._layer_paths(tmp_path, 6, [0.3, 0.9])
-        write_contextual(layers[0], 2, 6, load_contextual(layers[0]).sentences)
+        write_contextual(layers[0], 2, 6, self._rows(layers[0], data))
         out = tmp_path / "probe"
         assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
                      "--mode", "l2", "--out", str(out)]) == 0
@@ -750,6 +783,7 @@ class TestConfigFile:
         ("class_weights=1,2,3", "2 class weights"),
         ("window_sizes=2,2", "repeated window size"),
         ("channel_order=G,E,E", "repeated channel"),
+        ("pos_tags=VERB,NOUN,VERB", "repeated tag in pos_tags"),
         ("learning_rate=-0.2", "learning rate must be finite and positive"),
         ("learning_rate=0", "learning rate must be finite and positive"),
         ("learning_rate=nan", "learning rate must be finite and positive"),
@@ -782,6 +816,33 @@ class TestConfigFile:
         assert main(args) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+
+class TestEmptyDataset:
+    """A dataset file with no sentence is a data error naming the file, in
+    every command and before any output."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--data"), ("train", "--dev"), ("eval", "--data"), ("probe", "--data")])
+    def test_empty_dataset_is_data_error(self, corpus_files, trained, tmp_path, capsys,
+                                         command, flag):
+        _, paths = corpus_files
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("\n\n")
+        out = tmp_path / "run"
+        if command == "train":
+            args = _train_args(paths, out) + ["--dev", str(paths["data"])]
+        elif command == "eval":
+            args = ["eval", "--checkpoint", str(trained), "--data", str(paths["data"]),
+                    "--glove", str(paths["glove"]), "--layers", str(paths["E"]), str(paths["B"]),
+                    "--out", str(out)]
+        else:
+            args = ["probe", "--data", str(paths["data"]), "--layer-files", str(paths["E"]),
+                    "--mode", "cosine", "--out", str(out)]
+        args[args.index(flag) + 1] = str(empty)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {empty}: no sentences\n"
+        assert not out.exists()
 
 
 class TestInvalidUtf8:

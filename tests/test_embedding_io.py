@@ -10,9 +10,7 @@ from metaseq import tensor_core as tc
 from metaseq.embedding_io import (
     GLOVE_CHUNK_LINES,
     ChannelProvider,
-    ContextualLayerFile,
     _read_exact,
-    check_alignment,
     load_contextual,
     load_static_text,
     stack_channels,
@@ -142,6 +140,24 @@ class TestStaticTable:
             load_static_text(p, {"w0"})
 
 
+def _dataset(*lengths: int, ids=None) -> list[SentenceRecord]:
+    """One sentence of ``n`` NOUN target tokens per length; ids s0, s1, ..."""
+    ids = ids or [f"s{i}" for i in range(len(lengths))]
+    return [SentenceRecord(sid, "news", [TokenRecord(f"w{t}", "NOUN", 0, True)
+                                         for t in range(n)])
+            for sid, n in zip(ids, lengths)]
+
+
+def _records(*records: tuple[int, int], dimension: int = 4) -> bytes:
+    """A layer file with one ``(index, tokens)`` record each, in the given
+    order; every value of sentence ``index`` is ``index + 1``."""
+    body = b"CEMB" + struct.pack("<IIII", 1, 1, dimension, len(records))
+    for idx, tokens in records:
+        body += struct.pack("<II", idx, tokens)
+        body += np.full(tokens * dimension, idx + 1, "<f4").tobytes()
+    return body
+
+
 class TestContextualCodec:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -149,7 +165,7 @@ class TestContextualCodec:
                  1: rng.normal(size=(7, 6)).astype(np.float32)}
         p = tmp_path / "layer.cemb"
         write_contextual(p, 17, 6, sents)
-        loaded = load_contextual(p)
+        loaded = load_contextual(p, _dataset(4, 7))
         assert loaded.layer_index == 17
         assert loaded.dimension == 6
         for idx, mat in sents.items():
@@ -158,15 +174,16 @@ class TestContextualCodec:
     def test_empty_container_is_valid(self, tmp_path):
         p = tmp_path / "layer.cemb"
         write_contextual(p, 3, 8, {})
-        loaded = load_contextual(p)
-        assert len(loaded) == 0
+        loaded = load_contextual(p, [])
+        assert loaded.sentences == []
         assert loaded.dimension == 8
+        assert loaded.all_rows().shape == (0, 8)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "layer.cemb"
         p.write_bytes(b"XEMB" + b"\x00" * 16)
         with pytest.raises(FormatError, match=re.escape(f"{p}: bad magic")):
-            load_contextual(p)
+            load_contextual(p, [])
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "layer.cemb"
@@ -175,20 +192,20 @@ class TestContextualCodec:
         raw[4] = 99
         p.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match=re.escape(f"{p}: unsupported version 99")):
-            load_contextual(p)
+            load_contextual(p, [])
 
     def test_zero_dimension(self, tmp_path):
         p = tmp_path / "layer.cemb"
         p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 1, 0, 0))
         with pytest.raises(FormatError, match=re.escape(f"{p}: non-positive dimension 0")):
-            load_contextual(p)
+            load_contextual(p, [])
 
     def test_duplicate_sentence_index(self, tmp_path):
         p = tmp_path / "layer.cemb"
         record = struct.pack("<II", 3, 1) + np.ones(2, dtype="<f4").tobytes()
         p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 1, 2, 2) + record + record)
         with pytest.raises(FormatError, match=re.escape(f"{p}: duplicate sentence index 3")):
-            load_contextual(p)
+            load_contextual(p, _dataset(1, 1, 1, 1))
 
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "layer.cemb"
@@ -196,7 +213,7 @@ class TestContextualCodec:
         raw = p.read_bytes()
         p.write_bytes(raw[:-10])
         with pytest.raises(TruncatedError, match=re.escape(f"{p}: file ended")):
-            load_contextual(p)
+            load_contextual(p, _dataset(3))
 
     def test_short_rows_detected(self, tmp_path):
         # header says dim 8, but each row carries only 6 floats
@@ -206,18 +223,19 @@ class TestContextualCodec:
         p.write_bytes(body)
         # truncated payload is a format defect
         with pytest.raises(FormatError, match=re.escape(f"{p}: file ended")):
-            load_contextual(p)
+            load_contextual(p, _dataset(1))
 
     @pytest.mark.parametrize("dimension,tokens", [
         (0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF, 1), (1, 0xFFFFFFFF), (1 << 20, 1 << 10)])
     def test_oversized_header_claim_is_truncated(self, tmp_path, dimension, tokens):
-        # a 32-byte file whose header claims up to 64 EiB of payload
+        # a 32-byte file whose header claims up to 64 EiB of payload, for a
+        # sentence whose token count matches the claim
         p = tmp_path / "layer.cemb"
         p.write_bytes(b"CEMB" + struct.pack("<IIII", 1, 0, dimension, 1)
                       + struct.pack("<II", 0, tokens) + b"\x00" * 4)
         with pytest.raises(TruncatedError,
                            match=re.escape(f"{p}: file ended while reading sentence 0 payload")):
-            load_contextual(p)
+            load_contextual(p, [SentenceRecord("s0", "news", range(tokens))])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, bad):
@@ -226,72 +244,101 @@ class TestContextualCodec:
         rows[1, 3] = bad
         write_contextual(p, 1, 4, {0: np.ones((1, 4), dtype=np.float32), 7: rows})
         with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 7: non-finite value")):
-            load_contextual(p)
+            load_contextual(p, _dataset(1, 1, 1, 1, 1, 1, 1, 2))
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "layer.cemb"
         write_contextual(p, 1, 4, {0: np.ones((1, 4), dtype=np.float32)})
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match=re.escape(f"{p}: trailing")):
-            load_contextual(p)
+            load_contextual(p, _dataset(1))
 
 
-def _dataset(*lengths: int, ids=None) -> list[SentenceRecord]:
-    """One sentence of ``n`` NOUN target tokens per length; ids s0, s1, ..."""
-    ids = ids or [f"s{i}" for i in range(len(lengths))]
-    return [SentenceRecord(sid, "news", [TokenRecord(f"w{t}", "NOUN", 0, True)
-                                         for t in range(n)])
-            for sid, n in zip(ids, lengths)]
-
-
-class TestCheckAlignment:
+class TestLoadAgainstDataset:
     """A layer file holds exactly the dataset's sentences 0..N-1, one row per token."""
 
-    def test_aligned_file_passes(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((3, 4))})
-        check_alignment("layer.cemb", layer, _dataset(2, 3))
+    @staticmethod
+    def _write(tmp_path, shapes: dict):
+        """A 4-d layer file holding a matrix of ones per ``index: shape``."""
+        p = tmp_path / "l.cemb"
+        write_contextual(p, 1, 4, {i: np.ones(shape, dtype=np.float32)
+                                   for i, shape in shapes.items()})
+        return p
+
+    def test_aligned_file_passes(self, tmp_path):
+        p = self._write(tmp_path, {0: (2, 4), 1: (3, 4)})
+        layer = load_contextual(p, _dataset(2, 3))
+        assert [m.shape for m in layer.sentences] == [(2, 4), (3, 4)]
 
     def test_missing_sentence_is_alignment_error(self, tmp_path):
         p = tmp_path / "layer.cemb"
         write_contextual(p, 1, 4, {i: np.ones((1, 4), dtype=np.float32) for i in range(5)})
-        loaded = load_contextual(p)
         with pytest.raises(AlignmentError, match="sentence 5"):
-            check_alignment(p, loaded, _dataset(*[1] * 6))
+            load_contextual(p, _dataset(*[1] * 6))
 
-    def test_contextual_row_count_checked(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4), dtype=np.float32)})
+    def test_contextual_row_count_checked(self, tmp_path):
+        p = self._write(tmp_path, {0: (2, 4)})
         with pytest.raises(AlignmentError, match="sX"):
-            check_alignment("layer.cemb", layer, _dataset(3, ids=["sX"]))
+            load_contextual(p, _dataset(3, ids=["sX"]))
 
-    def test_unresolved_locator_names_sentence(self):
+    def test_unresolved_locator_names_sentence(self, tmp_path):
         # the pair-probe dataset of two one-token sentences; the file lacks sentence 1
-        broken = ContextualLayerFile(1, 2, {0: np.asarray([[0.0, 1.0]], dtype=np.float32)})
+        p = tmp_path / "layer.cemb"
+        write_contextual(p, 1, 2, {0: np.asarray([[0.0, 1.0]], dtype=np.float32)})
         with pytest.raises(AlignmentError, match="sentence 1"):
-            check_alignment("layer.cemb", broken, _dataset(1, 1, ids=["a", "b"]))
+            load_contextual(p, _dataset(1, 1, ids=["a", "b"]))
 
-    def test_message_names_file_sentence_and_both_counts(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((4, 4))})
+    def test_message_names_file_sentence_and_both_counts(self, tmp_path):
+        p = self._write(tmp_path, {0: (2, 4), 1: (4, 4)})
         with pytest.raises(AlignmentError) as info:
-            check_alignment("l.cemb", layer, _dataset(2, 3))
-        assert str(info.value) == "l.cemb: sentence 1 (s1): 4 rows for 3 tokens"
+            load_contextual(p, _dataset(2, 3))
+        assert str(info.value) == f"{p}: sentence 1 (s1): 4 rows for 3 tokens"
 
-    def test_missing_sentence_message(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 2: np.ones((3, 4))})
+    def test_missing_sentence_message(self, tmp_path):
+        p = self._write(tmp_path, {0: (2, 4)})
         with pytest.raises(AlignmentError) as info:
-            check_alignment("l.cemb", layer, _dataset(2, 3))
-        assert str(info.value) == "l.cemb: sentence 1 (s1): no rows for 3 tokens"
+            load_contextual(p, _dataset(2, 3))
+        assert str(info.value) == f"{p}: sentence 1 (s1): no rows for 3 tokens"
 
-    def test_sentence_beyond_the_dataset_is_alignment_error(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((2, 4)), 1: np.ones((3, 4)),
-                                           7: np.ones((5, 4))})
+    def test_sentence_beyond_the_dataset_is_alignment_error(self, tmp_path):
+        p = self._write(tmp_path, {0: (2, 4), 1: (3, 4), 7: (5, 4)})
         with pytest.raises(AlignmentError) as info:
-            check_alignment("l.cemb", layer, _dataset(2, 3))
-        assert str(info.value) == "l.cemb: sentence 7: 5 rows, but the dataset has 2 sentences"
+            load_contextual(p, _dataset(2, 3))
+        assert str(info.value) == f"{p}: sentence 7: 5 rows, but the dataset has 2 sentences"
 
-    def test_same_total_rows_split_differently(self):
-        layer = ContextualLayerFile(1, 4, {0: np.ones((3, 4)), 1: np.ones((2, 4))})
+    def test_same_total_rows_split_differently(self, tmp_path):
+        p = self._write(tmp_path, {0: (3, 4), 1: (2, 4)})
         with pytest.raises(AlignmentError, match="sentence 0 \\(s0\\): 3 rows for 2 tokens"):
-            check_alignment("l.cemb", layer, _dataset(2, 3))
+            load_contextual(p, _dataset(2, 3))
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        # sentence 1 is missing and sentence 2 is beyond the dataset; the
+        # record for 2 is read before the missing sentence can be known
+        p = self._write(tmp_path, {0: (2, 4), 2: (3, 4)})
+        with pytest.raises(AlignmentError) as info:
+            load_contextual(p, _dataset(2, 3))
+        assert str(info.value) == f"{p}: sentence 2: 3 rows, but the dataset has 2 sentences"
+
+    @pytest.mark.parametrize("records,dataset,message", [
+        ([(5, 2)], (2,), "sentence 5: 2 rows, but the dataset has 1 sentences"),
+        ([(0, 3)], (2,), "sentence 0 (s0): 3 rows for 2 tokens"),
+    ])
+    def test_misfit_record_is_rejected_before_its_payload(self, tmp_path, records,
+                                                          dataset, message):
+        # the payload is cut short, so reading it would be a TruncatedError
+        p = tmp_path / "l.cemb"
+        p.write_bytes(_records(*records)[:-4])
+        with pytest.raises(AlignmentError) as info:
+            load_contextual(p, _dataset(*dataset))
+        assert str(info.value) == f"{p}: {message}"
+
+    def test_rows_follow_the_dataset_whatever_the_record_order(self, tmp_path):
+        p = tmp_path / "l.cemb"
+        p.write_bytes(_records((1, 3), (0, 2)))
+        layer = load_contextual(p, _dataset(2, 3))
+        assert [m.shape for m in layer.sentences] == [(2, 4), (3, 4)]
+        np.testing.assert_array_equal(layer.sentences[1], np.full((3, 4), 2.0))
+        np.testing.assert_array_equal(layer.all_rows()[:, 0], [1, 1, 2, 2, 2])
 
 
 def projector(w, b) -> MetaphorTagger:

@@ -38,9 +38,9 @@ class TestPosOneHot:
         with pytest.raises(ParameterError):
             ModelConfig(use_pos=True)
 
-    def test_duplicate_tags_collapse(self):
-        vocab = PosVocabulary(["NOUN", "NOUN", "VERB"])
-        assert vocab.tags == ("NOUN", "VERB")
+    def test_duplicate_tags_rejected(self):
+        with pytest.raises(ParameterError, match="repeated tag in pos_tags"):
+            ModelConfig(use_pos=True, pos_tags=("NOUN", "NOUN", "VERB"))
 
 
 class TestCosine:
@@ -85,6 +85,13 @@ class TestLexicon:
         p.write_text("word\t0.5\nword only\n")
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: expected `word TAB")):
             load_abstractness_lexicon(p)
+
+    def test_repeated_word_names_both_lines(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        p.write_text("foo\t0.2\nbar\t0.5\nfoo\t0.9\n")
+        with pytest.raises(ParseError) as info:
+            load_abstractness_lexicon(p)
+        assert str(info.value) == f"{p}: line 3: foo already scored on line 1"
 
 
 def _table(entries):

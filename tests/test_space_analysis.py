@@ -77,10 +77,10 @@ class TestAvgPairCosine:
     def _pairs_and_layer(self, met_vec, lit_vec):
         sents = [_sentence("a", [("w", 0, 1)]), _sentence("b", [("w", 1, 1)])]
         pairs = build_pairs(sents, seed=0)
-        layer = ContextualLayerFile(1, len(met_vec), {
-            0: np.asarray([lit_vec], dtype=np.float32),
-            1: np.asarray([met_vec], dtype=np.float32),
-        })
+        layer = ContextualLayerFile(1, len(met_vec), [
+            np.asarray([lit_vec], dtype=np.float32),
+            np.asarray([met_vec], dtype=np.float32),
+        ])
         return pairs, layer
 
     def test_identical_vectors_give_one(self):
@@ -94,7 +94,7 @@ class TestAvgPairCosine:
     def test_injected_angle_recovered(self):
         rng = np.random.default_rng(3)
         theta = 0.7
-        sents, lit_rows, met_rows = [], {}, {}
+        sents, rows = [], []
         for i in range(10):
             u = rng.normal(size=6)
             u /= np.linalg.norm(u)
@@ -103,10 +103,10 @@ class TestAvgPairCosine:
             v /= np.linalg.norm(v)
             sents.append(_sentence(f"l{i}", [(f"w{i}", 0, 1)]))
             sents.append(_sentence(f"m{i}", [(f"w{i}", 1, 1)]))
-            lit_rows[2 * i] = np.asarray([u], dtype=np.float32)
-            met_rows[2 * i + 1] = np.asarray(
-                [np.cos(theta) * u + np.sin(theta) * v], dtype=np.float32)
-        layer = ContextualLayerFile(1, 6, {**lit_rows, **met_rows})
+            rows.append(np.asarray([u], dtype=np.float32))
+            rows.append(np.asarray(
+                [np.cos(theta) * u + np.sin(theta) * v], dtype=np.float32))
+        layer = ContextualLayerFile(1, 6, rows)
         pairs = build_pairs(sents, seed=0)
         assert len(pairs) == 10
         assert avg_pair_cosine(pairs, layer) == pytest.approx(np.cos(theta), abs=1e-6)
@@ -114,9 +114,9 @@ class TestAvgPairCosine:
     def test_scale_invariance_per_vector(self):
         pairs, layer = self._pairs_and_layer([1.0, 1.0], [2.0, 0.0])
         base = avg_pair_cosine(pairs, layer)
-        scaled = ContextualLayerFile(1, 2, {
-            idx: mat * np.float32(idx + 3.5) for idx, mat in layer.sentences.items()
-        })
+        scaled = ContextualLayerFile(1, 2, [
+            mat * np.float32(idx + 3.5) for idx, mat in enumerate(layer.sentences)
+        ])
         assert avg_pair_cosine(pairs, scaled) == pytest.approx(base, abs=1e-7)
 
 

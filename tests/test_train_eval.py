@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from metaseq.errors import ContractError, ParameterError, ParseError
+from metaseq.errors import ContractError, InputError, ParameterError, ParseError
 from metaseq.train_eval import (
     METAPHOR,
     MetricsReport,
@@ -76,6 +76,14 @@ class TestParseDataset:
         p.write_text("s1\tnews\t0\ta\tNOUN\t0\t1\ns1\tnews\t1\tb\tVERB\t0\t1\n\n"
                      "s2\tnews\t0\tc\tNOUN\t1\t1\n")
         assert [len(s) for s in parse_dataset(p)] == [2, 1]
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_file_with_no_sentence_is_input_error(self, tmp_path, text):
+        p = tmp_path / "empty.tsv"
+        p.write_text(text)
+        with pytest.raises(InputError) as info:
+            parse_dataset(p)
+        assert str(info.value) == f"{p}: no sentences"
 
     def test_unknown_genre_becomes_other(self, tmp_path):
         p = tmp_path / "d.tsv"
