@@ -126,15 +126,8 @@ def _load_layers(config: ModelConfig, layer_paths: list[str], parser,
     if len(layer_paths) != len(contextual_channels):
         parser.error(f"expected {len(contextual_channels)} --layers files for "
                      f"channels {contextual_channels}, got {len(layer_paths)}")
-    files = {}
-    for name, path in zip(contextual_channels, layer_paths):
-        layer = load_contextual(path, sentences)
-        if layer.dimension != config.unified_dim:
-            raise CompatibilityError(
-                f"{path}: layer dimension {layer.dimension} != configured "
-                f"unified dimension {config.unified_dim}")
-        files[name] = layer
-    return files
+    return {name: load_contextual(path, sentences, dimension=config.unified_dim)
+            for name, path in zip(contextual_channels, layer_paths)}
 
 
 def _make_provider(config: ModelConfig, args, parser, sentences: list,

@@ -18,6 +18,7 @@ import numpy as np
 from . import tensor_core as tc
 from .errors import (
     AlignmentError,
+    CompatibilityError,
     DimensionError,
     FormatError,
     ParseError,
@@ -188,21 +189,26 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def load_contextual(path, sentences: Sequence) -> ContextualLayerFile:
+def load_contextual(path, sentences: Sequence, dimension: int | None = None
+                    ) -> ContextualLayerFile:
     """Read a contextual layer file that must hold exactly sentences 0..N-1 of
-    the dataset ``sentences``, one row per token. Each record's index and row
+    the dataset ``sentences``, one row per token, of ``dimension`` values
+    when one is given (checked at the header). Each record's index and row
     count are checked before its payload is read, its size and values after;
     a sentence the file lacks is reported once every record has been read."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CONTEXTUAL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {CONTEXTUAL_MAGIC!r}")
-        version, layer_index, dimension, count = struct.unpack(
+        version, layer_index, width, count = struct.unpack(
             "<IIII", _read_exact(fh, 16, "header"))
         if version != CONTEXTUAL_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        if dimension < 1:
-            raise FormatError(f"{path}: non-positive dimension {dimension}")
+        if width < 1:
+            raise FormatError(f"{path}: non-positive dimension {width}")
+        if dimension is not None and width != dimension:
+            raise CompatibilityError(f"{path}: layer dimension {width} != configured "
+                                     f"unified dimension {dimension}")
         rows: list[np.ndarray | None] = [None] * len(sentences)
         for _ in range(count):
             idx, tokens = struct.unpack("<II", _read_exact(fh, 8, "sentence header"))
@@ -215,9 +221,8 @@ def load_contextual(path, sentences: Sequence) -> ContextualLayerFile:
             if tokens != len(sentence.tokens):
                 raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
                                      f"{tokens} rows for {len(sentence.tokens)} tokens")
-            payload = _read_exact(fh, 4 * tokens * dimension,
-                                  f"sentence {idx} payload")
-            mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, dimension)
+            payload = _read_exact(fh, 4 * tokens * width, f"sentence {idx} payload")
+            mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, width)
             if not np.isfinite(mat).all():
                 raise FormatError(f"{path}: sentence {idx}: non-finite value")
             rows[idx] = mat.copy()
@@ -227,7 +232,7 @@ def load_contextual(path, sentences: Sequence) -> ContextualLayerFile:
         if mat is None:
             raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
                                  f"no rows for {len(sentence.tokens)} tokens")
-    return ContextualLayerFile(layer_index, dimension, rows)
+    return ContextualLayerFile(layer_index, width, rows)
 
 
 # ---------------------------------------------------------------------------

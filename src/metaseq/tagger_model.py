@@ -4,7 +4,8 @@ cross-entropy under plain SGD.
 
 Training is batch-size-1 over seeded shuffles; after every epoch the dev
 split is scored and the best-F1 parameter snapshot is kept. One training
-run is single-threaded and bitwise reproducible from its seed.
+run is bitwise reproducible from its seed, whatever the width of the op
+pool that ``tensor_core`` runs the conv windows and the update on.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ class MetaphorTagger:
                 f"stack shape {stack.shape} does not fit "
                 f"{len(cfg.channel_order)} channels of dimension {cfg.unified_dim}")
         block = tc.dropout(stack, cfg.input_dropout, rng, training)
-        maps = [tc.conv_bank(block, self.params[f"conv_w{w}"]) for w in cfg.window_sizes]
-        feats = tc.tanh_act(tc.concat_cols(maps))
+        maps = tc.conv_bank(block, [self.params[f"conv_w{w}"] for w in cfg.window_sizes])
+        feats = tc.tanh_act(maps)
         fwd = self._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = self._lstm_direction(feats, "lstm_b", reverse=True)
         hidden = tc.concat_cols([fwd, bwd])

@@ -7,6 +7,10 @@ All arithmetic is 64-bit. There is no broadcasting beyond the explicit
 
 Tape recording is thread-local: each model instance runs its forward and
 backward on one thread, while independent instances may run concurrently.
+Inside one op, ``conv_bank`` and ``sgd_step`` share independent
+per-window or per-parameter jobs between the calling thread and a shared
+thread pool (``pool_width``); the jobs record nothing, and their results
+are combined in a fixed order, so the bits do not depend on the width.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -19,7 +23,9 @@ gradient must copy it.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -182,6 +188,89 @@ def backward(loss: Tensor, tape: Tape,
 
 
 # ---------------------------------------------------------------------------
+# Op pool
+# ---------------------------------------------------------------------------
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+_POOL_LOCK = threading.Lock()
+_pool_width: int | None = None
+_pool: ThreadPoolExecutor | None = None
+
+
+def _width_for(environ: Mapping[str, str], cpus: int) -> int:
+    """How many BLAS thread sets fit side by side on ``cpus`` CPUs. BLAS
+    threads come from the first of BLAS_THREAD_VARS that is set; with none
+    set, or one that is not a positive integer, BLAS takes every CPU and
+    the width is 1."""
+    for var in BLAS_THREAD_VARS:
+        if var in environ:
+            try:
+                blas = int(environ[var])
+            except ValueError:
+                return 1
+            return max(1, cpus // blas) if blas > 0 else 1
+    return 1
+
+
+def pool_width() -> int:
+    """Threads that run an op's tasks, the calling thread and
+    ``pool_width() - 1`` pool threads; fixed at first use from the
+    environment and the CPUs this process may run on."""
+    global _pool_width
+    if _pool_width is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:      # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        _pool_width = _width_for(os.environ, cpus)
+    return _pool_width
+
+
+def _forget_pool() -> None:
+    """In a forked child the pool's threads do not exist: start afresh."""
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _largest_first(fn: Callable, jobs: Sequence, sizes: Sequence[int]) -> list:
+    """``[fn(job) for job in jobs]``, the jobs taken largest first by the
+    calling thread and the pool's threads alike. At width 1 they run inline
+    and no thread starts. No job is still running when this returns, also
+    when one of them raised."""
+    global _pool
+    order = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i]))
+    results = [None] * len(jobs)
+    taking = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with taking:
+                i = next(order, None)
+            if i is None:
+                return
+            results[i] = fn(jobs[i])
+
+    futures = []
+    helpers = min(pool_width(), len(jobs)) - 1
+    if helpers > 0:
+        with _POOL_LOCK:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(pool_width() - 1, thread_name_prefix="metaseq-op")
+        futures = [_pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Random streams
 # ---------------------------------------------------------------------------
 
@@ -296,13 +385,10 @@ def tanh_act(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function that never exponentiates a positive number."""
-    s = np.empty_like(z)
-    pos = z >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    s[~pos] = e / (1.0 + e)
-    return s
+    """Logistic function that never exponentiates a positive number:
+    1/(1+e) where z >= 0 and e/(1+e) elsewhere, with e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -390,46 +476,76 @@ def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
     return out
 
 
-def conv_bank(inp: Tensor, kernels: Tensor) -> Tensor:
-    """All feature maps of one window size at once: (k,c,w,d) kernels -> (n,k).
+def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
+    """The feature maps of every window size: (k_j, c, w_j, d) kernels ->
+    (n, sum of k_j), kernel j's maps in its own columns, in the given order.
 
-    Position i of map k is the full sum over channels, window offsets and
-    embedding dimensions of input[c, i+o, d] * kernel[k, c, o, d], with the
-    (c, n, d) input zero-padded at the end so every position yields a value.
-    The input gradient is computed for ``inp.grad_channels`` only, one
-    matmul over each channel's w*d kernel columns; the other channels get
-    zeros.
+    Position i of map k of window j is the full sum over channels, window
+    offsets and embedding dimensions of input[c, i+o, d] * kernels[j][k, c, o, d],
+    with the (c, n, d) input zero-padded at the end so every position yields
+    a value. Each window is one im2col matrix product and one pool task,
+    forward and backward. The input gradient is computed for
+    ``inp.grad_channels`` only, one matmul over each channel's w*d kernel
+    columns; the other channels get zeros. One tape node covers every
+    window; its backward adds the windows' input gradients into ``inp`` last
+    window first, the order in which one node per window would replay.
     """
     if inp.data.ndim != 3:
         raise DimensionError("conv_bank expects a (channel, position, dim) input")
+    if not kernels:
+        raise ContractError("conv_bank needs at least one kernel tensor")
+    if len({id(kern) for kern in kernels}) != len(kernels):
+        raise ContractError("conv_bank: a kernel tensor is given twice")
     c, n, d = inp.shape
-    _, kc, w, kd = kernels.shape
-    if (kc, kd) != (c, d):
-        raise DimensionError(
-            f"conv_bank: kernel channels/dim {(kc, kd)} do not match input {(c, d)}")
-    if w < 1:
-        raise WindowError(f"conv_bank: window must be >= 1, got {w}")
+    for kern in kernels:
+        if kern.data.ndim != 4:
+            raise DimensionError(f"conv_bank expects (k, c, w, d) kernels, got {kern.shape}")
+        _, kc, w, kd = kern.shape
+        if (kc, kd) != (c, d):
+            raise DimensionError(f"conv_bank: window {w}: kernel channels/dim {(kc, kd)} "
+                                 f"do not match input {(c, d)}")
+        if w < 1:
+            raise WindowError(f"conv_bank: window must be >= 1, got {w}")
     if n < 1:
-        raise WindowError(f"conv_bank: window {w} does not fit padded sequence of length {n}")
-    k = kernels.shape[0]
-    padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
-    # im2col: cols[i, (c, o, d)] = padded[c, i + o, d], the kernels' own order
-    windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-    cols = windows.transpose(1, 0, 3, 2).reshape(n, c * w * d)
-    k_flat = kernels.data.reshape(k, c * w * d)
-    out = Tensor(cols @ k_flat.T, requires_grad=inp.requires_grad or kernels.requires_grad)
+        raise WindowError(f"conv_bank: no window fits a padded sequence of length {n}")
+    sizes = [kern.size for kern in kernels]
+
+    def forward(kern: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k, _, w, _ = kern.shape
+        padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
+        # im2col: cols[i, (c, o, d)] = padded[c, i + o, d], the kernels' own order
+        windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
+        cols = windows.transpose(1, 0, 3, 2).reshape(n, c * w * d)
+        k_flat = kern.data.reshape(k, c * w * d)
+        return cols, k_flat, cols @ k_flat.T
+
+    parts = _largest_first(forward, kernels, sizes)
+    out = Tensor(np.concatenate([maps for _, _, maps in parts], axis=1),
+                 requires_grad=inp.requires_grad or any(kern.requires_grad for kern in kernels))
+    starts = np.cumsum([0] + [kern.shape[0] for kern in kernels]).tolist()
 
     def bw(g: np.ndarray) -> None:
-        _accumulate_product(kernels, g.T, cols)
-        if inp.requires_grad:
+        def window(j: int) -> np.ndarray | None:
+            """Kernel j's gradient, and its window's input-gradient block."""
+            cols, k_flat, _ = parts[j]
+            w = kernels[j].shape[2]
+            gj = np.ascontiguousarray(g[:, starts[j]:starts[j + 1]])
+            _accumulate_product(kernels[j], gj.T, cols)
+            if not inp.requires_grad:
+                return None
             dpad = np.zeros((c, n + w - 1, d))
             for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
-                contrib = (g @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
+                contrib = (gj @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
                 for o in range(w):
                     dpad[ch, o:o + n, :] += contrib[:, o, :]
-            _accumulate(inp, dpad[:, :n, :])
+            return dpad[:, :n, :]
 
-    _record("conv_bank", (inp, kernels), out, bw)
+        blocks = _largest_first(window, range(len(kernels)), sizes)
+        if inp.requires_grad:
+            for block in reversed(blocks):
+                _accumulate(inp, block)
+
+    _record("conv_bank", (inp, *kernels), out, bw)
     return out
 
 
@@ -611,14 +727,20 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> None:
-    """In-place p <- p - lr * grad for every parameter; sets each ``grad``
-    to None and keeps its storage for the next ``backward``."""
+    """In-place p <- p - lr * grad for every parameter, one pool task per
+    parameter, largest first; sets each ``grad`` to None and keeps its
+    storage for the next ``backward``."""
     params = parameters.values() if isinstance(parameters, Mapping) else parameters
     params = list(params)
     for p in params:
         if p.grad is None:
             raise StateError("sgd_step: parameter has no gradient (run backward first)")
-    for p in params:
+    if len({id(p) for p in params}) != len(params):
+        raise ContractError("sgd_step: a parameter is listed twice")
+
+    def update(p: Tensor) -> None:
         p.grad *= lr            # same bits as p.data -= lr * p.grad, no temporary
         p.data -= p.grad
         p.grad = None
+
+    _largest_first(update, params, [p.size for p in params])

@@ -1,5 +1,7 @@
 """Shared verification utilities for model-level and probe tests."""
 
+import contextlib
+
 import numpy as np
 
 from metaseq import tensor_core as tc
@@ -118,3 +120,28 @@ def random_orthogonal(dim: int, rng: tc.RngStream) -> np.ndarray:
     program makes."""
     q, r = np.linalg.qr(rng._gen.normal(0.0, 1.0, size=(dim, dim)))
     return q * np.sign(np.diag(r))
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function through boolean masks, one exponential per
+    sign: the oracle for ``tensor_core._sigmoid``."""
+    s = np.empty_like(z)
+    pos = z >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
+@contextlib.contextmanager
+def op_pool(width: int):
+    """Run the block with ``tensor_core``'s op pool ``width`` threads wide,
+    then shut down any pool the block started and restore the previous one."""
+    saved = tc._pool_width, tc._pool
+    tc._pool_width, tc._pool = width, None
+    try:
+        yield
+    finally:
+        if tc._pool is not None:
+            tc._pool.shutdown()
+        tc._pool_width, tc._pool = saved

@@ -149,6 +149,19 @@ class TestTrainCommand:
         assert capsys.readouterr().err == (f"error: {wrong}: layer dimension 7 != "
                                            f"configured unified dimension 16\n")
 
+    def test_dimension_is_reported_before_misaligned_rows(self, corpus_files, tmp_path,
+                                                          capsys):
+        corpus, paths = corpus_files
+        wrong = tmp_path / "wrong.cemb"   # wrong dimension and a foreign row count
+        write_contextual(wrong, 9, 7, {0: np.zeros((len(corpus.sentences[0].tokens) + 1, 7),
+                                                   dtype=np.float32)})
+        args = _train_args(paths, tmp_path / "out")
+        args[args.index("--layers") + 1] = str(wrong)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (f"error: {wrong}: layer dimension 7 != "
+                                           f"configured unified dimension 16\n")
+        assert not (tmp_path / "out").exists()
+
 
 
 @pytest.fixture(scope="module")

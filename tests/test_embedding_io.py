@@ -18,6 +18,7 @@ from metaseq.embedding_io import (
 )
 from metaseq.errors import (
     AlignmentError,
+    CompatibilityError,
     DimensionError,
     FormatError,
     ParseError,
@@ -339,6 +340,18 @@ class TestLoadAgainstDataset:
         assert [m.shape for m in layer.sentences] == [(2, 4), (3, 4)]
         np.testing.assert_array_equal(layer.sentences[1], np.full((3, 4), 2.0))
         np.testing.assert_array_equal(layer.all_rows()[:, 0], [1, 1, 2, 2, 2])
+
+    def test_expected_dimension_is_checked_at_the_header(self, tmp_path):
+        """A file of the wrong dimension whose rows also misalign reports the
+        dimension, before any record is read."""
+        p = self._write(tmp_path, {0: (3, 4), 5: (1, 4)})
+        with pytest.raises(CompatibilityError) as info:
+            load_contextual(p, _dataset(2, 3), dimension=6)
+        assert str(info.value) == f"{p}: layer dimension 4 != configured unified dimension 6"
+        with pytest.raises(AlignmentError):
+            load_contextual(p, _dataset(2, 3))
+        assert load_contextual(self._write(tmp_path, {0: (2, 4)}), _dataset(2),
+                               dimension=4).dimension == 4
 
 
 def projector(w, b) -> MetaphorTagger:

@@ -31,6 +31,7 @@ from helpers import (
     batch_loss_value,
     micro_gradcheck,
     micro_model_and_batch,
+    op_pool,
     reference_sgd,
     zero_grads,
 )
@@ -157,9 +158,8 @@ class TestForward:
                     "E": rng.normal(size=(7, 1024)),
                     "B": rng.normal(size=(7, 1024))}
         stack = model.build_stack(channels)
-        maps = [tc.conv_bank(stack, model.params[f"conv_w{w}"])
-                for w in (2, 3, 4, 5)]
-        feats = tc.tanh_act(tc.concat_cols(maps))
+        maps = tc.conv_bank(stack, [model.params[f"conv_w{w}"] for w in (2, 3, 4, 5)])
+        feats = tc.tanh_act(maps)
         assert feats.shape == (7, 400)
         fwd = model._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = model._lstm_direction(feats, "lstm_b", reverse=True)
@@ -373,6 +373,33 @@ class TestGradientStorage:
         for name in unused:
             assert np.abs(used_first[name]).max() > 0, name
             assert params[name].grad.tobytes() == np.zeros(params[name].shape).tobytes(), name
+
+
+class TestOpPoolWidth:
+    """Training and inference give the same bytes whatever the width of the
+    op pool that runs the conv windows and the update."""
+
+    @staticmethod
+    def _run(width):
+        corpus = build_separable_corpus(n_sentences=8, seed=5)
+        config = dataclasses.replace(corpus.config, epochs=2, input_dropout=0.5,
+                                     hidden_dropout=0.1)
+        curve = []
+        with op_pool(width):
+            best = train(corpus.sentences, corpus.provider, config,
+                         on_epoch=lambda *row: curve.append(row))
+            model = MetaphorTagger.from_checkpoint(best)
+            probs = [model.predict_probs(corpus.provider.channels(s, i)).tobytes()
+                     for i, s in enumerate(corpus.sentences)]
+            started = tc._pool is not None
+        params = {name: arr.tobytes() for name, arr in best.params.items()}
+        return started, params, curve, probs
+
+    def test_widths_one_and_two_are_bit_equal(self):
+        started_1, *one = self._run(1)
+        started_2, *two = self._run(2)
+        assert (started_1, started_2) == (False, True)
+        assert one == two
 
 
 class TestTraining:

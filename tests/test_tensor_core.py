@@ -5,6 +5,10 @@ oracle on random float64 inputs, alongside the hand-computed examples.
 """
 
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from metaseq.errors import (
     StateError,
 )
 
-from helpers import fd_gradient, zero_grads
+from helpers import fd_gradient, masked_sigmoid, op_pool, zero_grads
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -87,12 +91,12 @@ class TestConvSeq:
         rng = np.random.default_rng(1)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)))
         k = tc.Tensor(np.zeros((1, 2, 3, 3)))
-        assert not tc.conv_bank(stack, k).data.any()
+        assert not tc.conv_bank(stack, [k]).data.any()
 
     def test_identity_window(self):
         stack = tc.Tensor(np.array([5.0, -2.0, 7.0]).reshape(1, 3, 1))
         k = tc.Tensor(np.ones((1, 1, 1, 1)))
-        np.testing.assert_array_equal(tc.conv_bank(stack, k).data[:, 0], [5.0, -2.0, 7.0])
+        np.testing.assert_array_equal(tc.conv_bank(stack, [k]).data[:, 0], [5.0, -2.0, 7.0])
 
     def test_window_two_right_pad(self):
         # direct-summation oracle over every (position, offset) pair
@@ -104,7 +108,7 @@ class TestConvSeq:
         for i in range(3):
             expected.append(sum(padded[i + o] for o in range(2)))
         assert expected == [3.0, 5.0, 3.0]
-        np.testing.assert_allclose(tc.conv_bank(stack, k).data[:, 0], expected)
+        np.testing.assert_allclose(tc.conv_bank(stack, [k]).data[:, 0], expected)
 
     def test_brute_force_oracle_random(self):
         rng = np.random.default_rng(7)
@@ -118,7 +122,7 @@ class TestConvSeq:
                 for o in range(w):
                     for di in range(d):
                         expected[i] += padded[ci, i + o, di] * kern[ci, o, di]
-        got = tc.conv_bank(tc.Tensor(inp), tc.Tensor(kern[None])).data[:, 0]
+        got = tc.conv_bank(tc.Tensor(inp), [tc.Tensor(kern[None])]).data[:, 0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_output_length_equals_input_length(self):
@@ -127,16 +131,16 @@ class TestConvSeq:
             for w in (1, 2, 5):
                 stack = tc.Tensor(rng.normal(size=(2, n, 3)))
                 k = tc.Tensor(rng.normal(size=(1, 2, w, 3)))
-                assert tc.conv_bank(stack, k).shape == (n, 1)
+                assert tc.conv_bank(stack, [k]).shape == (n, 1)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), tc.Tensor(np.zeros((1, 3, 2, 3))))
+            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), [tc.Tensor(np.zeros((1, 3, 2, 3)))])
 
     def test_empty_sequence_is_window_error(self):
         from metaseq.errors import WindowError
         with pytest.raises(WindowError):
-            tc.conv_bank(tc.Tensor(np.zeros((1, 0, 2))), tc.Tensor(np.zeros((1, 1, 2, 2))))
+            tc.conv_bank(tc.Tensor(np.zeros((1, 0, 2))), [tc.Tensor(np.zeros((1, 1, 2, 2)))])
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
@@ -144,7 +148,7 @@ class TestConvSeq:
         k = tc.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
 
         def build():
-            f = tc.conv_bank(stack, k)
+            f = tc.conv_bank(stack, [k])
             return tc.sum_all(tc.mul(f, f))
 
         check_grads(build, [stack, k])
@@ -153,16 +157,16 @@ class TestConvSeq:
         rng = np.random.default_rng(4)
         stack = tc.Tensor(rng.normal(size=(3, 7, 4)))
         kernels = tc.Tensor(rng.normal(size=(5, 3, 2, 4)))
-        bank = tc.conv_bank(stack, kernels).data
+        bank = tc.conv_bank(stack, [kernels]).data
         for j in range(5):
-            single = tc.conv_bank(stack, tc.Tensor(kernels.data[j:j + 1])).data[:, 0]
+            single = tc.conv_bank(stack, [tc.Tensor(kernels.data[j:j + 1])]).data[:, 0]
             np.testing.assert_allclose(bank[:, j], single, atol=1e-12)
 
     def test_bank_gradient(self):
         rng = np.random.default_rng(5)
         stack = tc.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         kernels = tc.Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
+        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
 
 
@@ -180,7 +184,7 @@ class TestConvBankTrainableChannels:
         def build():
             # a fresh stream per call: the same dropout mask every time
             block = tc.dropout(tc.stack_mats(mats), 0.3, tc.RngStream(5), training=True)
-            out = tc.conv_bank(block, kernels)
+            out = tc.conv_bank(block, [kernels])
             return tc.sum_all(tc.tanh_act(out)), block, out
 
         return mats, kernels, build
@@ -218,6 +222,206 @@ class TestConvBankTrainableChannels:
         assert mats[trainable].grad.tobytes() == full_mats[trainable].grad.tobytes()
 
 
+class TestConvBankWindows:
+    """Several window sizes in one conv_bank call: one tape node whose
+    output and gradients are bit-equal to one node per window."""
+
+    WINDOWS = (2, 3, 1)
+    COUNTS = (3, 2, 4)
+
+    def _inputs(self, seed=50):
+        rng = np.random.default_rng(seed)
+        stack = tc.Tensor(rng.normal(size=(3, 6, 4)), requires_grad=True)
+        kernels = [tc.Tensor(rng.normal(size=(k, 3, w, 4)), requires_grad=True)
+                   for w, k in zip(self.WINDOWS, self.COUNTS)]
+        return stack, kernels
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_each_window_is_its_own_product(self, width):
+        stack, kernels = self._inputs()
+        with op_pool(width):
+            bank = tc.conv_bank(stack, kernels).data
+        assert bank.shape == (6, sum(self.COUNTS))
+        at = 0
+        for kern in kernels:
+            single = tc.conv_bank(stack, [kern]).data
+            for col in range(kern.shape[0]):
+                assert bank[:, at + col].tobytes() == single[:, col].tobytes()
+            at += kern.shape[0]
+
+    def test_gradient_matches_finite_differences(self):
+        stack, kernels = self._inputs(51)
+        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
+                    [stack, *kernels])
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_gradients_are_bit_equal_to_one_node_per_window(self, width):
+        def grads(build):
+            stack, kernels = self._inputs(52)
+            with tc.Tape() as tape:
+                loss = tc.sum_all(tc.tanh_act(build(stack, kernels)))
+            tc.backward(loss, tape)
+            return [t.grad.tobytes() for t in (stack, *kernels)]
+
+        with op_pool(width):
+            got = grads(tc.conv_bank)
+        want = grads(lambda stack, kernels: tc.concat_cols(
+            [tc.conv_bank(stack, [kern]) for kern in kernels]))
+        assert got == want
+
+    def test_records_one_tape_node(self):
+        stack, kernels = self._inputs()
+        with tc.Tape() as tape:
+            tc.conv_bank(stack, kernels)
+        assert [node.op for node in tape.nodes] == ["conv_bank"]
+        assert tape.nodes[0].inputs == (stack, *kernels)
+
+    def test_empty_kernel_list_is_contract_error(self):
+        with pytest.raises(ContractError, match="at least one kernel"):
+            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), [])
+
+    def test_repeated_kernel_tensor_is_contract_error(self):
+        stack, kernels = self._inputs()
+        with pytest.raises(ContractError, match="given twice"):
+            tc.conv_bank(stack, [kernels[0], kernels[1], kernels[0]])
+
+    def test_mismatch_names_the_window(self):
+        stack, kernels = self._inputs()
+        wrong = tc.Tensor(np.zeros((2, 2, 5, 4)))
+        with pytest.raises(DimensionError, match=r"window 5: kernel channels/dim \(2, 4\)"):
+            tc.conv_bank(stack, [kernels[0], wrong])
+
+
+class TestOpPool:
+    @pytest.mark.parametrize("environ, cpus, width", [
+        ({}, 2, 1),
+        ({}, 64, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "4"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"MKL_NUM_THREADS": "3"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 2),
+        ({"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 2, 1),
+    ])
+    def test_width_rule(self, environ, cpus, width):
+        assert tc._width_for(environ, cpus) == width
+
+    def test_width_comes_from_affinity_then_cpu_count(self, monkeypatch):
+        threads = threading.active_count()
+        for var in tc.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+        monkeypatch.setattr(tc, "_pool_width", None)
+        assert tc.pool_width() == 3
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")          # fixed at first use
+        assert tc.pool_width() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setattr(tc, "_pool_width", None)
+        assert tc.pool_width() == 5
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        monkeypatch.setattr(tc, "_pool_width", None)
+        assert tc.pool_width() == 1
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def _step():
+        rng = np.random.default_rng(60)
+        stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        kernels = [tc.Tensor(rng.normal(size=(2, 2, w, 3)), requires_grad=True)
+                   for w in (1, 2, 3, 4)]
+        with tc.Tape() as tape:
+            loss = tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
+        tc.backward(loss, tape)
+        tc.sgd_step([stack, *kernels], lr=0.1)
+
+    def test_width_one_starts_no_thread(self):
+        before = set(threading.enumerate())
+        with op_pool(1):
+            self._step()
+            assert tc._pool is None
+            assert set(threading.enumerate()) == before
+
+    def test_width_two_starts_one_pool_thread(self):
+        before = set(threading.enumerate())
+        with op_pool(2):
+            self._step()
+            started = set(threading.enumerate()) - before
+            # one pool thread: the caller is the other one
+            assert [t.name.startswith("metaseq-op") for t in started] == [True]
+        assert not any(t.is_alive() for t in started)
+
+    def test_concurrent_callers_share_the_pool_without_crosstalk(self):
+        """Six threads each train their own conv bank on one 4-wide pool (more
+        threads than cores, rapid switching); each ends where a lone run does."""
+        def run(seed, log=None):
+            rng = np.random.default_rng(seed)
+            stack = tc.Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+            kernels = [tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
+                       for w in (1, 2, 3, 4)]
+            for _ in range(20):
+                with tc.Tape() as tape:
+                    loss = tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
+                tc.backward(loss, tape)
+                tc.sgd_step([stack, *kernels], lr=0.01)
+            result = b"".join(t.data.tobytes() for t in (stack, *kernels))
+            if log is not None:
+                log[seed] = result
+            return result
+
+        want = {seed: run(seed) for seed in range(6)}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with op_pool(4):
+                threads = [threading.Thread(target=run, args=(seed, got)) for seed in want]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_forked_child_starts_its_own_pool(self):
+        with op_pool(2), warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads alive
+            self._step()
+            pid = os.fork()
+            if pid == 0:                      # child: a hang ends at the alarm
+                import signal
+                signal.alarm(30)
+                try:
+                    self._step()
+                    os._exit(0 if tc._pool is not None else 1)
+                finally:
+                    os._exit(2)
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_failing_task_is_raised_after_every_task_finished(self):
+        done = []
+
+        def job(i):
+            if i == 0:
+                raise ValueError("task 0")
+            done.append(i)
+
+        with op_pool(2):
+            with pytest.raises(ValueError, match="task 0"):
+                tc._largest_first(job, [0, 1, 2], [3, 2, 1])
+            assert sorted(done) == [1, 2]
+
+
 class TestTanh:
     def test_odd_at_zero(self):
         assert tc.tanh_act(tc.Tensor([0.0])).data[0] == 0.0
@@ -244,6 +448,14 @@ class TestSigmoid:
         rng = np.random.default_rng(8)
         x = tc.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         check_grads(lambda: tc.sum_all(tc.sigmoid(x)), [x])
+
+    def test_bit_equal_to_masked_formula(self):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]
+        rng = np.random.default_rng(9)
+        draws = np.concatenate([rng.normal(0.0, 10.0, 50_000),
+                                rng.uniform(-800.0, 800.0, 50_000)])
+        for z in (np.array(edges), draws):
+            assert tc._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
 
@@ -445,6 +657,13 @@ class TestSgdStep:
         with pytest.raises(StateError):
             tc.sgd_step([p], lr=0.1)
 
+    def test_parameter_listed_twice_is_contract_error(self):
+        p = tc.Tensor([1.0], requires_grad=True)
+        p.grad = np.array([0.5])
+        with pytest.raises(ContractError, match="listed twice"):
+            tc.sgd_step([p, p], lr=0.1)
+        assert p.data[0] == 1.0
+
     def test_two_identical_steps_identical_result(self):
         def run():
             p = tc.Tensor([1.0, -2.0], requires_grad=True)
@@ -537,5 +756,5 @@ class TestOpGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(20 + w)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         kernels = tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
+        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
