@@ -85,8 +85,6 @@ def _resolve_seed(args, file_values: dict) -> int:
 def _build_config(args) -> ModelConfig:
     values = parse_config_file(args.config) if args.config else {}
     values["seed"] = _resolve_seed(args, values)
-    if getattr(args, "epochs", None) is not None:
-        values["epochs"] = args.epochs
     return ModelConfig(**values)
 
 
@@ -118,19 +116,19 @@ def _write_manifest(out_dir: Path, args_list: list[str], config_path,
     return path
 
 
-def _load_layers(config: ModelConfig, layer_paths: list[str], parser,
+def _load_layers(config: ModelConfig, layer_paths: list[str],
                  sentences: list) -> dict[str, object]:
     """The ``--layers`` files by channel name, each read against
     ``sentences`` and checked against the configured dimension."""
     contextual_channels = [c for c in config.channel_order if c != "G"]
     if len(layer_paths) != len(contextual_channels):
-        parser.error(f"expected {len(contextual_channels)} --layers files for "
-                     f"channels {contextual_channels}, got {len(layer_paths)}")
+        raise ParameterError(f"expected {len(contextual_channels)} --layers files for "
+                             f"channels {contextual_channels}, got {len(layer_paths)}")
     return {name: load_contextual(path, sentences, dimension=config.unified_dim)
             for name, path in zip(contextual_channels, layer_paths)}
 
 
-def _make_provider(config: ModelConfig, args, parser, sentences: list,
+def _make_provider(config: ModelConfig, args, sentences: list,
                    dev_sentences: list = ()) -> tuple[ChannelProvider, list]:
     """Wire static table, layer files and feature encoders per the config.
 
@@ -143,11 +141,11 @@ def _make_provider(config: ModelConfig, args, parser, sentences: list,
     """
     static = "G" in config.channel_order
     if static and not args.glove:
-        parser.error("channel G is configured but --glove is missing")
-    if config.use_abstractness and not getattr(args, "abst_lexicon", None):
-        parser.error("use_abstractness is configured but --abst-lexicon is missing")
+        raise ParameterError("channel G is configured but --glove is missing")
+    if config.use_abstractness and not args.abst_lexicon:
+        raise ParameterError("use_abstractness is configured but --abst-lexicon is missing")
     if config.use_abstractness and not static:
-        parser.error("use_abstractness requires the static channel G")
+        raise ParameterError("use_abstractness requires the static channel G")
     inputs = list(args.layers or [])
     tokens = {t.text for s in (*sentences, *dev_sentences) for t in s.tokens}
     lexicon = static_table = scorer = None
@@ -166,7 +164,7 @@ def _make_provider(config: ModelConfig, args, parser, sentences: list,
             raise CompatibilityError(
                 f"{args.glove}: vector dimension {static_table.dimension} != "
                 f"configured static dimension {config.static_dim}")
-    layer_files = _load_layers(config, args.layers or [], parser, sentences)
+    layer_files = _load_layers(config, args.layers or [], sentences)
 
     pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
     if lexicon is not None:
@@ -195,7 +193,7 @@ def _check_dev_rows(dev_path, dev_sentences, train_sentences) -> None:
                 f"which hold {found}")
 
 
-def cmd_train(args, parser, argv: list[str]) -> int:
+def cmd_train(args, argv: list[str]) -> int:
     config = _build_config(args)
     train_sentences = train_eval.parse_dataset(args.data)
     inputs = [args.data]
@@ -207,7 +205,7 @@ def cmd_train(args, parser, argv: list[str]) -> int:
     else:
         dev_sentences = None
     provider, extra_inputs = _make_provider(
-        config, args, parser, train_sentences, dev_sentences or [])
+        config, args, train_sentences, dev_sentences or [])
     inputs.extend(extra_inputs)
     if args.config:
         inputs.append(args.config)
@@ -247,11 +245,11 @@ def _report_row(split: str, cls: str, r: train_eval.MetricsReport) -> str:
             f"{_fmt(r.accuracy)},{r.tp},{r.fp},{r.fn},{r.tn}\n")
 
 
-def cmd_eval(args, parser, argv: list[str]) -> int:
+def cmd_eval(args, argv: list[str]) -> int:
     checkpoint = tagger_model.load_checkpoint(args.checkpoint)
     config = checkpoint.config
     sentences = train_eval.parse_dataset(args.data)
-    provider, extra_inputs = _make_provider(config, args, parser, sentences)
+    provider, extra_inputs = _make_provider(config, args, sentences)
     inputs = [args.checkpoint, args.data, *extra_inputs]
 
     model = tagger_model.MetaphorTagger.from_checkpoint(checkpoint)
@@ -336,10 +334,10 @@ def _check_layer_indices(paths: list[str], layers: list) -> None:
         first[layer.layer_index] = path
 
 
-def cmd_probe(args, parser, argv: list[str]) -> int:
+def cmd_probe(args, argv: list[str]) -> int:
     seed = _resolve_seed(args, {})
     if args.mode == "l2" and len(args.layer_files) < 2:
-        parser.error("mode=l2 needs a reference file plus at least one layer file")
+        raise ParameterError("mode=l2 needs a reference file plus at least one layer file")
     sentences = train_eval.parse_dataset(args.data)
     layers = [load_contextual(path, sentences) for path in args.layer_files]
     # The l2 reference file yields no row of its own, so it may share an index.
@@ -447,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="contextual layer files, one per non-G channel")
     p_train.add_argument("--abst-lexicon", help="abstractness TSV lexicon")
     p_train.add_argument("--config", help="key=value model configuration file")
-    p_train.add_argument("--epochs", type=int, default=None,
-                         help="override the configured epoch count")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a checkpoint on a dataset")
@@ -481,15 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args, parser, argv)
-    except SystemExit as exc:  # parser.error inside a command
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        return args.func(args, argv)
     except MetaseqError as exc:
         prefix = "numeric error" if exc.exit_code == EXIT_NUMERIC else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)

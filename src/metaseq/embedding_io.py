@@ -161,21 +161,6 @@ class ContextualLayerFile:
         return np.concatenate(self.sentences, axis=0).astype(np.float64)
 
 
-def write_contextual(path, layer_index: int, dimension: int,
-                     sentences: Mapping[int, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CONTEXTUAL_MAGIC)
-        fh.write(struct.pack("<IIII", CONTEXTUAL_VERSION, layer_index,
-                             dimension, len(sentences)))
-        for idx in sorted(sentences):
-            mat = np.ascontiguousarray(sentences[idx], dtype="<f4")
-            if mat.ndim != 2 or mat.shape[1] != dimension:
-                raise DimensionError(
-                    f"sentence {idx}: expected (tokens, {dimension}), got {mat.shape}")
-            fh.write(struct.pack("<II", idx, mat.shape[0]))
-            fh.write(mat.tobytes())
-
-
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     """Read exactly ``count`` bytes; a claim beyond the file's end fails
     before any read, so a hostile header cannot size an allocation."""

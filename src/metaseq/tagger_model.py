@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 import typing
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import (
     MetaseqError,
     ParameterError,
     ParseError,
+    TruncatedError,
 )
 
 CHECKPOINT_MAGIC = b"MSEQ"
@@ -410,7 +412,17 @@ def load_checkpoint(path) -> Checkpoint:
                 raise FormatError(f"{path}: parameter {name} appears twice")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "parameter rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "parameter dims"))
+            # The product of 2**32-sized dims can pass Python's int-to-str
+            # digit limit, so it is bounded here and never printed.
             count = math.prod(shape)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if count > left // 8:
+                raise TruncatedError(f"{path}: file ended while reading parameter {name} "
+                                     f"payload: its rank-{rank} shape declares more than "
+                                     f"the {left} bytes left")
             payload = _read_exact(fh, 8 * count, f"parameter {name} payload")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            try:
+                params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            except ValueError as exc:   # more dimensions than numpy supports
+                raise FormatError(f"{path}: parameter {name}: {exc}") from None
     return Checkpoint(config, params, epoch, dev_f1)

@@ -118,9 +118,6 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TLS.stack.pop()
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def active_tape() -> Tape | None:
     stack = getattr(_TLS, "stack", None)
@@ -709,16 +706,6 @@ def stack_mats(mats: Sequence[Tensor]) -> Tensor:
             _accumulate(m, g[i])
 
     _record("stack_mats", tuple(mats), out, bw)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), requires_grad=x.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    _record("sum_all", (x,), out, bw)
     return out
 
 

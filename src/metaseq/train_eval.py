@@ -34,9 +34,6 @@ class SentenceRecord:
     genre: str
     tokens: list[TokenRecord]
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def labels(self) -> np.ndarray:
         return np.array([t.label for t in self.tokens], dtype=np.int64)
 
@@ -101,10 +98,6 @@ class DatasetStats:
     pct_metaphor: float                     # share of metaphoric target tokens, percent
     avg_metaphors_per_met_sentence: float
 
-    def row(self) -> tuple:
-        return (self.n_target_tokens, self.pct_metaphor,
-                self.n_sequences, self.avg_metaphors_per_met_sentence)
-
 
 def dataset_stats(sentences: Sequence[SentenceRecord]) -> DatasetStats:
     n_targets = 0
@@ -133,7 +126,6 @@ class MetricsReport:
     fp: int
     fn: int
     tn: int
-    zero_division: tuple[str, ...] = ()
 
     @property
     def precision(self) -> float:
@@ -151,21 +143,6 @@ class MetricsReport:
     def accuracy(self) -> float:
         total = self.tp + self.fp + self.fn + self.tn
         return (self.tp + self.tn) / total if total else 0.0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-def _report_from_counts(tp: int, fp: int, fn: int, tn: int) -> MetricsReport:
-    flags = []
-    if tp + fp == 0:
-        flags.append("precision")
-    if tp + fn == 0:
-        flags.append("recall")
-    if tp + fp + fn + tn == 0:
-        flags.append("accuracy")
-    return MetricsReport(tp, fp, fn, tn, tuple(flags))
 
 
 def compute_metrics(predictions, gold, mask=None) -> MetricsReport:
@@ -186,7 +163,7 @@ def compute_metrics(predictions, gold, mask=None) -> MetricsReport:
     fp = int(((pred == METAPHOR) & (true == LITERAL)).sum())
     fn = int(((pred == LITERAL) & (true == METAPHOR)).sum())
     tn = int(((pred == LITERAL) & (true == LITERAL)).sum())
-    return _report_from_counts(tp, fp, fn, tn)
+    return MetricsReport(tp, fp, fn, tn)
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -204,7 +181,7 @@ def pool_reports(reports: Iterable[MetricsReport]) -> MetricsReport:
         fp += r.fp
         fn += r.fn
         tn += r.tn
-    return _report_from_counts(tp, fp, fn, tn)
+    return MetricsReport(tp, fp, fn, tn)
 
 
 def breakdown(sentences: Sequence[SentenceRecord],

@@ -1,18 +1,22 @@
 """Shared fixtures: synthetic corpora with linearly separable channel
 embeddings, and writers that lay them out as CLI-ready input files."""
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 from metaseq.embedding_io import (
+    CONTEXTUAL_MAGIC,
+    CONTEXTUAL_VERSION,
     ChannelProvider,
     ContextualLayerFile,
     StaticEmbeddingTable,
-    write_contextual,
 )
+from metaseq.errors import DimensionError
 from metaseq.tagger_model import ModelConfig
 from metaseq.train_eval import SentenceRecord, TokenRecord
 
@@ -89,6 +93,23 @@ def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
                          hidden_dropout=0.0, learning_rate=learning_rate,
                          epochs=epochs, seed=seed)
     return SynthCorpus(sentences, table, layers, provider, config)
+
+
+def write_contextual(path, layer_index: int, dimension: int,
+                     sentences: Mapping[int, np.ndarray]) -> None:
+    """A CEMB layer file holding ``sentences`` (index -> (tokens, dimension)
+    rows) in index order, as float32."""
+    with open(path, "wb") as fh:
+        fh.write(CONTEXTUAL_MAGIC)
+        fh.write(struct.pack("<IIII", CONTEXTUAL_VERSION, layer_index,
+                             dimension, len(sentences)))
+        for idx in sorted(sentences):
+            mat = np.ascontiguousarray(sentences[idx], dtype="<f4")
+            if mat.ndim != 2 or mat.shape[1] != dimension:
+                raise DimensionError(
+                    f"sentence {idx}: expected (tokens, {dimension}), got {mat.shape}")
+            fh.write(struct.pack("<II", idx, mat.shape[0]))
+            fh.write(mat.tobytes())
 
 
 def write_corpus_files(corpus: SynthCorpus, out_dir: Path) -> dict[str, Path]:

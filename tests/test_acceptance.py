@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from metaseq import tensor_core as tc
-from metaseq.embedding_io import (
-    ContextualLayerFile,
-    load_contextual,
-    write_contextual,
-)
+from metaseq.embedding_io import load_contextual
 from metaseq.linguistic_features import AbstractnessScorer, cosine, load_abstractness_lexicon
 from metaseq.space_analysis import (
     avg_pair_cosine,
@@ -34,7 +30,7 @@ from metaseq.train_eval import (
     f1_from_pr,
     parse_dataset,
 )
-from conftest import DATA_DIR, build_separable_corpus, static_table
+from conftest import DATA_DIR, build_separable_corpus, static_table, write_contextual
 from helpers import micro_gradcheck, random_orthogonal
 
 

@@ -9,11 +9,11 @@ import pytest
 
 from metaseq import cli
 from metaseq.cli import main, parse_config_file
-from metaseq.embedding_io import ChannelProvider, load_contextual, write_contextual
+from metaseq.embedding_io import ChannelProvider, load_contextual
 from metaseq.errors import MetaseqError, ParameterError, ParseError
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import parse_dataset
-from conftest import build_separable_corpus, write_corpus_files
+from conftest import DATA_DIR, build_separable_corpus, write_contextual, write_corpus_files
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +37,12 @@ def corpus_files(tmp_path_factory):
     return corpus, paths
 
 
-def _config_with(paths, line: str) -> str:
-    """The fixture config with ``line`` in place of the line setting its key."""
-    key = line.split("=", 1)[0]
+def _config_with(paths, *lines: str) -> str:
+    """The fixture config with each of ``lines`` in place of the line setting its key."""
+    keys = {line.split("=", 1)[0] for line in lines}
     kept = [other for other in paths["config"].read_text().splitlines()
-            if other.split("=", 1)[0] != key]
-    return "\n".join([*kept, line]) + "\n"
+            if other.split("=", 1)[0] not in keys]
+    return "\n".join([*kept, *lines]) + "\n"
 
 
 def _train_args(paths, out_dir, seed="9"):
@@ -65,12 +65,44 @@ class TestTrainCommand:
         assert manifest["seed"] == 9
         assert str(paths["data"]) in manifest["inputs"]
 
-    def test_missing_glove_is_usage_error(self, corpus_files, tmp_path):
+    @pytest.mark.parametrize("case", ["layers-count", "glove", "abst-lexicon",
+                                      "abstractness-without-G", "l2-one-file"])
+    def test_missing_glove_is_usage_error(self, corpus_files, tmp_path, capsys, case):
+        # every usage error a command finds itself takes the one error path
         _, paths = corpus_files
-        args = _train_args(paths, tmp_path / "x")
-        idx = args.index("--glove")
-        del args[idx:idx + 2]
+        out = tmp_path / "x"
+        args = _train_args(paths, out)
+        cfg = tmp_path / "model.cfg"
+        if case == "layers-count":
+            del args[args.index("--layers") + 2]
+            message = "expected 2 --layers files for channels ['E', 'B'], got 1"
+        elif case == "glove":
+            del args[args.index("--glove"):args.index("--glove") + 2]
+            message = "channel G is configured but --glove is missing"
+        elif case == "abst-lexicon":
+            cfg.write_text(_config_with(paths, "use_abstractness=true"))
+            args[args.index("--config") + 1] = str(cfg)
+            message = "use_abstractness is configured but --abst-lexicon is missing"
+        elif case == "abstractness-without-G":
+            cfg.write_text(_config_with(paths, "use_abstractness=true", "channel_order=E,B"))
+            args[args.index("--config") + 1] = str(cfg)
+            args += ["--abst-lexicon", str(DATA_DIR / "abstractness_small.tsv")]
+            message = "use_abstractness requires the static channel G"
+        else:
+            args = ["probe", "--data", str(paths["data"]), "--layer-files", str(paths["E"]),
+                    "--mode", "l2", "--out", str(out)]
+            message = "mode=l2 needs a reference file plus at least one layer file"
         assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_epochs_flag_is_usage_error(self, corpus_files, tmp_path, capsys):
+        # the epoch count comes from the config's `epochs` only
+        _, paths = corpus_files
+        out = tmp_path / "x"
+        assert main(_train_args(paths, out) + ["--epochs", "3"]) == 2
+        assert "unrecognized arguments: --epochs 3" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_threads_flag_is_probe_only(self, corpus_files, tmp_path, capsys, command):
@@ -359,6 +391,23 @@ class TestEvalCommand:
         assert main(self._eval_args(paths, ckpt, out)) == 3
         assert capsys.readouterr().err == (
             f"error: {ckpt}: parameter name {bytes([255])!r} is not UTF-8\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim,problem", [
+        (0xFFFFFFFF, "file ended while reading parameter w payload: its rank-600 shape"),
+        (0, "parameter w: maximum supported dimension"),
+    ], ids=["dims-0xffffffff", "dims-0"])
+    def test_rank_600_parameter_is_exit_3(self, corpus_files, trained, tmp_path, capsys,
+                                          dim, problem):
+        _, paths = corpus_files
+        ckpt = tmp_path / "bad.mseq"
+        ckpt.write_bytes(trained.read_bytes() + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<601I", 600, *[dim] * 600) + bytes(8))
+        out = tmp_path / "eval"
+        assert main(self._eval_args(paths, ckpt, out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {problem}")
+        assert "Traceback" not in err and len(err) < 300
         assert not out.exists()
 
 
@@ -986,7 +1035,7 @@ def _error_classes(cls=MetaseqError) -> list:
 
 class TestExitCodes:
     def _probe_raising(self, monkeypatch, tmp_path, exc) -> int:
-        def failing(args, parser, argv):
+        def failing(args, argv):
             raise exc
 
         monkeypatch.setattr(cli, "cmd_probe", failing)

@@ -14,7 +14,6 @@ from metaseq.embedding_io import (
     load_contextual,
     load_static_text,
     stack_channels,
-    write_contextual,
 )
 from metaseq.errors import (
     AlignmentError,
@@ -31,7 +30,8 @@ from metaseq.linguistic_features import (
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import SentenceRecord, TokenRecord
 
-from conftest import static_table
+from conftest import static_table, write_contextual
+from helpers import sum_all
 
 
 def float_reference(path) -> dict[str, np.ndarray]:
@@ -428,7 +428,7 @@ class TestProjectStatic:
         model = projector(rng.normal(size=(4, 3)), rng.normal(size=4))
         with tc.Tape() as tape:
             out = project(model, rng.normal(size=3))
-            loss = tc.sum_all(out)
+            loss = sum_all(out)
         tc.backward(loss, tape)
         assert model.params["proj_w"].grad is not None
         assert model.params["proj_b"].grad is not None

@@ -33,6 +33,7 @@ from helpers import (
     micro_model_and_batch,
     op_pool,
     reference_sgd,
+    sum_all,
     zero_grads,
 )
 
@@ -261,7 +262,7 @@ class TestFusedLstm:
         with tc.Tape() as tape:
             model.sentence_loss(model.build_stack(channels), rng.integers(0, 2, size=20),
                                 tc.RngStream(0), training=True)
-        assert len(tape) <= 25
+        assert len(tape.nodes) <= 25
 
 
 class TestGradients:
@@ -366,7 +367,7 @@ class TestGradientStorage:
         used_first = _sentence_grads(model, channels, labels)
         tc.sgd_step(params, config.learning_rate)
         with tc.Tape() as tape:      # the projection alone: every other parameter unused
-            loss = tc.sum_all(model.build_stack(channels))
+            loss = sum_all(model.build_stack(channels))
         tc.backward(loss, tape, params.values())
         unused = [name for name in params if not name.startswith("proj_")]
         assert len(unused) == len(params) - 2
@@ -531,7 +532,8 @@ class TestCheckpointCodec:
         (0xFFFFFFFF,) * 3,   # int64 product wraps to 12,884,901,887
         (1 << 16,) * 4,      # int64 product wraps to 0
         (1 << 20, 1 << 10),  # 8 GiB claimed by a file of a few hundred bytes
-    ])
+        (0xFFFFFFFF,) * 600,  # a product beyond Python's int-to-str digit limit
+    ], ids=lambda dims: f"rank{len(dims)}-{dims[0]:#x}")
     def test_oversized_parameter_claim_is_truncated(self, tmp_path, dims):
         path = tmp_path / "m.mseq"
         cp = self._checkpoint()

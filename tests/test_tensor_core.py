@@ -23,7 +23,7 @@ from metaseq.errors import (
     StateError,
 )
 
-from helpers import fd_gradient, masked_sigmoid, op_pool, zero_grads
+from helpers import fd_gradient, masked_sigmoid, op_pool, sum_all, zero_grads
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -81,7 +81,7 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = tc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = tc.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.matmul(a, b))), [a, b])
+        check_grads(lambda: sum_all(tc.tanh_act(tc.matmul(a, b))), [a, b])
 
 
 class TestConvSeq:
@@ -149,7 +149,7 @@ class TestConvSeq:
 
         def build():
             f = tc.conv_bank(stack, [k])
-            return tc.sum_all(tc.mul(f, f))
+            return sum_all(tc.mul(f, f))
 
         check_grads(build, [stack, k])
 
@@ -166,7 +166,7 @@ class TestConvSeq:
         rng = np.random.default_rng(5)
         stack = tc.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
         kernels = tc.Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
+        check_grads(lambda: sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
 
 
@@ -185,7 +185,7 @@ class TestConvBankTrainableChannels:
             # a fresh stream per call: the same dropout mask every time
             block = tc.dropout(tc.stack_mats(mats), 0.3, tc.RngStream(5), training=True)
             out = tc.conv_bank(block, [kernels])
-            return tc.sum_all(tc.tanh_act(out)), block, out
+            return sum_all(tc.tanh_act(out)), block, out
 
         return mats, kernels, build
 
@@ -251,7 +251,7 @@ class TestConvBankWindows:
 
     def test_gradient_matches_finite_differences(self):
         stack, kernels = self._inputs(51)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
+        check_grads(lambda: sum_all(tc.tanh_act(tc.conv_bank(stack, kernels))),
                     [stack, *kernels])
 
     @pytest.mark.parametrize("width", [1, 2])
@@ -259,7 +259,7 @@ class TestConvBankWindows:
         def grads(build):
             stack, kernels = self._inputs(52)
             with tc.Tape() as tape:
-                loss = tc.sum_all(tc.tanh_act(build(stack, kernels)))
+                loss = sum_all(tc.tanh_act(build(stack, kernels)))
             tc.backward(loss, tape)
             return [t.grad.tobytes() for t in (stack, *kernels)]
 
@@ -338,7 +338,7 @@ class TestOpPool:
         kernels = [tc.Tensor(rng.normal(size=(2, 2, w, 3)), requires_grad=True)
                    for w in (1, 2, 3, 4)]
         with tc.Tape() as tape:
-            loss = tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
+            loss = sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
         tc.backward(loss, tape)
         tc.sgd_step([stack, *kernels], lr=0.1)
 
@@ -368,7 +368,7 @@ class TestOpPool:
                        for w in (1, 2, 3, 4)]
             for _ in range(20):
                 with tc.Tape() as tape:
-                    loss = tc.sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
+                    loss = sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
                 tc.backward(loss, tape)
                 tc.sgd_step([stack, *kernels], lr=0.01)
             result = b"".join(t.data.tobytes() for t in (stack, *kernels))
@@ -436,7 +436,7 @@ class TestTanh:
     def test_gradient(self):
         rng = np.random.default_rng(6)
         x = tc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(x)), [x])
+        check_grads(lambda: sum_all(tc.tanh_act(x)), [x])
 
 
 class TestSigmoid:
@@ -447,7 +447,7 @@ class TestSigmoid:
     def test_gradient(self):
         rng = np.random.default_rng(8)
         x = tc.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.sigmoid(x)), [x])
+        check_grads(lambda: sum_all(tc.sigmoid(x)), [x])
 
     def test_bit_equal_to_masked_formula(self):
         edges = [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 745.0, -745.0, 800.0, -800.0]
@@ -522,7 +522,7 @@ class TestSoftmax:
         rng = np.random.default_rng(11)
         z = tc.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = tc.Tensor(rng.normal(size=(4, 3)))
-        check_grads(lambda: tc.sum_all(tc.mul(tc.softmax(z), w)), [z])
+        check_grads(lambda: sum_all(tc.mul(tc.softmax(z), w)), [z])
 
 
 class TestWeightedCrossEntropy:
@@ -584,7 +584,7 @@ class TestDropout:
 
         def build():
             # identical stream key -> identical mask on every evaluation
-            return tc.sum_all(tc.mul(out := tc.dropout(x, 0.3, tc.RngStream(7, 1), True), out))
+            return sum_all(tc.mul(out := tc.dropout(x, 0.3, tc.RngStream(7, 1), True), out))
 
         check_grads(build, [x])
 
@@ -593,14 +593,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = tc.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         with tc.Tape() as tape:
-            loss = tc.sum_all(x)
+            loss = sum_all(x)
         tc.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_power_rule(self):
         x = tc.Tensor([3.0], requires_grad=True)
         with tc.Tape() as tape:
-            loss = tc.sum_all(tc.mul(x, x))
+            loss = sum_all(tc.mul(x, x))
         tc.backward(loss, tape)
         assert x.grad[0] == pytest.approx(6.0)
 
@@ -615,14 +615,14 @@ class TestBackward:
         x = tc.Tensor([1.0], requires_grad=True)
         unused = tc.Tensor([5.0], requires_grad=True)
         with tc.Tape() as tape:
-            loss = tc.sum_all(tc.mul(x, x))
+            loss = sum_all(tc.mul(x, x))
         tc.backward(loss, tape, parameters=[x, unused])
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_grads_accumulate_over_shared_input(self):
         x = tc.Tensor([2.0], requires_grad=True)
         with tc.Tape() as tape:
-            loss = tc.sum_all(tc.add(tc.mul(x, x), tc.mul(x, x)))
+            loss = sum_all(tc.add(tc.mul(x, x), tc.mul(x, x)))
         tc.backward(loss, tape)
         assert x.grad[0] == pytest.approx(8.0)
 
@@ -631,8 +631,8 @@ class TestBackward:
         with tc.Tape() as tape:
             y = tc.mul(x, x)
             z = tc.add(y, y)
-            loss = tc.sum_all(z)
-        assert len(tape) == 3
+            loss = sum_all(z)
+        assert len(tape.nodes) == 3
         tc.backward(loss, tape)
         # grad of sum(2*x^2) = 4x
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
@@ -669,7 +669,7 @@ class TestSgdStep:
             p = tc.Tensor([1.0, -2.0], requires_grad=True)
             for _ in range(3):
                 with tc.Tape() as tape:
-                    loss = tc.sum_all(tc.mul(p, p))
+                    loss = sum_all(tc.mul(p, p))
                 tc.backward(loss, tape)
                 tc.sgd_step([p], lr=0.1)
             return p.data.tobytes()
@@ -686,9 +686,9 @@ class TestThreadIsolation:
         def worker(name, value):
             x = tc.Tensor([value], requires_grad=True)
             with tc.Tape() as tape:
-                loss = tc.sum_all(tc.mul(x, x))
+                loss = sum_all(tc.mul(x, x))
             tc.backward(loss, tape)
-            results[name] = (len(tape), float(x.grad[0]))
+            results[name] = (len(tape.nodes), float(x.grad[0]))
 
         threads = [threading.Thread(target=worker, args=(f"t{i}", float(i + 2)))
                    for i in range(4)]
@@ -726,16 +726,16 @@ class TestOpGradientsAgainstFiniteDifferences:
         v = tc.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
         w = tc.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
-        check_grads(lambda: tc.sum_all(tc.mul(tc.add(a, b), a)), [a, b])
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.add_bias(a, bias))), [a, bias])
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.transpose(a))), [a])
-        check_grads(lambda: tc.sum_all(tc.sigmoid(tc.matmul(v, w))), [w, v])
-        check_grads(lambda: tc.sum_all(tc.row(a, 1)), [a])
-        check_grads(lambda: tc.sum_all(tc.mul(s := tc.slice_cols(a, 1, 3), s)), [a])
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.concat_cols([a, b]))), [a, b])
-        check_grads(lambda: tc.sum_all(tc.tanh_act(
+        check_grads(lambda: sum_all(tc.mul(tc.add(a, b), a)), [a, b])
+        check_grads(lambda: sum_all(tc.tanh_act(tc.add_bias(a, bias))), [a, bias])
+        check_grads(lambda: sum_all(tc.tanh_act(tc.transpose(a))), [a])
+        check_grads(lambda: sum_all(tc.sigmoid(tc.matmul(v, w))), [w, v])
+        check_grads(lambda: sum_all(tc.row(a, 1)), [a])
+        check_grads(lambda: sum_all(tc.mul(s := tc.slice_cols(a, 1, 3), s)), [a])
+        check_grads(lambda: sum_all(tc.tanh_act(tc.concat_cols([a, b]))), [a, b])
+        check_grads(lambda: sum_all(tc.tanh_act(
             tc.stack_rows([tc.row(a, 0), tc.row(b, 2)]))), [a, b])
-        check_grads(lambda: tc.sum_all(tc.mul(m := tc.stack_mats([a, b]), m)), [a, b])
+        check_grads(lambda: sum_all(tc.mul(m := tc.stack_mats([a, b]), m)), [a, b])
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 5])
@@ -748,7 +748,7 @@ class TestOpGradientsAgainstFiniteDifferences:
         bias = tc.Tensor(rng.normal(size=4 * hidden), requires_grad=True)
         probe = tc.Tensor(rng.normal(size=(n, hidden)))   # weights every output
 
-        check_grads(lambda: tc.sum_all(tc.mul(tc.lstm(x, wx, wh, bias, reverse), probe)),
+        check_grads(lambda: sum_all(tc.mul(tc.lstm(x, wx, wh, bias, reverse), probe)),
                     [x, wx, wh, bias])
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
@@ -756,5 +756,5 @@ class TestOpGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(20 + w)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
         kernels = tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
-        check_grads(lambda: tc.sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
+        check_grads(lambda: sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
