@@ -9,7 +9,10 @@ for one sentence are stacked, in the configured channel order, into a
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import struct
+import threading
 from dataclasses import dataclass
 from typing import AbstractSet, BinaryIO, Mapping, Sequence
 
@@ -58,6 +61,10 @@ class StaticEmbeddingTable:
 # Lines handed to one np.loadtxt call: enough to amortise its set-up, few
 # enough that one chunk's floats stay under 10 MB at d = 300.
 GLOVE_CHUNK_LINES = 4096
+# The fewest bytes a range of the vector file is given. A fork costs a few
+# milliseconds and 4 MiB parses in about 60 ms, so a range this size pays
+# for its process; a file smaller than two of them is parsed in one range.
+GLOVE_RANGE_BYTES = 4 << 20
 
 
 def _parse_vectors(values: list[str]) -> np.ndarray:
@@ -65,15 +72,34 @@ def _parse_vectors(values: list[str]) -> np.ndarray:
     return np.loadtxt(values, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
 
 
-def _checked_vectors(path, values: list[str], linenos: list[int]) -> np.ndarray:
-    """The chunk's vectors; if any value is not a finite float, a
-    ParseError naming the first bad line, found by parsing line by line."""
+def _check_widths(path, lines: list[str], linenos: list[int], dimension: int) -> None:
+    """A ParseError naming the first line that does not hold ``dimension``
+    space-separated values, or whose one value is empty."""
+    for line, lineno in zip(lines, linenos):
+        width = line.count(" ")
+        if width != dimension:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {dimension} values, got {width}")
+        if not line.partition(" ")[2]:  # `token ` with d = 1; loadtxt would skip, not reject, it
+            raise ParseError(f"{path}: line {lineno}: non-numeric field (empty value)")
+
+
+def _checked_vectors(path, lines: list[str], values: list[str], linenos: list[int],
+                     dimension: int) -> np.ndarray:
+    """The chunk's vectors, ``dimension`` finite floats per line; else a
+    ParseError naming the first line of a wrong width, or failing that the
+    first line with a value that is not a finite float."""
     try:
-        block = _parse_vectors(values)
-        if np.isfinite(block).all():
-            return block
+        # loadtxt splits a field at every space and rejects ragged rows, so
+        # this shape means every line's width is ``dimension``. It would
+        # skip an empty string, so a chunk with one is checked line by line.
+        if "" not in values:
+            block = _parse_vectors(values)
+            if block.shape == (len(values), dimension) and np.isfinite(block).all():
+                return block
     except ValueError:
         pass
+    _check_widths(path, lines, linenos, dimension)
     rows = []
     for text, lineno in zip(values, linenos):
         try:
@@ -86,60 +112,161 @@ def _checked_vectors(path, values: list[str], linenos: list[int]) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
-    """Parse `token v1 ... vd` lines; the first line fixes the dimension.
+def _parse_range(path, start: int, stop: int | None, words: AbstractSet[str]
+                 ) -> tuple[int, dict[str, int], np.ndarray]:
+    """The lines in bytes ``[start, stop)`` of the vector file: their
+    dimension, fixed by the first non-empty line, and the first occurrence
+    of each token in ``words`` with its row of the matrix of their vectors.
 
-    Every line is checked for its width and for finite float values, in
-    chunks of ``GLOVE_CHUNK_LINES``; only the first occurrence of each
-    token in ``words`` is kept.
+    Every line is checked, ``GLOVE_CHUNK_LINES`` at a time: a chunk's
+    widths first, then its values. Line numbers in errors count from
+    ``start``.
     """
     rows: dict[str, int] = {}
     blocks: list[np.ndarray] = []
-    tokens: list[str] = []
-    values: list[str] = []
+    lines: list[str] = []
     linenos: list[int] = []
     dimension = None
 
     def keep_chunk() -> None:
-        block = _checked_vectors(path, values, linenos)
+        parts = [line.partition(" ") for line in lines]
+        block = _checked_vectors(path, lines, [text for _, _, text in parts], linenos,
+                                 dimension)
         take = []
-        for i, token in enumerate(tokens):
+        for i, (token, _, _) in enumerate(parts):
             if token in words and token not in rows:
                 rows[token] = len(rows)
                 take.append(i)
         if take:
             blocks.append(block[take])
-        tokens.clear()
-        values.clear()
+        lines.clear()
         linenos.clear()
 
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            width = line.count(" ")
-            if dimension is None:
-                if not width:
-                    raise ParseError(f"{path}: line {lineno}: no vector values")
-                dimension = width
-            if width != dimension:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {dimension} values, got {width}")
-            token, _, text = line.partition(" ")
-            if not text:  # `token ` with d = 1; loadtxt would skip, not reject, it
-                raise ParseError(f"{path}: line {lineno}: non-numeric field (empty value)")
-            tokens.append(token)
-            values.append(text)
-            linenos.append(lineno)
-            if len(values) == GLOVE_CHUNK_LINES:
-                keep_chunk()
+    with open_text(path, start, stop) as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                if dimension is None:
+                    if " " not in line:
+                        raise ParseError(f"{path}: line {lineno}: no vector values")
+                    dimension = line.count(" ")
+                lines.append(line)
+                linenos.append(lineno)
+                if len(lines) == GLOVE_CHUNK_LINES:
+                    keep_chunk()
+        except UnicodeDecodeError:
+            # Widths are checked as far as the text could be read.
+            _check_widths(path, lines, linenos, dimension)
+            raise
     if dimension is None:
         raise ParseError(f"{path}: empty embedding file")
-    if values:
+    if lines:
         keep_chunk()
     matrix = np.concatenate(blocks) if blocks else np.zeros((0, dimension))
-    return StaticEmbeddingTable(rows, matrix)
+    return dimension, rows, matrix
+
+
+def _byte_ranges(path) -> list[tuple[int, int | None]]:
+    """``[start, stop)`` byte ranges that cover the file in order, each but
+    the last ending just after a newline and the last at the file's end
+    (None). There is one per usable CPU, but no more than the file holds
+    ``GLOVE_RANGE_BYTES``, when this process can fork safely, which needs
+    ``os.fork`` and no second Python thread (a child would hold only a copy
+    of the caller's); else one."""
+    size = os.stat(path).st_size
+    count = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        count = max(1, min(tc.usable_cpus(), size // GLOVE_RANGE_BYTES))
+    starts = [0]
+    if count > 1:
+        with open(path, "rb") as fh:
+            for k in range(1, count):
+                fh.seek(max(size * k // count - 1, starts[-1]))
+                fh.readline()
+                if fh.tell() >= size:
+                    break
+                starts.append(fh.tell())
+    return list(zip(starts, starts[1:] + [None]))
+
+
+def _parse_ranges(path, ranges: list[tuple[int, int | None]], words: AbstractSet[str]
+                  ) -> list[tuple[int, dict[str, int], np.ndarray]]:
+    """``_parse_range`` of every range, in order: the first in this
+    process, each other in a forked child that sends its result back
+    through a pipe. If this process's range fails, or a child fails, dies
+    or cannot be forked, or the ranges' dimensions differ, every child is
+    reaped and the whole file is parsed here as one range, whose result or
+    error is the answer."""
+    children: dict[int, int] = {}   # pid -> the read end of its pipe
+    parts = None
+    try:
+        for start, stop in ranges[1:]:
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:    # the child; it leaves by os._exit, whatever happens
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as out:
+                        pickle.dump(_parse_range(path, start, stop, words), out,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = read_end
+        parts = [_parse_range(path, *ranges[0], words)]
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            if status != 0:
+                parts = None
+                break
+            parts.append(pickle.loads(payload))
+    except (ParseError, OSError):
+        parts = None
+    finally:
+        for pid, read_end in children.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if parts is None or any(dimension != parts[0][0] for dimension, _, _ in parts):
+        parts = [_parse_range(path, 0, None, words)]
+    return parts
+
+
+def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
+    """Parse `token v1 ... vd` lines; the first non-empty line fixes the
+    dimension.
+
+    Every line is checked for its width and for finite float values, in
+    chunks of ``GLOVE_CHUNK_LINES``; only the first occurrence of each
+    token in ``words`` is kept. A large file is parsed in byte ranges by
+    forked processes (``_byte_ranges``); the table and any error are those
+    of one range over the whole file.
+    """
+    parts = _parse_ranges(path, _byte_ranges(path), words)
+    if len(parts) == 1:
+        _, rows, matrix = parts[0]
+        return StaticEmbeddingTable(rows, matrix)
+    rows, blocks = {}, []
+    for _, part_rows, part in parts:    # in file order, so the first occurrence wins
+        take = []
+        for token, i in part_rows.items():
+            if token not in rows:
+                rows[token] = len(rows)
+                take.append(i)
+        blocks.append(part[take])
+    return StaticEmbeddingTable(rows, np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Each class carries the CLI exit code it maps to: 2 usage, 3 data/format,
 UTF-8 is a ``ParseError`` too.
 """
 
+import io
+import sys
 from contextlib import contextmanager
 
 
@@ -77,12 +79,38 @@ class DegeneracyError(MetaseqError):
     exit_code = 4
 
 
+class _Capped(io.RawIOBase):
+    """At most the next ``limit`` bytes of an unbuffered binary file, all
+    of them when ``limit`` is None, as a raw stream."""
+
+    def __init__(self, file, limit: int | None):
+        super().__init__()
+        self._file = file
+        self._left = sys.maxsize if limit is None else limit
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._file.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+
 @contextmanager
-def open_text(path):
-    """``path`` opened for reading as UTF-8 text; a decoding failure while
-    the block reads it is a ParseError naming the file."""
+def open_text(path, start: int = 0, stop: int | None = None):
+    """Bytes ``[start, stop)`` of ``path`` (all of it by default) opened for
+    reading as UTF-8 text; a decoding failure while the block reads it is a
+    ParseError naming the file. Both ends must fall between lines. The text
+    is decoded 8 KiB at a time as ``open`` would, so a range that starts at
+    0 reads like the whole file up to ``stop``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
+        with open(path, "rb", buffering=0) as file:
+            if start:
+                file.seek(start)
+            limit = None if stop is None else stop - start
+            with io.TextIOWrapper(io.BufferedReader(_Capped(file, limit)),
+                                  encoding="utf-8") as fh:
+                yield fh
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not valid UTF-8") from None

@@ -210,17 +210,21 @@ def _width_for(environ: Mapping[str, str], cpus: int) -> int:
     return 1
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def pool_width() -> int:
     """Threads that run an op's tasks, the calling thread and
     ``pool_width() - 1`` pool threads; fixed at first use from the
     environment and the CPUs this process may run on."""
     global _pool_width
     if _pool_width is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:      # no affinity call on this platform
-            cpus = os.cpu_count() or 1
-        _pool_width = _width_for(os.environ, cpus)
+        _pool_width = _width_for(os.environ, usable_cpus())
     return _pool_width
 
 

@@ -1,11 +1,20 @@
 """Static/contextual embedding loaders, the channel stack, and projections."""
 
+import json
+import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from metaseq import embedding_io
 from metaseq import tensor_core as tc
 from metaseq.embedding_io import (
     GLOVE_CHUNK_LINES,
@@ -45,6 +54,91 @@ def float_reference(path) -> dict[str, np.ndarray]:
     return out
 
 
+def line_reference(path, words) -> tuple[dict[str, int], bytes] | str:
+    """The loader's rules applied line by line with one ``float()`` per
+    value: the kept rows and the matrix bytes, or the start of the
+    ParseError's message. For files under 8 KiB, which are decoded in one
+    read, so that bytes that are not UTF-8 are reported before any line."""
+    data = Path(path).read_bytes()
+    assert len(data) < 8192
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return f"{path}: not valid UTF-8"
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    numbered = [(n, line) for n, line in enumerate(lines, start=1) if line]
+    if not numbered:
+        return f"{path}: empty embedding file"
+    if " " not in numbered[0][1]:
+        return f"{path}: line {numbered[0][0]}: no vector values"
+    dimension = numbered[0][1].count(" ")
+    rows: dict[str, int] = {}
+    vectors = []
+    for at in range(0, len(numbered), GLOVE_CHUNK_LINES):
+        chunk = numbered[at:at + GLOVE_CHUNK_LINES]
+        for n, line in chunk:           # a chunk's widths before its values
+            if line.count(" ") != dimension:
+                return f"{path}: line {n}: expected {dimension} values, got {line.count(' ')}"
+            if not line.partition(" ")[2]:
+                return f"{path}: line {n}: non-numeric field"
+        for n, line in chunk:
+            token, *fields = line.split(" ")
+            try:
+                values = [float(v) for v in fields]
+            except ValueError:
+                return f"{path}: line {n}: non-numeric field"
+            if not all(map(math.isfinite, values)):
+                return f"{path}: line {n}: non-finite value"
+            if token in words and token not in rows:
+                rows[token] = len(rows)
+                vectors.append(values)
+    return rows, np.array(vectors, dtype=np.float64).reshape(len(vectors), dimension).tobytes()
+
+
+_FORMATS = (repr, "{:.6f}".format, "{:.17e}".format, "{:g}".format)
+_FIELD_EDITS = ("empty", "nan", "inf", "-inf", "1e400", "drop")
+_TEXT_EDITS = ("space", "leading", "trailing", "tab", "cr", "blank", "bytes")
+_EDIT = st.tuples(st.sampled_from(_FIELD_EDITS + _TEXT_EDITS), st.integers(0, 999),
+                  st.integers(0, 999))
+
+
+@st.composite
+def mutated_glove(draw) -> bytes:
+    """A valid vector file of one to eight lines, then up to four edits: a
+    value made empty, non-finite, out of range or dropped; a space, tab or
+    carriage return put in; a leading or trailing space; a blank line; or
+    a byte that is not UTF-8."""
+    seed, dimension, count = draw(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4),
+                                            st.integers(1, 8)))
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(count, dimension)) * 10.0 ** rng.integers(-30, 30, (count, dimension))
+    rows = [[("a", "b", "dup", "x")[rng.integers(4)]]
+            + [_FORMATS[rng.integers(len(_FORMATS))](float(v)) for v in row] for row in values]
+    edits = draw(st.lists(_EDIT, max_size=4))
+    for edit, i, at in edits:
+        row = rows[i % count]
+        if edit == "drop" and len(row) > 1:
+            del row[1 + at % (len(row) - 1)]
+        elif edit in _FIELD_EDITS and len(row) > 1:
+            row[1 + at % (len(row) - 1)] = "" if edit == "empty" else edit
+    lines = [" ".join(row) for row in rows]
+    for edit, i, at in edits:
+        i %= len(lines)
+        at %= len(lines[i]) + 1
+        put = {"space": " ", "tab": "\t", "cr": "\r", "bytes": "\udcff"}.get(edit)
+        if put is not None:
+            lines[i] = lines[i][:at] + put + lines[i][at:]
+        elif edit == "leading":
+            lines[i] = " " + lines[i]
+        elif edit == "trailing":
+            lines[i] += " "
+        elif edit == "blank":
+            lines.insert(i, "")
+    eol = ("\n", "\r\n")[seed % 2]
+    text = eol.join(lines) + (eol if seed % 3 else "")
+    return text.encode("utf-8", "surrogateescape")
+
+
 class TestStaticTable:
     def test_minimal_file(self, tmp_path):
         p = tmp_path / "emb.txt"
@@ -78,6 +172,21 @@ class TestStaticTable:
         p.write_text("a 1.0\nb \nc 2.0\n")  # d = 1; line 2's one value is empty
         with pytest.raises(ParseError, match=re.escape(f"{p}: line 2: non-numeric")):
             load_static_text(p, {"a", "c"})
+
+    def test_only_empty_values_is_non_numeric(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("a \n")   # d = 1 and no value at all: loadtxt would warn of no data
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 1: non-numeric")):
+            load_static_text(p, {"a"})
+
+    def test_a_later_chunk_of_another_width_is_rejected(self, tmp_path):
+        lines = [f"w{i} 0.5 0.25" for i in range(GLOVE_CHUNK_LINES)]
+        lines += [f"v{i} 0.5 0.25 1.0" for i in range(10)]
+        p = tmp_path / "emb.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{p}: line {GLOVE_CHUNK_LINES + 1}: expected 2 values, got 3")):
+            load_static_text(p, {"w0"})
 
     @pytest.mark.parametrize("bad,words", [
         *(pytest.param(bad, {"a", "b"}, id=bad)
@@ -139,6 +248,198 @@ class TestStaticTable:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=re.escape(f"{p}: line {lineno}: {problem}")):
             load_static_text(p, {"w0"})
+
+    @pytest.mark.parametrize("bad,problem", [("1.0 2.0 3.0", "line 5: expected 2 values, got 3"),
+                                             ("1.0 x", "not valid UTF-8")])
+    def test_bytes_not_utf8_later_in_the_chunk(self, tmp_path, bad, problem):
+        # Line 3000 lies past the first 8 KiB decoded, in the first chunk: a
+        # wrong width is found before the bytes that are not UTF-8, a bad
+        # value only once the chunk is whole.
+        lines = [f"w{i} 0.5 0.25" for i in range(3000)]
+        lines[4] = f"w4 {bad}"
+        p = tmp_path / "emb.txt"
+        p.write_bytes("\n".join(lines).encode() + b"\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {problem}")):
+            load_static_text(p, {"w0"})
+
+    def test_duplicate_at_both_ends_keeps_the_first(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        lines = ["dup 1.0 2.0", *(f"w{i} {i}.5 0.25" for i in range(40)), "dup 9.0 9.0"]
+        p.write_text("\n".join(lines) + "\n")
+        table = load_static_text(p, {"w39", "dup", "w3"})
+        assert list(table.rows) == ["dup", "w3", "w39"]
+        np.testing.assert_array_equal(table.matrix, [[1.0, 2.0], [3.5, 0.25], [39.5, 0.25]])
+
+    def test_bad_unused_last_line_is_named(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        lines = [*(f"w{i} 0.5 0.25" for i in range(40)), "", "unused 0.5 x"]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: line 42: non-numeric field")):
+            load_static_text(p, {"w0"})
+
+    def test_a_child_that_dies_changes_nothing(self, tmp_path, monkeypatch):
+        p = tmp_path / "emb.txt"
+        p.write_text("".join(f"w{i} {i}.5 -0.25\n" for i in range(40)))
+        parse, stops = embedding_io._parse_range, []
+
+        def dying(path, start, stop, words):
+            if start:       # a range after the first: only a forked child parses one
+                os._exit(1)
+            stops.append(stop)
+            return parse(path, start, stop, words)
+
+        monkeypatch.setattr(embedding_io, "_parse_range", dying)
+        table = load_static_text(p, {"w0", "w39"})
+        assert stops[-1] is None            # the whole file, parsed here
+        assert list(table.rows) == ["w0", "w39"]
+        np.testing.assert_array_equal(table.matrix, [[0.5, -0.25], [39.5, -0.25]])
+
+    # No shrinking: a failing case is reported as found, within the time budget.
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_glove(), words=st.sets(st.sampled_from(("a", "b", "dup", "x"))))
+    def test_mutated_file_reads_as_line_by_line(self, tmp_path, data, words):
+        p = tmp_path / "emb.txt"
+        p.write_bytes(data)
+        expected = line_reference(p, words)
+
+        def loaded():   # split ranges under test_static_table_on_split_ranges
+            table = load_static_text(p, words)
+            return table.rows, table.matrix
+
+        def one_range():
+            _, rows, matrix = embedding_io._parse_range(p, 0, None, words)
+            return rows, matrix
+
+        outcomes = []
+        for load in (loaded, one_range):
+            try:
+                rows, matrix = load()
+            except ParseError as exc:
+                assert isinstance(expected, str) and str(exc).startswith(expected), (exc, expected)
+                outcomes.append(str(exc))
+            else:
+                assert (list(rows.items()), matrix.tobytes()) == (
+                    list(expected[0].items()), expected[1])
+                outcomes.append(None)
+        assert outcomes[0] == outcomes[1]
+
+
+# Runs TestStaticTable in a fresh interpreter, where no second thread is
+# alive, with ranges of any size (GLOVE_RANGE_BYTES = 1) and two usable CPUs;
+# each load must fork one child per range after the first and leave none.
+SPLIT_RUN = """
+import json, os, sys
+import pytest
+from metaseq import embedding_io, tensor_core
+
+embedding_io.GLOVE_RANGE_BYTES = 1
+tensor_core.usable_cpus = lambda: 2
+fork, load, loads = os.fork, embedding_io.load_static_text, []
+
+def counted_fork():
+    pid = fork()
+    if pid:
+        loads[-1][1] += 1
+    return pid
+
+def checked_load(path, words):
+    loads.append([len(embedding_io._byte_ranges(path)) - 1, 0])
+    try:
+        return load(path, words)
+    finally:
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            pass
+        else:
+            raise AssertionError("a child outlived the load")
+
+os.fork, embedding_io.load_static_text = counted_fork, checked_load
+code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]])
+print(json.dumps(loads))
+sys.exit(code)
+"""
+
+
+def test_static_table_on_split_ranges():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    env.update(dict.fromkeys(tc.BLAS_THREAD_VARS, "1"))
+    result = subprocess.run(
+        [sys.executable, "-c", SPLIT_RUN, "tests/test_embedding_io.py::TestStaticTable"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    loads = json.loads(result.stdout.splitlines()[-1])
+    assert all(forks == children for children, forks in loads), loads
+    assert sum(children > 0 for children, _ in loads) > 100
+
+
+class TestSplitGate:
+    """When the loader may fork, with ranges of any size."""
+
+    @pytest.fixture
+    def glove(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embedding_io, "GLOVE_RANGE_BYTES", 1)
+        p = tmp_path / "emb.txt"
+        p.write_text("".join(f"w{i} {i}.5 -0.25\n" for i in range(40)))
+        return p
+
+    @staticmethod
+    def check(table) -> None:
+        assert list(table.rows) == ["w0", "w39"]
+        np.testing.assert_array_equal(table.matrix, [[0.5, -0.25], [39.5, -0.25]])
+
+    @staticmethod
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    def test_ranges_start_at_lines_and_cover_the_file(self, glove, monkeypatch):
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        data = glove.read_bytes()
+        for cpus in (2, 3, 7, 100):     # 100 CPUs for 40 lines: at most one range per line
+            monkeypatch.setattr(tc, "usable_cpus", lambda: cpus)
+            ranges = embedding_io._byte_ranges(glove)
+            starts = [start for start, _ in ranges]
+            assert len(ranges) == cpus or (cpus > 40 and 1 < len(ranges) <= 40)
+            assert starts[0] == 0 and ranges[-1][1] is None
+            assert [stop for _, stop in ranges[:-1]] == starts[1:]
+            assert all(data[start - 1:start] == b"\n" for start in starts[1:])
+        monkeypatch.setattr(embedding_io, "GLOVE_RANGE_BYTES", len(data) // 3)
+        assert len(embedding_io._byte_ranges(glove)) == 3
+        monkeypatch.setattr(embedding_io, "GLOVE_RANGE_BYTES", len(data) // 2 + 1)
+        assert len(embedding_io._byte_ranges(glove)) == 1
+
+    def test_a_fork_that_fails_leaves_one_range(self, glove, monkeypatch):
+        calls = []
+
+        def failing_fork():
+            calls.append(1)
+            raise OSError("fork failed")
+
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.setattr(tc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        self.check(load_static_text(glove, {"w0", "w39"}))
+        assert calls == [1]
+
+    def test_no_fork_with_a_second_thread_alive(self, glove, monkeypatch):
+        monkeypatch.setattr(tc, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            self.check(load_static_text(glove, {"w0", "w39"}))
+        finally:
+            release.set()
+            thread.join()
+
+    def test_no_fork_on_one_usable_cpu(self, glove, monkeypatch):
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        monkeypatch.setattr(tc, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", self.no_fork)
+        self.check(load_static_text(glove, {"w0", "w39"}))
 
 
 def _dataset(*lengths: int, ids=None) -> list[SentenceRecord]:

@@ -42,6 +42,8 @@ ALLOWED = {
     "space_analysis.svd": "the fallback for PCA with fewer rows than dimensions "
                           "and for a singular Procrustes problem",
     "tensor_core._forget_pool": "runs only in a forked child (os.register_at_fork)",
+    "embedding_io._check_widths": "runs only on a vector file with a bad line; the "
+                                  "loader's error tests run it",
     "embedding_io.StaticEmbeddingTable.__len__": "the benchmark's glove_lines hook reads it",
     "tensor_core.Tensor.__repr__": "a debugging aid",
 }

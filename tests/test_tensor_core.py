@@ -311,6 +311,15 @@ class TestOpPool:
     def test_width_rule(self, environ, cpus, width):
         assert tc._width_for(environ, cpus) == width
 
+    def test_usable_cpus_from_affinity_then_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+        assert tc.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert tc.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert tc.usable_cpus() == 1
+
     def test_width_comes_from_affinity_then_cpu_count(self, monkeypatch):
         threads = threading.active_count()
         for var in tc.BLAS_THREAD_VARS:
