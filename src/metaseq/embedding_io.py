@@ -285,7 +285,7 @@ class ContextualLayerFile:
         """Every token vector, sentences in dataset order, as one (N, dim) array."""
         if not self.sentences:
             return np.zeros((0, self.dimension))
-        return np.concatenate(self.sentences, axis=0).astype(np.float64)
+        return np.concatenate(self.sentences, axis=0, dtype=np.float64)
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

@@ -43,6 +43,15 @@ from .train_eval import METAPHOR, SentenceRecord
 
 ORTHOGONALITY_TOL = 1e-8
 
+# Rows per block in avg_l2 (3 MiB at d = 1024). With OpenBLAS 0.3.31 on one
+# BLAS thread, blocks of a multiple of 192 rows gave products bit-identical
+# to the same rows of the whole product on the SkylakeX, Haswell, Zen and
+# Sandybridge kernels, at every d tried from 1 to 1,100; 128, 256 and 512 did
+# not on SkylakeX, for some d between 200 and 1,000. On two BLAS threads the
+# whole product's own last bits depend on how OpenBLAS splits it: blocks
+# matched it where d was a multiple of 8, not at other d from 200 up.
+L2_BLOCK_ROWS = 384
+
 # PCA block subspace iteration: block width, pass budget before the full
 # eigh, the sine of the angle each accepted axis is certified within (small
 # enough that six-decimal coordinates match the eigh axes), and the
@@ -151,22 +160,47 @@ def _eigh(symmetric: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class AlignmentResult:
     rotation: np.ndarray          # (d, d) orthogonal map applied to source rows
-    rotated: np.ndarray           # source rows after rotation, (n, d)
     avg_l2: float
     orthogonality_residual: float
 
 
-def avg_l2(e_rows, b_rows) -> float:
-    """Mean Euclidean distance between corresponding rows."""
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """[start, stop) blocks of ``L2_BLOCK_ROWS`` rows covering n rows; the
+    last block takes the remainder, so no block but a lone one is shorter."""
+    starts = list(range(0, max(n - L2_BLOCK_ROWS, 0) + 1, L2_BLOCK_ROWS))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def avg_l2(e_rows, b_rows, rotation=None) -> float:
+    """Mean Euclidean distance between corresponding rows of E and of B, or
+    of B @ rotation.T when a (d, d) ``rotation`` is given.
+
+    The distances are computed in row blocks (``_row_blocks``), so no
+    temporary holds more than one block; with one BLAS thread, each is the
+    same float as in ``np.linalg.norm(e - b @ rotation.T, axis=1)`` (see
+    ``L2_BLOCK_ROWS``).
+    """
     e = np.asarray(e_rows, dtype=np.float64)
     b = np.asarray(b_rows, dtype=np.float64)
     if e.shape != b.shape or e.ndim != 2:
         raise DimensionError(f"avg_l2: shapes differ, {e.shape} vs {b.shape}")
-    return float(np.mean(np.linalg.norm(e - b, axis=1)))
+    squares = np.empty(e.shape[0])
+    for start, stop in _row_blocks(e.shape[0]):
+        if rotation is None:
+            diff = e[start:stop] - b[start:stop]
+        else:
+            diff = b[start:stop] @ rotation.T
+            np.subtract(e[start:stop], diff, out=diff)
+        diff *= diff
+        np.add.reduce(diff, axis=1, out=squares[start:stop])
+    return float(np.mean(np.sqrt(squares, out=squares)))
 
 
 def _orthogonality_residual(w: np.ndarray) -> float:
-    return float(np.linalg.norm(w @ w.T - np.eye(w.shape[0])))
+    """|W W.T - I|, with the identity subtracted on the diagonal in place."""
+    product = w @ w.T
+    product.flat[::w.shape[0] + 1] -= 1.0
+    return float(np.linalg.norm(product))
 
 
 def procrustes_align(b_rows, e_rows) -> AlignmentResult:
@@ -178,8 +212,9 @@ def procrustes_align(b_rows, e_rows) -> AlignmentResult:
     ORTHOGONALITY_TOL) gets one Newton-Schulz step; W comes from the SVD
     instead when M is singular or the residual is still not below
     ORTHOGONALITY_TOL / 10.
-    The rotated source is B @ W.T, and the summary is the mean per-row
-    distance to E.
+    The summary is the mean per-row distance from B @ W.T to E, computed in
+    row blocks by ``avg_l2``; beyond its inputs, the call holds a few
+    d x d matrices and one block of rows.
     """
     b = np.asarray(b_rows, dtype=np.float64)
     e = np.asarray(e_rows, dtype=np.float64)
@@ -194,14 +229,16 @@ def procrustes_align(b_rows, e_rows) -> AlignmentResult:
         if ORTHOGONALITY_TOL / 10 <= residual < ORTHOGONALITY_TOL:
             w = 1.5 * w - 0.5 * (w @ (w.T @ w))    # Newton-Schulz: W (3I - W.T W) / 2
             residual = _orthogonality_residual(w)
+    del lam, v
     if not residual < ORTHOGONALITY_TOL / 10:    # singular or ill-conditioned M
         u, _, vt = svd(m)
         w = u @ vt
+        del u, vt
         residual = _orthogonality_residual(w)
     if residual >= ORTHOGONALITY_TOL:
         raise NumericError(f"rotation lost orthogonality (residual {residual:.3e})")
-    rotated = b @ w.T
-    return AlignmentResult(w, rotated, avg_l2(e, rotated), residual)
+    del m
+    return AlignmentResult(w, avg_l2(e, b, w), residual)
 
 
 # ---------------------------------------------------------------------------

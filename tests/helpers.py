@@ -1,6 +1,7 @@
 """Shared verification utilities for model-level and probe tests."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 
@@ -157,3 +158,15 @@ def op_pool(width: int):
         if tc._pool is not None:
             tc._pool.shutdown()
         tc._pool_width, tc._pool = saved
+
+
+def peak_bytes(call) -> int:
+    """The most memory ``call()`` held at once beyond what was allocated
+    before it, as tracemalloc sees it (numpy's array data included)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -109,7 +109,7 @@ def test_criterion4_procrustes_optimality(dim, n):
     data_rng = np.random.default_rng(100 + dim)
     b = data_rng.normal(size=(n, dim))
     e = data_rng.normal(size=(n, dim))
-    best = float(np.linalg.norm(procrustes_align(b, e).rotated - e))
+    best = float(np.linalg.norm(b @ procrustes_align(b, e).rotation.T - e))
     qs = _random_orthogonal_batch(10_000, dim, np.random.default_rng(200 + dim))
     rotated = np.einsum("nd,kcd->knc", b, qs)   # rows b @ q.T per candidate
     residuals = np.linalg.norm(rotated - e[None], axis=(1, 2))

@@ -6,10 +6,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from metaseq import cli
 from metaseq.cli import main, parse_config_file
-from metaseq.embedding_io import ChannelProvider, load_contextual
+from metaseq.embedding_io import (
+    CONTEXTUAL_MAGIC,
+    CONTEXTUAL_VERSION,
+    ChannelProvider,
+    load_contextual,
+)
 from metaseq.errors import MetaseqError, ParameterError, ParseError
 from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import parse_dataset
@@ -771,6 +777,108 @@ class TestProbeCommand:
         assert capsys.readouterr().err == (
             f"error: {layer}: dimension 1, pca needs at least 2\n")
         assert not out.exists()
+
+
+# A desk-size layer file: three sentences of 2, 1 and 3 tokens, 4 values each.
+FUZZ_TOKENS = (2, 1, 3)
+FUZZ_DIM = 4
+
+
+def _fuzz_layer() -> tuple[bytes, list[int], list[int]]:
+    """The file's bytes, the offsets of its 32-bit header and record-header
+    fields, and the offsets of its float32 values."""
+    rows = np.random.default_rng(0).normal(size=(sum(FUZZ_TOKENS), FUZZ_DIM))
+    parts = [CONTEXTUAL_MAGIC,
+             struct.pack("<IIII", CONTEXTUAL_VERSION, 1, FUZZ_DIM, len(FUZZ_TOKENS))]
+    fields, values, offset, row = [4, 8, 12, 16], [], 20, 0
+    for idx, tokens in enumerate(FUZZ_TOKENS):
+        parts.append(struct.pack("<II", idx, tokens))
+        fields += [offset, offset + 4]
+        offset += 8
+        parts.append(rows[row:row + tokens].astype("<f4").tobytes())
+        values += range(offset, offset + 4 * tokens * FUZZ_DIM, 4)
+        offset += 4 * tokens * FUZZ_DIM
+        row += tokens
+    return b"".join(parts), fields, values
+
+
+_U32 = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 5, 6, 255, 2**31 - 1, 2**31, 2**32 - 1]),
+                 st.integers(0, 2**32 - 1))
+_F32 = st.sampled_from([np.nan, np.inf, -np.inf, 3.4e38, -3.4e38, 1e-45, -0.0])
+_EDIT = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 99), _U32),      # a header or record-header field
+    st.tuples(st.just("value"), st.integers(0, 99), _F32),      # a payload value
+    st.tuples(st.just("byte"), st.integers(0, 999), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 999), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 999), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, 999), st.none()),
+    st.tuples(st.just("trailing"), st.none(), st.binary(min_size=1, max_size=12)),
+)
+
+
+@st.composite
+def mutated_layer(draw) -> bytes:
+    """The desk-size layer file after one to three edits: a header field or
+    a record's sentence index or token count set to another 32-bit value, a
+    payload value made non-finite or extreme, a byte overwritten, bytes cut
+    out or put in, the file cut short, or bytes appended."""
+    data, fields, values = _fuzz_layer()
+    data = bytearray(data)
+    for edit, at, arg in draw(st.lists(_EDIT, min_size=1, max_size=3)):
+        if edit == "field":
+            at = fields[at % len(fields)]
+            data[at:at + 4] = struct.pack("<I", arg)
+        elif edit == "value":
+            at = values[at % len(values)]
+            data[at:at + 4] = np.float32(arg).astype("<f4").tobytes()
+        elif edit == "byte" and data:
+            data[at % len(data)] = arg
+        elif edit == "cut":
+            at %= len(data) + 1
+            del data[at:at + arg]
+        elif edit == "insert":
+            at %= len(data) + 1
+            data[at:at] = arg
+        elif edit == "truncate":
+            del data[at % (len(data) + 1):]
+        elif edit == "trailing":
+            data += arg
+    return bytes(data)
+
+
+class TestMutatedLayerFile:
+    """A mutated layer file ends ``probe --mode l2`` with 0 or a named error
+    (exit 3 or 4), never a traceback; when the loader rejects the file, the
+    command exits with that error's code and message."""
+
+    # No shrinking: a failing case is reported as found, within the time budget.
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_layer(), as_reference=st.booleans())
+    def test_probe_l2_ends_in_a_named_error(self, tmp_path, capsys, data, as_reference):
+        dataset = tmp_path / "fuzz.tsv"
+        dataset.write_text("".join(
+            "".join(f"s{s}\tnews\t{t}\tw{t}\tVERB\t{t % 2}\t1\n" for t in range(tokens)) + "\n"
+            for s, tokens in enumerate(FUZZ_TOKENS)))
+        valid = tmp_path / "valid.cemb"
+        valid.write_bytes(_fuzz_layer()[0])
+        mutated = tmp_path / "mutated.cemb"
+        mutated.write_bytes(data)
+        try:
+            load_contextual(mutated, parse_dataset(dataset))
+        except MetaseqError as exc:
+            loaded = exc
+        else:
+            loaded = None
+        files = [mutated, valid] if as_reference else [valid, mutated]
+        capsys.readouterr()
+        code = main(["probe", "--data", str(dataset), "--layer-files", *map(str, files),
+                     "--mode", "l2", "--out", str(tmp_path / "probe")])
+        err = capsys.readouterr().err
+        if loaded is None:
+            assert code in (0, 3, 4), err
+        else:
+            assert (code, err) == (loaded.exit_code, f"error: {loaded}\n")
 
 
 class TestCsvPrecision:

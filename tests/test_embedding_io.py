@@ -19,6 +19,7 @@ from metaseq import tensor_core as tc
 from metaseq.embedding_io import (
     GLOVE_CHUNK_LINES,
     ChannelProvider,
+    ContextualLayerFile,
     _read_exact,
     load_contextual,
     load_static_text,
@@ -40,7 +41,7 @@ from metaseq.tagger_model import MetaphorTagger, ModelConfig
 from metaseq.train_eval import SentenceRecord, TokenRecord
 
 from conftest import static_table, write_contextual
-from helpers import sum_all
+from helpers import peak_bytes, sum_all
 
 
 def float_reference(path) -> dict[str, np.ndarray]:
@@ -480,6 +481,16 @@ class TestContextualCodec:
         assert loaded.sentences == []
         assert loaded.dimension == 8
         assert loaded.all_rows().shape == (0, 8)
+
+    def test_all_rows_allocates_only_its_float64_result(self):
+        rng = np.random.default_rng(3)
+        layer = ContextualLayerFile(2, 64, [rng.normal(size=(n, 64)).astype(np.float32)
+                                            for n in (300, 1, 700)])
+        rows = []
+        peak = peak_bytes(lambda: rows.append(layer.all_rows()))
+        assert rows[0].dtype == np.float64
+        assert rows[0].tobytes() == np.concatenate(layer.sentences).astype(np.float64).tobytes()
+        assert peak < 1.25 * rows[0].nbytes
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "layer.cemb"

@@ -1,5 +1,10 @@
 """Word-pair probes, orthogonal alignment, PCA, and correlation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +18,7 @@ from metaseq.errors import (
     ParameterError,
 )
 from metaseq.space_analysis import (
+    L2_BLOCK_ROWS,
     ORTHOGONALITY_TOL,
     avg_l2,
     avg_pair_cosine,
@@ -22,9 +28,9 @@ from metaseq.space_analysis import (
     procrustes_align,
     svd,
 )
-from metaseq.tensor_core import RngStream
+from metaseq.tensor_core import BLAS_THREAD_VARS, RngStream
 from metaseq.train_eval import SentenceRecord, TokenRecord
-from helpers import random_orthogonal
+from helpers import peak_bytes, random_orthogonal
 
 
 def _sentence(sid, rows):
@@ -180,7 +186,7 @@ class TestProcrustes:
         for d, n in ((2, 4), (3, 6)):
             b = data_rng.normal(size=(n, d))
             e = data_rng.normal(size=(n, d))
-            best = np.linalg.norm(procrustes_align(b, e).rotated - e)
+            best = np.linalg.norm(b @ procrustes_align(b, e).rotation.T - e)
             for _ in range(2000):
                 q = random_orthogonal(d, q_rng)
                 assert best <= np.linalg.norm(b @ q.T - e) + 1e-9
@@ -304,8 +310,77 @@ class TestAvgL2:
         assert avg_l2(e, b) == pytest.approx(3.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError) as info:
             avg_l2(np.zeros((2, 2)), np.zeros((3, 2)))
+        assert str(info.value) == "avg_l2: shapes differ, (2, 2) vs (3, 2)"
+
+    def test_row_blocks_cover_the_rows(self):
+        block = L2_BLOCK_ROWS
+        assert space_analysis._row_blocks(0) == [(0, 0)]
+        assert space_analysis._row_blocks(block - 1) == [(0, block - 1)]
+        assert space_analysis._row_blocks(2 * block - 1) == [(0, 2 * block - 1)]
+        assert space_analysis._row_blocks(3 * block + 5) == [
+            (0, block), (block, 2 * block), (2 * block, 3 * block + 5)]
+
+    @pytest.mark.parametrize("d", [16, 128])
+    @pytest.mark.parametrize("n", [1, L2_BLOCK_ROWS - 1, L2_BLOCK_ROWS, L2_BLOCK_ROWS + 1,
+                                   3 * L2_BLOCK_ROWS + 5])
+    def test_blocks_give_the_bits_of_the_whole_product(self, n, d):
+        rng = np.random.default_rng(n * 1000 + d)
+        e = rng.normal(size=(n, d))
+        b = rng.normal(size=(n, d))
+        w = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        assert avg_l2(e, b) == float(np.mean(np.linalg.norm(e - b, axis=1)))
+        assert avg_l2(e, b, w) == float(np.mean(np.linalg.norm(e - b @ w.T, axis=1)))
+
+
+# Run in a fresh interpreter with one BLAS thread, as bench/run.py sets. At
+# d = 300, blocks of 256 rows round differently from the whole product on
+# OpenBLAS's SkylakeX kernel; blocks of L2_BLOCK_ROWS must not.
+BLOCK_PRODUCTS = """
+import numpy as np
+from metaseq import space_analysis
+rng = np.random.default_rng(300)
+for d in (300, 1024):
+    e, b = rng.normal(size=(2, 3000, d))
+    w = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    whole = b @ w.T
+    for start, stop in space_analysis._row_blocks(len(b)):
+        assert (b[start:stop] @ w.T).tobytes() == whole[start:stop].tobytes(), (d, start, stop)
+    assert space_analysis.avg_l2(e, b, w) == float(np.mean(np.linalg.norm(e - whole, axis=1)))
+"""
+
+
+def test_block_products_are_rows_of_the_whole_product():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    result = subprocess.run([sys.executable, "-c", BLOCK_PRODUCTS], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+class TestAlignmentMemory:
+    """Beyond its inputs, the l2 probe holds d x d matrices and one block of
+    rows: at n = 4096, d = 128, less than half of one (n, d) float64 array."""
+
+    N, D = 4096, 128
+    LIMIT = N * D * 8 // 2
+
+    @pytest.fixture
+    def rows(self):
+        rng = np.random.default_rng(19)
+        e = _planted_rows(rng, self.N, self.D)
+        q = np.linalg.qr(rng.normal(size=(self.D, self.D)))[0]
+        return e, (e + rng.normal(0.0, 0.1, e.shape)) @ q.T, q
+
+    def test_procrustes_align_peak(self, rows):
+        e, b, _ = rows
+        assert peak_bytes(lambda: procrustes_align(b, e)) < self.LIMIT
+
+    def test_rotated_avg_l2_peak(self, rows):
+        e, b, q = rows
+        assert peak_bytes(lambda: avg_l2(e, b, q.T)) < self.LIMIT
 
 
 class TestPca2d:
