@@ -391,10 +391,16 @@ def cmd_probe(args, argv: list[str]) -> int:
                    if tok.target and tok.pos in train_eval.OPEN_CLASS_POS]
         _check_pca_inputs(args.data, len(targets), args.layer_files, layers)
         variance: dict[str, tuple[str, str]] = {}
+        # Each sentence's target token indices, sentences in target order, so
+        # a layer's sentences are read once each and the rows keep that order.
+        positions: dict[int, list[int]] = {}
+        for s, t, _ in targets:
+            positions.setdefault(s, []).append(t)
 
         def one(layer):
-            rows = [layer.sentences[s][t] for s, t, _ in targets]
-            return layer.layer_index, space_analysis.pca_2d(np.asarray(rows, dtype=np.float64))
+            rows = np.concatenate([layer.sentences[s][ts] for s, ts in positions.items()],
+                                  dtype=np.float64)
+            return layer.layer_index, space_analysis.pca_2d(rows)
 
         results = _map_layers(one, layers, args.threads)
         for layer_index, projection in results:

@@ -13,8 +13,9 @@ import pickle
 import signal
 import struct
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import AbstractSet, BinaryIO, Mapping, Sequence
+from typing import AbstractSet, BinaryIO, Mapping
 
 import numpy as np
 
@@ -273,19 +274,77 @@ def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
 # Contextual layer files
 # ---------------------------------------------------------------------------
 
+class _LayerRows(Sequence):
+    """The rows of a checked layer file, one float32 (tokens, dim) matrix
+    per dataset sentence, read from the file on each access.
+
+    Only each sentence's payload offset and token count are held. A read
+    opens the file, checks that it is the file that was checked (device,
+    inode, size and modification time), then checks the record's size
+    and values again; any difference is a FormatError naming the file and
+    sentence, never a silent misread. A change that keeps the size and the
+    modification time, and writes only finite values, cannot be seen.
+    """
+
+    def __init__(self, path, dimension: int, offsets: np.ndarray, tokens: np.ndarray,
+                 identity: tuple):
+        self.path = path
+        self.dimension = dimension
+        self.offsets = offsets      # int64 byte offset of each sentence's payload
+        self.tokens = tokens        # its token count, so all_rows need not read
+        self.identity = identity
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        index = range(len(self))[index]   # IndexError past the end ends iteration
+        rows = np.empty((int(self.tokens[index]), self.dimension), dtype="<f4")
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            if _identity(os.fstat(fd)) != self.identity:
+                raise FormatError(f"{self.path}: sentence {index}: file changed "
+                                  f"since it was checked")
+            got = os.preadv(fd, [rows], int(self.offsets[index]))
+        finally:
+            os.close(fd)
+        if got != rows.nbytes:
+            raise TruncatedError(f"{self.path}: sentence {index}: file ended while "
+                                 f"reading its payload")
+        if not np.isfinite(rows).all():
+            raise FormatError(f"{self.path}: sentence {index}: non-finite value")
+        return rows
+
+
 @dataclass
 class ContextualLayerFile:
-    """Per-sentence token vectors extracted from one layer of a frozen encoder."""
+    """Per-sentence token vectors extracted from one layer of a frozen encoder.
+
+    ``sentences[i]`` is dataset sentence i's float32 (tokens, dim) matrix.
+    ``load_contextual`` gives a sequence that reads each from the file when
+    it is indexed; a list of matrices works the same way.
+    """
 
     layer_index: int
     dimension: int
-    sentences: list[np.ndarray]  # float32 (tokens, dim) per dataset sentence, in order
+    sentences: Sequence[np.ndarray]
 
     def all_rows(self) -> np.ndarray:
-        """Every token vector, sentences in dataset order, as one (N, dim) array."""
-        if not self.sentences:
-            return np.zeros((0, self.dimension))
-        return np.concatenate(self.sentences, axis=0, dtype=np.float64)
+        """Every token vector, sentences in dataset order, as one (N, dim)
+        float64 array, filled one sentence at a time."""
+        counts = getattr(self.sentences, "tokens", None)   # a file's, known without a read
+        if counts is None:
+            counts = [len(rows) for rows in self.sentences]
+        out = np.empty((int(np.sum(counts)), self.dimension))
+        start = 0
+        for index, count in enumerate(counts):   # one sentence's rows alive at a time
+            out[start:start + count] = self.sentences[index]
+            start += count
+        return out
+
+
+def _identity(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
@@ -303,12 +362,20 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
 
 def load_contextual(path, sentences: Sequence, dimension: int | None = None
                     ) -> ContextualLayerFile:
-    """Read a contextual layer file that must hold exactly sentences 0..N-1 of
-    the dataset ``sentences``, one row per token, of ``dimension`` values
-    when one is given (checked at the header). Each record's index and row
-    count are checked before its payload is read, its size and values after;
-    a sentence the file lacks is reported once every record has been read."""
+    """Check a contextual layer file that must hold exactly sentences 0..N-1
+    of the dataset ``sentences``, one row per token, of ``dimension`` values
+    when one is given (checked at the header), in one streaming pass. Each
+    record's index and row count are checked before its payload is read,
+    its size and values after; a sentence the file lacks is reported once
+    every record has been read.
+
+    No row is kept: the layer's ``sentences`` holds each payload's offset
+    and token count and reads the rows when indexed (``_LayerRows``), so
+    the file costs O(sentences) memory, not O(tokens)."""
+    offsets = np.full(len(sentences), -1, dtype=np.int64)
+    tokens_of = np.zeros(len(sentences), dtype=np.int64)
     with open(path, "rb") as fh:
+        identity = _identity(os.fstat(fh.fileno()))
         magic = _read_exact(fh, 4, "magic")
         if magic != CONTEXTUAL_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}, expected {CONTEXTUAL_MAGIC!r}")
@@ -321,30 +388,32 @@ def load_contextual(path, sentences: Sequence, dimension: int | None = None
         if dimension is not None and width != dimension:
             raise CompatibilityError(f"{path}: layer dimension {width} != configured "
                                      f"unified dimension {dimension}")
-        rows: list[np.ndarray | None] = [None] * len(sentences)
         for _ in range(count):
             idx, tokens = struct.unpack("<II", _read_exact(fh, 8, "sentence header"))
             if idx >= len(sentences):
                 raise AlignmentError(f"{path}: sentence {idx}: {tokens} rows, "
                                      f"but the dataset has {len(sentences)} sentences")
-            if rows[idx] is not None:
+            if offsets[idx] >= 0:
                 raise FormatError(f"{path}: duplicate sentence index {idx}")
             sentence = sentences[idx]
             if tokens != len(sentence.tokens):
                 raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
                                      f"{tokens} rows for {len(sentence.tokens)} tokens")
+            offsets[idx] = fh.tell()
+            tokens_of[idx] = tokens
             payload = _read_exact(fh, 4 * tokens * width, f"sentence {idx} payload")
-            mat = np.frombuffer(payload, dtype="<f4").reshape(tokens, width)
-            if not np.isfinite(mat).all():
+            if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
                 raise FormatError(f"{path}: sentence {idx}: non-finite value")
-            rows[idx] = mat.copy()
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after declared sentences")
-    for idx, (mat, sentence) in enumerate(zip(rows, sentences)):
-        if mat is None:
-            raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
-                                 f"no rows for {len(sentence.tokens)} tokens")
-    return ContextualLayerFile(layer_index, width, rows)
+    missing = np.flatnonzero(offsets < 0)
+    if missing.size:
+        idx = int(missing[0])
+        sentence = sentences[idx]
+        raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
+                             f"no rows for {len(sentence.tokens)} tokens")
+    return ContextualLayerFile(layer_index, width,
+                               _LayerRows(path, width, offsets, tokens_of, identity))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from metaseq import cli
+from metaseq import cli, embedding_io
 from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import (
     CONTEXTUAL_MAGIC,
@@ -17,7 +18,13 @@ from metaseq.embedding_io import (
     load_contextual,
 )
 from metaseq.errors import MetaseqError, ParameterError, ParseError
-from metaseq.tagger_model import MetaphorTagger, ModelConfig
+from metaseq.tagger_model import (
+    Checkpoint,
+    MetaphorTagger,
+    ModelConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 from metaseq.train_eval import parse_dataset
 from conftest import DATA_DIR, build_separable_corpus, write_contextual, write_corpus_files
 
@@ -342,6 +349,27 @@ class TestEvalCommand:
         monkeypatch.setattr(MetaphorTagger, "predict_probs", predict_hook)
         assert main(self._eval_args(paths, trained, tmp_path / "eval")) == 0
         assert calls == [(step, i) for i in range(8) for step in ("channels", "predict")]
+
+    def test_layer_file_changed_before_scoring_is_exit_3(self, corpus_files, trained, tmp_path,
+                                                          capsys, monkeypatch):
+        _, paths = corpus_files
+        layer = tmp_path / "E.cemb"
+        layer.write_bytes(paths["E"].read_bytes())
+        channels = ChannelProvider.channels
+
+        def channels_after_a_change(self, sent, index):
+            with open(layer, "ab") as fh:     # the file grows after load_contextual checked it
+                fh.write(b"\0")
+            return channels(self, sent, index)
+
+        monkeypatch.setattr(ChannelProvider, "channels", channels_after_a_change)
+        out = tmp_path / "eval"
+        args = self._eval_args(paths, trained, out)
+        args[args.index("--layers") + 1] = str(layer)
+        assert main(args) == 3
+        assert capsys.readouterr().err == (
+            f"error: {layer}: sentence 0: file changed since it was checked\n")
+        assert not out.exists()
 
     def test_layer_dimension_mismatch_is_exit_3(self, corpus_files, trained, tmp_path,
                                                 capsys):
@@ -754,6 +782,40 @@ class TestProbeCommand:
                             manifest["explained_variance"]))
         assert outputs[0] == outputs[1]
 
+    def test_pca_reads_each_target_sentence_once_per_layer(self, tmp_path, monkeypatch):
+        # (pos, target) per token; sentences 1, 2 and 5 hold no open-class target
+        spec = [[("NOUN", 1), ("DET", 0), ("VERB", 1)], [("DET", 1), ("NOUN", 0)],
+                [("ADP", 0)], [("ADJ", 0), ("NOUN", 1), ("ADV", 1)], [("VERB", 1)],
+                [("DET", 1), ("VERB", 0)]]
+        data = tmp_path / "mixed.tsv"
+        data.write_text("".join(
+            "".join(f"s{s}\tnews\t{t}\tw{s}_{t}\t{pos}\t0\t{target}\n"
+                    for t, (pos, target) in enumerate(tokens)) + "\n"
+            for s, tokens in enumerate(spec)))
+        rng = np.random.default_rng(3)
+        layers = []
+        for k in range(2):
+            layers.append(tmp_path / f"layer{k}.cemb")
+            write_contextual(layers[-1], k, 4, {
+                s: rng.normal(size=(len(tokens), 4)).astype(np.float32)
+                for s, tokens in enumerate(spec)})
+        reads = []
+        getitem = embedding_io._LayerRows.__getitem__
+
+        def counted(self, index):
+            reads.append((str(self.path), index))
+            return getitem(self, index)
+
+        monkeypatch.setattr(embedding_io._LayerRows, "__getitem__", counted)
+        out = tmp_path / "pca"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", "pca", "--threads", "2", "--out", str(out)]) == 0
+        assert sorted(reads) == [(str(p), s) for p in layers for s in (0, 3, 4)]
+        for k in range(2):
+            lines = (out / f"pca_layer{k}.csv").read_text().splitlines()[1:]
+            assert [line.split(",")[0] for line in lines] == [
+                "w0_0", "w0_2", "w3_1", "w3_2", "w4_0"]
+
     def test_pca_with_two_open_class_tokens_is_data_error(self, tmp_path, capsys):
         data = self._one_token_corpus(tmp_path, 2)
         layer = tmp_path / "two.cemb"
@@ -880,6 +942,136 @@ class TestMutatedLayerFile:
         else:
             assert (code, err) == (loaded.exit_code, f"error: {loaded}\n")
 
+
+
+@pytest.fixture(scope="module")
+def desk_eval(tmp_path_factory):
+    """Inputs of a two-sentence ``eval`` and the bytes of an untrained desk
+    checkpoint that scores them."""
+    corpus = build_separable_corpus(n_sentences=2, seed=5)
+    paths = write_corpus_files(corpus, tmp_path_factory.mktemp("desk"))
+    model = MetaphorTagger(corpus.config)
+    ckpt = paths["data"].parent / "desk.mseq"
+    save_checkpoint(Checkpoint(model.config, {n: t.data for n, t in model.params.items()},
+                               1, 0.5), ckpt)
+    return paths, ckpt.read_bytes()
+
+
+def _checkpoint_layout(data: bytes) -> tuple[list[int], list[int]]:
+    """The offsets of a well-formed checkpoint's 32-bit fields (version,
+    blob length, and each parameter's name length, rank and dims) and of
+    its float64 payload values."""
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    fields, values, at = [4, 8], [], 12 + blob_len
+    while at < len(data):
+        (name_len,) = struct.unpack_from("<I", data, at)
+        fields.append(at)
+        at += 4 + name_len
+        (rank,) = struct.unpack_from("<I", data, at)
+        fields += range(at, at + 4 + 4 * rank, 4)
+        shape = struct.unpack_from(f"<{rank}I", data, at + 4)
+        at += 4 + 4 * rank
+        values += range(at, at + 8 * math.prod(shape), 8)
+        at += 8 * math.prod(shape)
+    return fields, values
+
+
+_CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(ModelConfig))
+_JSON = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(0, 40), st.floats(0.0, 1.0),
+    st.sampled_from([0, 1, -1, 2, 16, 17, 2**31, 2**64, 10**400, 0.5, 1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.integers(-1, 6), st.sampled_from(["G", "E", "B", "VERB"])),
+             max_size=4))
+_F64 = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -0.0, 1e3])
+_CKPT_EDIT = st.one_of(
+    st.tuples(st.just("magic"), st.integers(0, 3), st.integers(0, 255)),
+    st.tuples(st.just("field"), st.integers(0, 999), _U32),     # version, blob length, names, ranks, dims
+    st.tuples(st.just("blob"), st.integers(0, 9999), st.sampled_from(b'{}[]",:0123456789.-eE tfnNI')),
+    st.tuples(st.just("value"), st.integers(0, 99999), _F64),   # a payload value
+    st.tuples(st.just("byte"), st.integers(0, 99999), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 99999), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 99999), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("truncate"), st.integers(0, 99999), st.none()),
+    st.tuples(st.just("trailing"), st.none(), st.binary(min_size=1, max_size=12)),
+)
+
+
+@st.composite
+def mutated_checkpoint(draw, valid: bytes) -> bytes:
+    """The desk checkpoint after an optional change to one key of its JSON
+    blob (a config field, the epoch, the dev F1 or an unknown key; the blob
+    length follows it), then up to three edits: a magic byte, a 32-bit
+    field set to another value, a blob byte set to a JSON character, a
+    payload value made non-finite or extreme, a byte overwritten, bytes cut
+    out or put in, the file cut short, or bytes appended."""
+    data = valid
+    change = draw(st.none() | st.tuples(
+        st.sampled_from(_CONFIG_KEYS + ["epoch", "dev_f1", "bogus"]), _JSON))
+    if change is not None:
+        (blob_len,) = struct.unpack_from("<I", data, 8)
+        meta = json.loads(data[12:12 + blob_len])
+        key, value = change
+        (meta["config"] if key in _CONFIG_KEYS else meta)[key] = value
+        blob = json.dumps(meta).encode("utf-8")
+        data = data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len:]
+    fields, values = _checkpoint_layout(data)
+    (blob_len,) = struct.unpack_from("<I", data, 8)
+    data = bytearray(data)
+    for edit, at, arg in draw(st.lists(_CKPT_EDIT, min_size=0 if change else 1, max_size=3)):
+        if edit == "magic":
+            data[at] = arg
+        elif edit == "field":
+            at = fields[at % len(fields)]
+            data[at:at + 4] = struct.pack("<I", arg)
+        elif edit == "blob":
+            data[12 + at % blob_len] = arg
+        elif edit == "value":
+            at = values[at % len(values)]
+            data[at:at + 8] = struct.pack("<d", arg)
+        elif edit == "byte":
+            data[at % len(data)] = arg
+        elif edit == "cut":
+            at %= len(data) + 1
+            del data[at:at + arg]
+        elif edit == "insert":
+            at %= len(data) + 1
+            data[at:at] = arg
+        elif edit == "truncate":
+            del data[at % (len(data) + 1):]
+        elif edit == "trailing":
+            data += arg
+    return bytes(data)
+
+
+class TestMutatedCheckpoint:
+    """A mutated checkpoint ends ``eval`` with 0 or a named error (exit 2,
+    3 or 4), never a traceback; when ``load_checkpoint`` rejects the file,
+    the command exits with that error's code and message."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_eval_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data):
+        paths, valid = desk_eval
+        ckpt = tmp_path / "mutated.mseq"
+        ckpt.write_bytes(data.draw(mutated_checkpoint(valid)))
+        try:
+            load_checkpoint(ckpt)
+        except MetaseqError as exc:
+            loaded = exc
+        else:
+            loaded = None
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(paths["data"]),
+                     "--glove", str(paths["glove"]),
+                     "--layers", str(paths["E"]), str(paths["B"]),
+                     "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        if loaded is None:
+            assert code in (0, 2, 3, 4), err
+        else:
+            assert (code, err) == (loaded.exit_code, f"error: {loaded}\n")
 
 class TestCsvPrecision:
     def test_six_decimal_round_trip(self, corpus_files, trained, tmp_path):

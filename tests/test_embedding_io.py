@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -478,7 +479,7 @@ class TestContextualCodec:
         p = tmp_path / "layer.cemb"
         write_contextual(p, 3, 8, {})
         loaded = load_contextual(p, [])
-        assert loaded.sentences == []
+        assert list(loaded.sentences) == []
         assert loaded.dimension == 8
         assert loaded.all_rows().shape == (0, 8)
 
@@ -581,7 +582,7 @@ class TestLoadAgainstDataset:
     def test_aligned_file_passes(self, tmp_path):
         p = self._write(tmp_path, {0: (2, 4), 1: (3, 4)})
         layer = load_contextual(p, _dataset(2, 3))
-        assert [m.shape for m in layer.sentences] == [(2, 4), (3, 4)]
+        assert [m.shape for m in list(layer.sentences)] == [(2, 4), (3, 4)]
 
     def test_missing_sentence_is_alignment_error(self, tmp_path):
         p = tmp_path / "layer.cemb"
@@ -649,7 +650,7 @@ class TestLoadAgainstDataset:
         p = tmp_path / "l.cemb"
         p.write_bytes(_records((1, 3), (0, 2)))
         layer = load_contextual(p, _dataset(2, 3))
-        assert [m.shape for m in layer.sentences] == [(2, 4), (3, 4)]
+        assert [m.shape for m in list(layer.sentences)] == [(2, 4), (3, 4)]
         np.testing.assert_array_equal(layer.sentences[1], np.full((3, 4), 2.0))
         np.testing.assert_array_equal(layer.all_rows()[:, 0], [1, 1, 2, 2, 2])
 
@@ -664,6 +665,103 @@ class TestLoadAgainstDataset:
             load_contextual(p, _dataset(2, 3))
         assert load_contextual(self._write(tmp_path, {0: (2, 4)}), _dataset(2),
                                dimension=4).dimension == 4
+
+
+# About 10 MB of float32 rows: 2,000 sentences of 20 tokens at d = 64.
+BIG_SENTENCES, BIG_TOKENS, BIG_DIM = 2000, 20, 64
+BIG_RECORD = 4 * BIG_TOKENS * BIG_DIM   # one sentence's payload bytes
+
+
+@pytest.fixture(scope="module")
+def big_layer(tmp_path_factory):
+    rng = np.random.default_rng(8)
+    p = tmp_path_factory.mktemp("big") / "layer.cemb"
+    write_contextual(p, 1, BIG_DIM, {
+        i: rng.normal(size=(BIG_TOKENS, BIG_DIM)).astype(np.float32)
+        for i in range(BIG_SENTENCES)})
+    return p, _dataset(*[BIG_TOKENS] * BIG_SENTENCES)
+
+
+class TestRowsReadWhenUsed:
+    """A loaded layer holds each sentence's payload offset and token count,
+    reads the rows when indexed, and ends in a FormatError naming the file
+    and sentence when the file is no longer the one it checked."""
+
+    def test_load_retains_no_rows(self, big_layer):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            layer = load_contextual(*big_layer)
+            retained, peak = (n - start for n in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(layer.sentences) == BIG_SENTENCES
+        assert retained <= 256 * BIG_SENTENCES
+        assert peak - retained < 4 * BIG_RECORD
+
+    def test_all_rows_holds_its_result_and_at_most_two_records(self, big_layer):
+        layer = load_contextual(*big_layer)
+        rows = []
+        peak = peak_bytes(lambda: rows.append(layer.all_rows()))
+        assert peak <= rows[0].nbytes + 2 * BIG_RECORD
+        assert rows[0].tobytes() == np.concatenate(
+            list(layer.sentences)).astype(np.float64).tobytes()
+
+    @staticmethod
+    def _loaded(tmp_path):
+        p = tmp_path / "l.cemb"
+        p.write_bytes(_records((0, 2), (1, 3)))
+        return p, load_contextual(p, _dataset(2, 3))
+
+    def test_a_sequence_of_the_dataset_sentences(self, tmp_path):
+        _, layer = self._loaded(tmp_path)
+        assert len(layer.sentences) == 2
+        np.testing.assert_array_equal(layer.sentences[-1], np.full((3, 4), 2.0))
+        with pytest.raises(IndexError):
+            layer.sentences[2]
+        first = layer.sentences[0]
+        first[0, 0] = 9.0       # each read is fresh memory
+        np.testing.assert_array_equal(layer.sentences[0], np.full((2, 4), 1.0))
+
+    @staticmethod
+    def _overwrite_last_value(p, value: float) -> None:
+        with open(p, "r+b") as fh:
+            fh.seek(-4, os.SEEK_END)
+            fh.write(np.float32(value).astype("<f4").tobytes())
+
+    @pytest.mark.parametrize("change", ["other-values", "replaced", "truncated", "appended"])
+    def test_file_changed_after_its_check_is_format_error(self, tmp_path, change):
+        p, layer = self._loaded(tmp_path)
+        raw, st = p.read_bytes(), os.stat(p)
+        if change == "other-values":     # same size, finite values, written in place
+            self._overwrite_last_value(p, 7.0)
+            # a later write: set here, since two writes within the file
+            # system's timestamp granularity can share a modification time
+            os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        elif change == "replaced":       # the same bytes in a new file renamed over it
+            (tmp_path / "new").write_bytes(raw)
+            os.replace(tmp_path / "new", p)
+        elif change == "truncated":
+            p.write_bytes(raw[:-4])
+        else:
+            p.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError) as info:
+            layer.sentences[1]
+        assert str(info.value) == f"{p}: sentence 1: file changed since it was checked"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 0: file changed")):
+            layer.all_rows()
+
+    def test_nan_written_in_place_is_caught_by_the_value_check(self, tmp_path):
+        p, layer = self._loaded(tmp_path)
+        st = os.stat(p)
+        self._overwrite_last_value(p, np.nan)
+        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))   # the identity check cannot see it
+        np.testing.assert_array_equal(layer.sentences[0], np.full((2, 4), 1.0))
+        with pytest.raises(FormatError) as info:
+            layer.sentences[1]
+        assert str(info.value) == f"{p}: sentence 1: non-finite value"
+        with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 1: non-finite value")):
+            layer.all_rows()
 
 
 def projector(w, b) -> MetaphorTagger:
