@@ -20,8 +20,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, space_analysis, tagger_model, train_eval
 from .embedding_io import ChannelProvider, load_contextual, load_static_text
 from .errors import (
@@ -349,7 +347,7 @@ def cmd_probe(args, argv: list[str]) -> int:
 
     if args.mode == "cosine":
         pairs = space_analysis.build_pairs(sentences, seed)
-        if not pairs.pairs:
+        if not pairs:
             raise InputError(f"{args.data}: no word has both a metaphoric and a literal "
                              f"target token, cosine needs at least one such pair")
 
@@ -361,6 +359,10 @@ def cmd_probe(args, argv: list[str]) -> int:
             f"{layer_index},{_fmt(value)},{len(pairs)}\n" for layer_index, value in rows)
 
     elif args.mode == "l2":
+        for path, layer in zip(args.layer_files[1:], layers[1:]):
+            if layer.dimension != layers[0].dimension:
+                raise InputError(f"{path}: dimension {layer.dimension}, but the reference "
+                                 f"{args.layer_files[0]} has dimension {layers[0].dimension}")
         reference = layers[0].all_rows()
 
         def one(layer):
@@ -391,16 +393,10 @@ def cmd_probe(args, argv: list[str]) -> int:
                    if tok.target and tok.pos in train_eval.OPEN_CLASS_POS]
         _check_pca_inputs(args.data, len(targets), args.layer_files, layers)
         variance: dict[str, tuple[str, str]] = {}
-        # Each sentence's target token indices, sentences in target order, so
-        # a layer's sentences are read once each and the rows keep that order.
-        positions: dict[int, list[int]] = {}
-        for s, t, _ in targets:
-            positions.setdefault(s, []).append(t)
+        positions = [(s, t) for s, t, _ in targets]
 
         def one(layer):
-            rows = np.concatenate([layer.sentences[s][ts] for s, ts in positions.items()],
-                                  dtype=np.float64)
-            return layer.layer_index, space_analysis.pca_2d(rows)
+            return layer.layer_index, space_analysis.pca_2d(layer.gather(positions))
 
         results = _map_layers(one, layers, args.threads)
         for layer_index, projection in results:

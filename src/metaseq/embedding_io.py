@@ -274,32 +274,31 @@ def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
 # Contextual layer files
 # ---------------------------------------------------------------------------
 
-class _LayerRows(Sequence):
-    """The rows of a checked layer file, one float32 (tokens, dim) matrix
-    per dataset sentence, read from the file on each access.
-
-    Only each sentence's payload offset and token count are held. A read
-    opens the file, checks that it is the file that was checked (device,
-    inode, size and modification time), then checks the record's size
-    and values again; any difference is a FormatError naming the file and
-    sentence, never a silent misread. A change that keeps the size and the
-    modification time, and writes only finite values, cannot be seen.
+@dataclass
+class ContextualLayerFile:
+    """One layer file checked by ``load_contextual``, which alone builds it:
+    its identity (device, inode, size, modification time) and each dataset
+    sentence's payload offset and token count, but no rows. ``rows(i)``
+    reads sentence i's float32 (tokens, dim) matrix; ``gather`` and
+    ``all_rows`` read each record they need once through it. Every read
+    checks the identity, then the record's size and values: a difference
+    is a FormatError naming the file and sentence. A change that keeps the
+    size and modification time and writes only finite values is not seen.
     """
 
-    def __init__(self, path, dimension: int, offsets: np.ndarray, tokens: np.ndarray,
-                 identity: tuple):
-        self.path = path
-        self.dimension = dimension
-        self.offsets = offsets      # int64 byte offset of each sentence's payload
-        self.tokens = tokens        # its token count, so all_rows need not read
-        self.identity = identity
+    path: object
+    layer_index: int
+    dimension: int
+    offsets: np.ndarray       # int64 byte offset of each sentence's payload
+    token_counts: np.ndarray  # its token count, so all_rows need not read
+    identity: tuple
 
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        index = range(len(self))[index]   # IndexError past the end ends iteration
-        rows = np.empty((int(self.tokens[index]), self.dimension), dtype="<f4")
+    def rows(self, index: int) -> np.ndarray:
+        """Dataset sentence ``index``'s rows, fresh memory on each call;
+        IndexError outside 0..N-1."""
+        if not 0 <= index < len(self.offsets):
+            raise IndexError(f"{self.path}: no sentence {index}")
+        rows = np.empty((int(self.token_counts[index]), self.dimension), dtype="<f4")
         fd = os.open(self.path, os.O_RDONLY)
         try:
             if _identity(os.fstat(fd)) != self.identity:
@@ -315,30 +314,25 @@ class _LayerRows(Sequence):
             raise FormatError(f"{self.path}: sentence {index}: non-finite value")
         return rows
 
-
-@dataclass
-class ContextualLayerFile:
-    """Per-sentence token vectors extracted from one layer of a frozen encoder.
-
-    ``sentences[i]`` is dataset sentence i's float32 (tokens, dim) matrix.
-    ``load_contextual`` gives a sequence that reads each from the file when
-    it is indexed; a list of matrices works the same way.
-    """
-
-    layer_index: int
-    dimension: int
-    sentences: Sequence[np.ndarray]
+    def gather(self, positions: Sequence[tuple[int, int]]) -> np.ndarray:
+        """The float64 rows at ``(sentence, token)`` positions, as one
+        (len(positions), dim) array in their order; each sentence's record
+        is read once, one alive at a time."""
+        out = np.empty((len(positions), self.dimension))
+        slots: dict[int, list[int]] = {}   # sentence -> the positions that name it
+        for slot, (sentence, _) in enumerate(positions):
+            slots.setdefault(sentence, []).append(slot)
+        for sentence, taken in slots.items():
+            out[taken] = self.rows(sentence)[[positions[k][1] for k in taken]]
+        return out
 
     def all_rows(self) -> np.ndarray:
         """Every token vector, sentences in dataset order, as one (N, dim)
         float64 array, filled one sentence at a time."""
-        counts = getattr(self.sentences, "tokens", None)   # a file's, known without a read
-        if counts is None:
-            counts = [len(rows) for rows in self.sentences]
-        out = np.empty((int(np.sum(counts)), self.dimension))
+        out = np.empty((int(self.token_counts.sum()), self.dimension))
         start = 0
-        for index, count in enumerate(counts):   # one sentence's rows alive at a time
-            out[start:start + count] = self.sentences[index]
+        for index, count in enumerate(self.token_counts):
+            out[start:start + count] = self.rows(index)
             start += count
         return out
 
@@ -369,9 +363,8 @@ def load_contextual(path, sentences: Sequence, dimension: int | None = None
     its size and values after; a sentence the file lacks is reported once
     every record has been read.
 
-    No row is kept: the layer's ``sentences`` holds each payload's offset
-    and token count and reads the rows when indexed (``_LayerRows``), so
-    the file costs O(sentences) memory, not O(tokens)."""
+    No row is kept: the layer reads them when used, so the file costs
+    O(sentences) memory, not O(tokens)."""
     offsets = np.full(len(sentences), -1, dtype=np.int64)
     tokens_of = np.zeros(len(sentences), dtype=np.int64)
     with open(path, "rb") as fh:
@@ -412,8 +405,7 @@ def load_contextual(path, sentences: Sequence, dimension: int | None = None
         sentence = sentences[idx]
         raise AlignmentError(f"{path}: sentence {idx} ({sentence.sentence_id}): "
                              f"no rows for {len(sentence.tokens)} tokens")
-    return ContextualLayerFile(layer_index, width,
-                               _LayerRows(path, width, offsets, tokens_of, identity))
+    return ContextualLayerFile(path, layer_index, width, offsets, tokens_of, identity)
 
 
 # ---------------------------------------------------------------------------
@@ -481,5 +473,5 @@ class ChannelProvider:
             if name == "G":
                 out[name] = np.stack([self._static_row(t) for t in sentence.tokens])
             else:
-                out[name] = self.layer_files[name].sentences[index].astype(np.float64)
+                out[name] = self.layer_files[name].rows(index).astype(np.float64)
         return out

@@ -79,16 +79,7 @@ class WordPair:
     literal: Occurrence
 
 
-@dataclass
-class WordPairSet:
-    pairs: list[WordPair]
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def build_pairs(sentences: Sequence[SentenceRecord], seed: int = 0) -> WordPairSet:
+def build_pairs(sentences: Sequence[SentenceRecord], seed: int = 0) -> list[WordPair]:
     """One (metaphoric, literal) occurrence pair per dual-labelled surface form.
 
     Only target tokens participate. When a form occurs several times under
@@ -108,21 +99,22 @@ def build_pairs(sentences: Sequence[SentenceRecord], seed: int = 0) -> WordPairS
         m_occ = met[word][rng.choice(len(met[word]))]
         l_occ = lit[word][rng.choice(len(lit[word]))]
         pairs.append(WordPair(word, m_occ, l_occ))
-    return WordPairSet(pairs, seed)
+    return pairs
 
 
-def avg_pair_cosine(pair_set: WordPairSet, layer) -> float:
+def avg_pair_cosine(pairs: Sequence[WordPair], layer) -> float:
     """Mean cosine between the two occurrences of every pair (lower = the
     layer separates the senses better). ``layer`` must be read against the
-    dataset the pairs were built from (``embedding_io.load_contextual``)."""
-    if not pair_set.pairs:
+    dataset the pairs were built from (``embedding_io.load_contextual``);
+    its records are read once each."""
+    if not pairs:
         raise DegeneracyError("word-pair set is empty")
+    rows = layer.gather([(occ.sentence_index, occ.token_index)
+                         for pair in pairs for occ in (pair.metaphor, pair.literal)])
     total = 0.0
-    for pair in pair_set.pairs:
-        met, lit = pair.metaphor, pair.literal
-        total += cosine(layer.sentences[met.sentence_index][met.token_index],
-                        layer.sentences[lit.sentence_index][lit.token_index])
-    return total / len(pair_set.pairs)
+    for met, lit in zip(rows[0::2], rows[1::2]):
+        total += cosine(met, lit)
+    return total / len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ class MetaphorTagger:
         return tc.lstm(act, self.params[f"{prefix}_wx"], self.params[f"{prefix}_wh"],
                        self.params[f"{prefix}_b"], reverse)
 
-    def forward(self, stack: tc.Tensor, rng: tc.RngStream, training: bool) -> tc.Tensor:
+    def forward(self, stack: tc.Tensor, rng: tc.RngStream | None, training: bool) -> tc.Tensor:
         """Per-token class probabilities, shape (n, 2)."""
         cfg = self.config
         channels, _, dimension = stack.shape
@@ -285,8 +285,7 @@ class MetaphorTagger:
     def predict_probs(self, channels: Mapping[str, np.ndarray]) -> np.ndarray:
         """Inference probabilities (n, 2); no tape, no dropout."""
         stack = self.build_stack(channels)
-        rng = tc.RngStream(0)  # unused: dropout is inactive outside training
-        return self.forward(stack, rng, training=False).data.copy()
+        return self.forward(stack, None, training=False).data.copy()
 
     @classmethod
     def from_checkpoint(cls, checkpoint: Checkpoint) -> "MetaphorTagger":

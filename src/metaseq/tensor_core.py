@@ -460,7 +460,7 @@ def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: RngStream | None, training: bool) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")

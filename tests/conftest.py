@@ -15,6 +15,7 @@ from metaseq.embedding_io import (
     ChannelProvider,
     ContextualLayerFile,
     StaticEmbeddingTable,
+    load_contextual,
 )
 from metaseq.errors import DimensionError
 from metaseq.tagger_model import ModelConfig
@@ -42,14 +43,17 @@ class SynthCorpus:
     config: ModelConfig
 
 
-def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
+def build_separable_corpus(directory, n_sentences=20, dim=16, static_dim=8, seed=42,
                            noise=0.25, margin=1.0, metaphor_rate=0.4,
                            kernels_per_window=4, hidden_size=8,
                            learning_rate=0.2, epochs=300) -> SynthCorpus:
     """Sentences whose channel embeddings separate the two labels linearly:
     the projection onto a fixed direction mu is exactly +margin for
     metaphoric tokens and -margin for literal ones; noise lives in the
-    orthogonal complement, so separability holds at any noise scale."""
+    orthogonal complement, so separability holds at any noise scale.
+
+    The E and B rows are written to ``directory`` as ``layer_E.cemb`` and
+    ``layer_B.cemb`` and loaded from there with ``load_contextual``."""
     rng = np.random.default_rng(seed)
 
     def unit(size):
@@ -84,8 +88,12 @@ def build_separable_corpus(n_sentences=20, dim=16, static_dim=8, seed=42,
         b_sents.append(b_mat)
 
     table = static_table(static_dim, glove)
-    layers = {"E": ContextualLayerFile(1, dim, e_sents),
-              "B": ContextualLayerFile(2, dim, b_sents)}
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    layers = {}
+    for name, layer_index, mats in (("E", 1, e_sents), ("B", 2, b_sents)):
+        path = Path(directory) / f"layer_{name}.cemb"
+        write_contextual(path, layer_index, dim, dict(enumerate(mats)))
+        layers[name] = load_contextual(path, sentences)
     provider = ChannelProvider(("G", "E", "B"), table, layers)
     config = ModelConfig(unified_dim=dim, static_dim=static_dim,
                          kernels_per_window=kernels_per_window,
@@ -112,8 +120,14 @@ def write_contextual(path, layer_index: int, dimension: int,
             fh.write(mat.tobytes())
 
 
+def layer_records(layer: ContextualLayerFile) -> dict[int, np.ndarray]:
+    """Every record of a loaded layer file, by dataset sentence index."""
+    return {i: layer.rows(i) for i in range(len(layer.offsets))}
+
+
 def write_corpus_files(corpus: SynthCorpus, out_dir: Path) -> dict[str, Path]:
-    """Materialize a corpus as the file formats the CLI consumes."""
+    """Materialize a corpus as the file formats the CLI consumes; the layer
+    paths are those its files were loaded from."""
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / "data.tsv"
     with open(data_path, "w", encoding="utf-8") as fh:
@@ -129,16 +143,13 @@ def write_corpus_files(corpus: SynthCorpus, out_dir: Path) -> dict[str, Path]:
             fh.write(word + " " + " ".join(f"{v:.8f}" for v in vec) + "\n")
     paths = {"data": data_path, "glove": glove_path}
     for name, layer in corpus.layer_files.items():
-        p = out_dir / f"layer_{name}.cemb"
-        write_contextual(p, layer.layer_index, layer.dimension,
-                         dict(enumerate(layer.sentences)))
-        paths[name] = p
+        paths[name] = Path(layer.path)
     return paths
 
 
 @pytest.fixture(scope="session")
-def separable_corpus() -> SynthCorpus:
-    return build_separable_corpus()
+def separable_corpus(tmp_path_factory) -> SynthCorpus:
+    return build_separable_corpus(tmp_path_factory.mktemp("separable"))
 
 
 @pytest.fixture()

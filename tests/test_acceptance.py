@@ -56,8 +56,8 @@ def test_criterion1_gradient_fidelity():
 # 2. Overfit oracle
 # ---------------------------------------------------------------------------
 
-def test_criterion2_overfit_oracle():
-    corpus = build_separable_corpus(n_sentences=20, dim=16, seed=42, noise=1.0,
+def test_criterion2_overfit_oracle(tmp_path):
+    corpus = build_separable_corpus(tmp_path, n_sentences=20, dim=16, seed=42, noise=1.0,
                                     learning_rate=0.2, epochs=300)
     history = []
     start = time.monotonic()

@@ -18,6 +18,7 @@ from metaseq.embedding_io import (
     load_contextual,
 )
 from metaseq.errors import MetaseqError, ParameterError, ParseError
+from metaseq.linguistic_features import cosine
 from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
@@ -26,13 +27,19 @@ from metaseq.tagger_model import (
     save_checkpoint,
 )
 from metaseq.train_eval import parse_dataset
-from conftest import DATA_DIR, build_separable_corpus, write_contextual, write_corpus_files
+from conftest import (
+    DATA_DIR,
+    build_separable_corpus,
+    layer_records,
+    write_contextual,
+    write_corpus_files,
+)
 
 
 @pytest.fixture(scope="module")
 def corpus_files(tmp_path_factory):
-    corpus = build_separable_corpus(n_sentences=8, seed=21)
     base = tmp_path_factory.mktemp("corpus")
+    corpus = build_separable_corpus(base, n_sentences=8, seed=21)
     paths = write_corpus_files(corpus, base)
     config_path = base / "model.cfg"
     config_path.write_text(
@@ -173,7 +180,7 @@ class TestTrainCommand:
         layer = load_contextual(paths["B"], corpus.sentences)
         extra = tmp_path / "extra.cemb"
         write_contextual(extra, layer.layer_index, layer.dimension,
-                         {**dict(enumerate(layer.sentences)), 8: layer.sentences[0]})
+                         {**layer_records(layer), 8: layer.rows(0)})
         out = tmp_path / "run"
         args = _train_args(paths, out)
         args[args.index("--layers") + 2] = str(extra)
@@ -211,10 +218,10 @@ class TestTrainCommand:
 
 @pytest.fixture(scope="module")
 def readme_demo(tmp_path_factory):
-    """The README demo inputs (``build_separable_corpus()``, README model.cfg),
+    """The README demo inputs (``build_separable_corpus`` defaults, README model.cfg),
     trained for one epoch."""
     base = tmp_path_factory.mktemp("demo")
-    paths = write_corpus_files(build_separable_corpus(), base)
+    paths = write_corpus_files(build_separable_corpus(base), base)
     paths["config"] = base / "model.cfg"
     paths["config"].write_text(
         "unified_dim=16\nstatic_dim=8\nkernels_per_window=4\nhidden_size=8\n"
@@ -387,7 +394,7 @@ class TestEvalCommand:
             self, corpus_files, trained, tmp_path, capsys):
         corpus, paths = corpus_files
         layer = load_contextual(paths["B"], corpus.sentences)
-        sentences = dict(enumerate(layer.sentences))
+        sentences = layer_records(layer)
         sentences[3] = sentences[3][:-1]
         short = tmp_path / "short.cemb"
         write_contextual(short, layer.layer_index, layer.dimension, sentences)
@@ -504,7 +511,7 @@ class TestProbeCommand:
     @staticmethod
     def _rows(path, data) -> dict:
         """The rows of layer file ``path`` read against ``data``, by sentence index."""
-        return dict(enumerate(load_contextual(path, parse_dataset(data)).sentences))
+        return layer_records(load_contextual(path, parse_dataset(data)))
 
     def _layer_paths(self, tmp_path, sentences_count, thetas):
         """One file per angle; pairs rotate apart by theta within each file."""
@@ -731,6 +738,21 @@ class TestProbeCommand:
         assert "needs a reference file plus at least one layer file" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["rotated", "raw"])
+    def test_l2_file_of_another_dimension_is_data_error_before_out(self, tmp_path, capsys,
+                                                                  variant):
+        data = self._one_token_corpus(tmp_path, 4)
+        a, b = tmp_path / "a.cemb", tmp_path / "b.cemb"
+        for path, index, dim in ((a, 1, 4), (b, 2, 5)):
+            write_contextual(path, index, dim, {i: np.full((1, dim), i + 1.0, dtype=np.float32)
+                                                for i in range(4)})
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
+                     "--mode", "l2", "--l2-variant", variant, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {b}: dimension 5, but the reference {a} has dimension 4\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
     def test_pca_rank_one_prints_no_negative_zero(self, tmp_path, scale):
         n = 8
@@ -782,6 +804,19 @@ class TestProbeCommand:
                             manifest["explained_variance"]))
         assert outputs[0] == outputs[1]
 
+    @staticmethod
+    def _count_reads(monkeypatch) -> list:
+        """The (path, sentence) of every layer record read from now on."""
+        reads = []
+        rows = embedding_io.ContextualLayerFile.rows
+
+        def counted(self, index):
+            reads.append((str(self.path), index))
+            return rows(self, index)
+
+        monkeypatch.setattr(embedding_io.ContextualLayerFile, "rows", counted)
+        return reads
+
     def test_pca_reads_each_target_sentence_once_per_layer(self, tmp_path, monkeypatch):
         # (pos, target) per token; sentences 1, 2 and 5 hold no open-class target
         spec = [[("NOUN", 1), ("DET", 0), ("VERB", 1)], [("DET", 1), ("NOUN", 0)],
@@ -799,14 +834,7 @@ class TestProbeCommand:
             write_contextual(layers[-1], k, 4, {
                 s: rng.normal(size=(len(tokens), 4)).astype(np.float32)
                 for s, tokens in enumerate(spec)})
-        reads = []
-        getitem = embedding_io._LayerRows.__getitem__
-
-        def counted(self, index):
-            reads.append((str(self.path), index))
-            return getitem(self, index)
-
-        monkeypatch.setattr(embedding_io._LayerRows, "__getitem__", counted)
+        reads = self._count_reads(monkeypatch)
         out = tmp_path / "pca"
         assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
                      "--mode", "pca", "--threads", "2", "--out", str(out)]) == 0
@@ -815,6 +843,32 @@ class TestProbeCommand:
             lines = (out / f"pca_layer{k}.csv").read_text().splitlines()[1:]
             assert [line.split(",")[0] for line in lines] == [
                 "w0_0", "w0_2", "w3_1", "w3_2", "w4_0"]
+
+    def test_cosine_reads_each_pair_sentence_once_per_layer(self, tmp_path, monkeypatch):
+        # s0 holds the metaphoric "run" and the literal "walk"; s3 holds no pair
+        spec = [[("run", 1), ("walk", 0)], [("run", 0)], [("walk", 1)], [("jog", 1)]]
+        data = tmp_path / "shared.tsv"
+        data.write_text("".join(
+            "".join(f"s{s}\tnews\t{t}\t{word}\tVERB\t{label}\t1\n"
+                    for t, (word, label) in enumerate(tokens)) + "\n"
+            for s, tokens in enumerate(spec)))
+        rng = np.random.default_rng(4)
+        layers, records = [], []
+        for k in range(2):
+            records.append({s: rng.normal(size=(len(tokens), 3)).astype(np.float32)
+                            for s, tokens in enumerate(spec)})
+            layers.append(tmp_path / f"layer{k}.cemb")
+            write_contextual(layers[-1], k, 3, records[-1])
+        reads = self._count_reads(monkeypatch)
+        out = tmp_path / "cosine"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, layers),
+                     "--mode", "cosine", "--threads", "2", "--out", str(out)]) == 0
+        assert sorted(reads) == [(str(p), s) for p in layers for s in (0, 1, 2)]
+        lines = (out / "probe_cosine.csv").read_text().splitlines()[1:]
+        for k, line in enumerate(lines):
+            rec = records[k]
+            expected = (cosine(rec[0][0], rec[1][0]) + cosine(rec[2][0], rec[0][1])) / 2
+            assert line == f"{k},{cli._fmt(expected)},2"
 
     def test_pca_with_two_open_class_tokens_is_data_error(self, tmp_path, capsys):
         data = self._one_token_corpus(tmp_path, 2)
@@ -948,8 +1002,9 @@ class TestMutatedLayerFile:
 def desk_eval(tmp_path_factory):
     """Inputs of a two-sentence ``eval`` and the bytes of an untrained desk
     checkpoint that scores them."""
-    corpus = build_separable_corpus(n_sentences=2, seed=5)
-    paths = write_corpus_files(corpus, tmp_path_factory.mktemp("desk"))
+    base = tmp_path_factory.mktemp("desk")
+    corpus = build_separable_corpus(base, n_sentences=2, seed=5)
+    paths = write_corpus_files(corpus, base)
     model = MetaphorTagger(corpus.config)
     ckpt = paths["data"].parent / "desk.mseq"
     save_checkpoint(Checkpoint(model.config, {n: t.data for n, t in model.params.items()},

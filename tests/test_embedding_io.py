@@ -473,25 +473,30 @@ class TestContextualCodec:
         assert loaded.layer_index == 17
         assert loaded.dimension == 6
         for idx, mat in sents.items():
-            assert loaded.sentences[idx].tobytes() == mat.tobytes()
+            assert loaded.rows(idx).tobytes() == mat.tobytes()
 
     def test_empty_container_is_valid(self, tmp_path):
         p = tmp_path / "layer.cemb"
         write_contextual(p, 3, 8, {})
         loaded = load_contextual(p, [])
-        assert list(loaded.sentences) == []
+        with pytest.raises(IndexError):
+            loaded.rows(0)
         assert loaded.dimension == 8
         assert loaded.all_rows().shape == (0, 8)
 
-    def test_all_rows_allocates_only_its_float64_result(self):
+    def test_all_rows_allocates_only_its_float64_result(self, tmp_path):
         rng = np.random.default_rng(3)
-        layer = ContextualLayerFile(2, 64, [rng.normal(size=(n, 64)).astype(np.float32)
-                                            for n in (300, 1, 700)])
+        mats = [rng.normal(size=(n, 64)).astype(np.float32) for n in (300, 1, 700)]
+        p = tmp_path / "layer.cemb"
+        write_contextual(p, 2, 64, dict(enumerate(mats)))
+        layer = load_contextual(p, _dataset(300, 1, 700))
         rows = []
         peak = peak_bytes(lambda: rows.append(layer.all_rows()))
         assert rows[0].dtype == np.float64
-        assert rows[0].tobytes() == np.concatenate(layer.sentences).astype(np.float64).tobytes()
-        assert peak < 1.25 * rows[0].nbytes
+        assert rows[0].tobytes() == np.concatenate(mats).astype(np.float64).tobytes()
+        # beside its result, only the record being read (and its finiteness
+        # mask) is alive, as in TestRowsReadWhenUsed's bound
+        assert peak <= rows[0].nbytes + 2 * mats[2].nbytes
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "layer.cemb"
@@ -582,7 +587,7 @@ class TestLoadAgainstDataset:
     def test_aligned_file_passes(self, tmp_path):
         p = self._write(tmp_path, {0: (2, 4), 1: (3, 4)})
         layer = load_contextual(p, _dataset(2, 3))
-        assert [m.shape for m in list(layer.sentences)] == [(2, 4), (3, 4)]
+        assert [layer.rows(i).shape for i in range(2)] == [(2, 4), (3, 4)]
 
     def test_missing_sentence_is_alignment_error(self, tmp_path):
         p = tmp_path / "layer.cemb"
@@ -650,8 +655,8 @@ class TestLoadAgainstDataset:
         p = tmp_path / "l.cemb"
         p.write_bytes(_records((1, 3), (0, 2)))
         layer = load_contextual(p, _dataset(2, 3))
-        assert [m.shape for m in list(layer.sentences)] == [(2, 4), (3, 4)]
-        np.testing.assert_array_equal(layer.sentences[1], np.full((3, 4), 2.0))
+        assert [layer.rows(i).shape for i in range(2)] == [(2, 4), (3, 4)]
+        np.testing.assert_array_equal(layer.rows(1), np.full((3, 4), 2.0))
         np.testing.assert_array_equal(layer.all_rows()[:, 0], [1, 1, 2, 2, 2])
 
     def test_expected_dimension_is_checked_at_the_header(self, tmp_path):
@@ -684,8 +689,9 @@ def big_layer(tmp_path_factory):
 
 class TestRowsReadWhenUsed:
     """A loaded layer holds each sentence's payload offset and token count,
-    reads the rows when indexed, and ends in a FormatError naming the file
-    and sentence when the file is no longer the one it checked."""
+    reads the rows when used (``rows``, ``gather``, ``all_rows``), and ends
+    in a FormatError naming the file and sentence when the file is no
+    longer the one it checked."""
 
     def test_load_retains_no_rows(self, big_layer):
         tracemalloc.start()
@@ -695,7 +701,7 @@ class TestRowsReadWhenUsed:
             retained, peak = (n - start for n in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert len(layer.sentences) == BIG_SENTENCES
+        assert len(layer.offsets) == BIG_SENTENCES
         assert retained <= 256 * BIG_SENTENCES
         assert peak - retained < 4 * BIG_RECORD
 
@@ -705,7 +711,7 @@ class TestRowsReadWhenUsed:
         peak = peak_bytes(lambda: rows.append(layer.all_rows()))
         assert peak <= rows[0].nbytes + 2 * BIG_RECORD
         assert rows[0].tobytes() == np.concatenate(
-            list(layer.sentences)).astype(np.float64).tobytes()
+            [layer.rows(i) for i in range(BIG_SENTENCES)]).astype(np.float64).tobytes()
 
     @staticmethod
     def _loaded(tmp_path):
@@ -713,15 +719,38 @@ class TestRowsReadWhenUsed:
         p.write_bytes(_records((0, 2), (1, 3)))
         return p, load_contextual(p, _dataset(2, 3))
 
-    def test_a_sequence_of_the_dataset_sentences(self, tmp_path):
+    def test_rows_reads_one_dataset_sentence(self, tmp_path):
         _, layer = self._loaded(tmp_path)
-        assert len(layer.sentences) == 2
-        np.testing.assert_array_equal(layer.sentences[-1], np.full((3, 4), 2.0))
-        with pytest.raises(IndexError):
-            layer.sentences[2]
-        first = layer.sentences[0]
+        np.testing.assert_array_equal(layer.rows(1), np.full((3, 4), 2.0))
+        for outside in (2, -1):
+            with pytest.raises(IndexError):
+                layer.rows(outside)
+        first = layer.rows(0)
         first[0, 0] = 9.0       # each read is fresh memory
-        np.testing.assert_array_equal(layer.sentences[0], np.full((2, 4), 1.0))
+        np.testing.assert_array_equal(layer.rows(0), np.full((2, 4), 1.0))
+
+    def test_gather_reads_each_record_once_in_position_order(self, tmp_path, monkeypatch):
+        p = tmp_path / "l.cemb"
+        values = np.arange(3 * 5 * 4, dtype=np.float32).reshape(3, 5, 4)
+        write_contextual(p, 1, 4, dict(enumerate(values)))
+        layer = load_contextual(p, _dataset(5, 5, 5))
+        reads = []
+        rows = ContextualLayerFile.rows
+
+        def counted(self, index):
+            reads.append(index)
+            return rows(self, index)
+
+        monkeypatch.setattr(ContextualLayerFile, "rows", counted)
+        positions = [(2, 4), (0, 1), (2, 0), (0, 1), (1, 3)]
+        got = layer.gather(positions)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.stack(
+            [values[s, t] for s, t in positions]).astype(np.float64).tobytes()
+        assert sorted(reads) == [0, 1, 2]
+        assert layer.gather([]).shape == (0, 4)
+        with pytest.raises(IndexError):
+            layer.gather([(0, 0), (3, 0)])
 
     @staticmethod
     def _overwrite_last_value(p, value: float) -> None:
@@ -746,7 +775,7 @@ class TestRowsReadWhenUsed:
         else:
             p.write_bytes(raw + b"\0")
         with pytest.raises(FormatError) as info:
-            layer.sentences[1]
+            layer.rows(1)
         assert str(info.value) == f"{p}: sentence 1: file changed since it was checked"
         with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 0: file changed")):
             layer.all_rows()
@@ -756,9 +785,9 @@ class TestRowsReadWhenUsed:
         st = os.stat(p)
         self._overwrite_last_value(p, np.nan)
         os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))   # the identity check cannot see it
-        np.testing.assert_array_equal(layer.sentences[0], np.full((2, 4), 1.0))
+        np.testing.assert_array_equal(layer.rows(0), np.full((2, 4), 1.0))
         with pytest.raises(FormatError) as info:
-            layer.sentences[1]
+            layer.rows(1)
         assert str(info.value) == f"{p}: sentence 1: non-finite value"
         with pytest.raises(FormatError, match=re.escape(f"{p}: sentence 1: non-finite value")):
             layer.all_rows()

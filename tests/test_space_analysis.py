@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from metaseq import space_analysis
-from metaseq.embedding_io import ContextualLayerFile
+from metaseq.embedding_io import load_contextual
 from metaseq.errors import (
     DegeneracyError,
     DimensionError,
@@ -30,6 +30,7 @@ from metaseq.space_analysis import (
 )
 from metaseq.tensor_core import BLAS_THREAD_VARS, RngStream
 from metaseq.train_eval import SentenceRecord, TokenRecord
+from conftest import layer_records, write_contextual
 from helpers import peak_bytes, random_orthogonal
 
 
@@ -47,7 +48,7 @@ class TestBuildPairs:
         ]
         pairs = build_pairs(sents, seed=0)
         assert len(pairs) == 1
-        pair = pairs.pairs[0]
+        pair = pairs[0]
         assert pair.word == "wash"
         assert pair.metaphor.sentence_index == 1
         assert pair.literal.sentence_index == 0
@@ -67,7 +68,7 @@ class TestBuildPairs:
         sents = [_sentence(f"s{i}", [("wash", i % 2, 1)]) for i in range(20)]
         a = build_pairs(sents, seed=5)
         b = build_pairs(sents, seed=5)
-        assert a.pairs == b.pairs
+        assert a == b
 
     def test_each_word_appears_once(self):
         sents = [
@@ -76,28 +77,36 @@ class TestBuildPairs:
             _sentence("c", [("u", 1, 1)]),
         ]
         pairs = build_pairs(sents, seed=1)
-        assert sorted(p.word for p in pairs.pairs) == ["u", "v"]
+        assert sorted(p.word for p in pairs) == ["u", "v"]
+
+
+def _layer(path, sentences, rows: list):
+    """``rows`` (one float32 matrix per sentence) written to ``path`` and
+    loaded against ``sentences``."""
+    write_contextual(path, 1, rows[0].shape[1], dict(enumerate(rows)))
+    return load_contextual(path, sentences)
 
 
 class TestAvgPairCosine:
-    def _pairs_and_layer(self, met_vec, lit_vec):
-        sents = [_sentence("a", [("w", 0, 1)]), _sentence("b", [("w", 1, 1)])]
-        pairs = build_pairs(sents, seed=0)
-        layer = ContextualLayerFile(1, len(met_vec), [
+    SENTENCES = [_sentence("a", [("w", 0, 1)]), _sentence("b", [("w", 1, 1)])]
+
+    def _pairs_and_layer(self, tmp_path, met_vec, lit_vec):
+        pairs = build_pairs(self.SENTENCES, seed=0)
+        layer = _layer(tmp_path / "layer.cemb", self.SENTENCES, [
             np.asarray([lit_vec], dtype=np.float32),
             np.asarray([met_vec], dtype=np.float32),
         ])
         return pairs, layer
 
-    def test_identical_vectors_give_one(self):
-        pairs, layer = self._pairs_and_layer([1.0, 2.0], [1.0, 2.0])
+    def test_identical_vectors_give_one(self, tmp_path):
+        pairs, layer = self._pairs_and_layer(tmp_path, [1.0, 2.0], [1.0, 2.0])
         assert avg_pair_cosine(pairs, layer) == pytest.approx(1.0)
 
-    def test_orthogonal_vectors_give_zero(self):
-        pairs, layer = self._pairs_and_layer([1.0, 0.0], [0.0, 1.0])
+    def test_orthogonal_vectors_give_zero(self, tmp_path):
+        pairs, layer = self._pairs_and_layer(tmp_path, [1.0, 0.0], [0.0, 1.0])
         assert avg_pair_cosine(pairs, layer) == pytest.approx(0.0, abs=1e-12)
 
-    def test_injected_angle_recovered(self):
+    def test_injected_angle_recovered(self, tmp_path):
         rng = np.random.default_rng(3)
         theta = 0.7
         sents, rows = [], []
@@ -112,16 +121,16 @@ class TestAvgPairCosine:
             rows.append(np.asarray([u], dtype=np.float32))
             rows.append(np.asarray(
                 [np.cos(theta) * u + np.sin(theta) * v], dtype=np.float32))
-        layer = ContextualLayerFile(1, 6, rows)
+        layer = _layer(tmp_path / "layer.cemb", sents, rows)
         pairs = build_pairs(sents, seed=0)
         assert len(pairs) == 10
         assert avg_pair_cosine(pairs, layer) == pytest.approx(np.cos(theta), abs=1e-6)
 
-    def test_scale_invariance_per_vector(self):
-        pairs, layer = self._pairs_and_layer([1.0, 1.0], [2.0, 0.0])
+    def test_scale_invariance_per_vector(self, tmp_path):
+        pairs, layer = self._pairs_and_layer(tmp_path, [1.0, 1.0], [2.0, 0.0])
         base = avg_pair_cosine(pairs, layer)
-        scaled = ContextualLayerFile(1, 2, [
-            mat * np.float32(idx + 3.5) for idx, mat in enumerate(layer.sentences)
+        scaled = _layer(tmp_path / "scaled.cemb", self.SENTENCES, [
+            mat * np.float32(idx + 3.5) for idx, mat in layer_records(layer).items()
         ])
         assert avg_pair_cosine(pairs, scaled) == pytest.approx(base, abs=1e-7)
 

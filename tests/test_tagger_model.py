@@ -235,8 +235,8 @@ def _probs_and_grads(model, channels, labels):
 
 
 class TestFusedLstm:
-    def test_matches_per_timestep_composition_at_desk_config(self, monkeypatch):
-        corpus = build_separable_corpus(n_sentences=3, seed=21)
+    def test_matches_per_timestep_composition_at_desk_config(self, monkeypatch, tmp_path):
+        corpus = build_separable_corpus(tmp_path, n_sentences=3, seed=21)
         cfg = dataclasses.replace(corpus.config, input_dropout=0.5, hidden_dropout=0.1)
         model = MetaphorTagger(cfg)
         for i, sent in enumerate(corpus.sentences):
@@ -270,8 +270,8 @@ class TestGradients:
         err = micro_gradcheck(param_names=["cls_w", "cls_b", "conv_w2", "proj_b"])
         assert err < 1e-4
 
-    def test_loss_strictly_decreases_under_sgd(self):
-        corpus = build_separable_corpus(n_sentences=6, seed=3)
+    def test_loss_strictly_decreases_under_sgd(self, tmp_path):
+        corpus = build_separable_corpus(tmp_path, n_sentences=6, seed=3)
         model = MetaphorTagger(corpus.config)
         batch = [(corpus.provider.channels(s, i), s.labels())
                  for i, s in enumerate(corpus.sentences)]
@@ -381,8 +381,8 @@ class TestOpPoolWidth:
     op pool that runs the conv windows and the update."""
 
     @staticmethod
-    def _run(width):
-        corpus = build_separable_corpus(n_sentences=8, seed=5)
+    def _run(directory, width):
+        corpus = build_separable_corpus(directory, n_sentences=8, seed=5)
         config = dataclasses.replace(corpus.config, epochs=2, input_dropout=0.5,
                                      hidden_dropout=0.1)
         curve = []
@@ -396,9 +396,9 @@ class TestOpPoolWidth:
         params = {name: arr.tobytes() for name, arr in best.params.items()}
         return started, params, curve, probs
 
-    def test_widths_one_and_two_are_bit_equal(self):
-        started_1, *one = self._run(1)
-        started_2, *two = self._run(2)
+    def test_widths_one_and_two_are_bit_equal(self, tmp_path):
+        started_1, *one = self._run(tmp_path / "1", 1)
+        started_2, *two = self._run(tmp_path / "2", 2)
         assert (started_1, started_2) == (False, True)
         assert one == two
 
@@ -409,7 +409,7 @@ class TestTraining:
             train([], separable_corpus.provider, separable_corpus.config)
 
     def test_identical_seed_identical_checkpoint_bytes(self, tmp_path):
-        corpus = build_separable_corpus(n_sentences=5, seed=11)
+        corpus = build_separable_corpus(tmp_path, n_sentences=5, seed=11)
         cfg = dataclasses.replace(corpus.config, epochs=2,
                                   input_dropout=0.2, hidden_dropout=0.1)
 
@@ -420,8 +420,8 @@ class TestTraining:
 
         assert run(tmp_path / "a.mseq") == run(tmp_path / "b.mseq")
 
-    def test_best_epoch_snapshot_returned(self):
-        corpus = build_separable_corpus(n_sentences=8, seed=13)
+    def test_best_epoch_snapshot_returned(self, tmp_path):
+        corpus = build_separable_corpus(tmp_path, n_sentences=8, seed=13)
         cfg = dataclasses.replace(corpus.config, epochs=5)
         history = []
         cp = train(corpus.sentences, corpus.provider, cfg,
@@ -433,8 +433,8 @@ class TestTraining:
 
 
 class TestPredict:
-    def test_argmax_and_length(self):
-        corpus = build_separable_corpus(n_sentences=4, seed=17)
+    def test_argmax_and_length(self, tmp_path):
+        corpus = build_separable_corpus(tmp_path, n_sentences=4, seed=17)
         cfg = dataclasses.replace(corpus.config, epochs=1)
         cp = train(corpus.sentences, corpus.provider, cfg)
         channels = corpus.provider.channels(corpus.sentences[0], 0)
@@ -444,7 +444,7 @@ class TestPredict:
         np.testing.assert_array_equal(labels, np.argmax(probs, axis=1))
 
     def test_reloaded_checkpoint_predicts_identically(self, tmp_path):
-        corpus = build_separable_corpus(n_sentences=4, seed=19)
+        corpus = build_separable_corpus(tmp_path, n_sentences=4, seed=19)
         cfg = dataclasses.replace(corpus.config, epochs=1)
         cp = train(corpus.sentences, corpus.provider, cfg)
         channels = corpus.provider.channels(corpus.sentences[1], 1)
