@@ -9,8 +9,6 @@ for one sentence are stacked, in the configured channel order, into a
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import struct
 import threading
 from collections.abc import Sequence
@@ -192,57 +190,17 @@ def _byte_ranges(path) -> list[tuple[int, int | None]]:
     return list(zip(starts, starts[1:] + [None]))
 
 
-def _parse_ranges(path, ranges: list[tuple[int, int | None]], words: AbstractSet[str]
-                  ) -> list[tuple[int, dict[str, int], np.ndarray]]:
-    """``_parse_range`` of every range, in order: the first in this
-    process, each other in a forked child that sends its result back
-    through a pipe. If this process's range fails, or a child fails, dies
-    or cannot be forked, or the ranges' dimensions differ, every child is
-    reaped and the whole file is parsed here as one range, whose result or
-    error is the answer."""
-    children: dict[int, int] = {}   # pid -> the read end of its pipe
-    parts = None
-    try:
-        for start, stop in ranges[1:]:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:    # the child; it leaves by os._exit, whatever happens
-                status = 1
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as out:
-                        pickle.dump(_parse_range(path, start, stop, words), out,
-                                    pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children[pid] = read_end
-        parts = [_parse_range(path, *ranges[0], words)]
-        for pid, read_end in list(children.items()):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(children.pop(pid))
-            if status != 0:
-                parts = None
-                break
-            parts.append(pickle.loads(payload))
-    except (ParseError, OSError):
-        parts = None
-    finally:
-        for pid, read_end in children.items():
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if parts is None or any(dimension != parts[0][0] for dimension, _, _ in parts):
-        parts = [_parse_range(path, 0, None, words)]
-    return parts
+_pool_load: tuple = ()     # a pool worker's (path, words), set by its initializer
+
+
+def _start_pool_load(path, words: AbstractSet[str]) -> None:
+    global _pool_load
+    _pool_load = path, words
+
+
+def _parse_pool_range(start: int, stop: int | None) -> tuple[int, dict[str, int], np.ndarray]:
+    path, words = _pool_load
+    return _parse_range(path, start, stop, words)
 
 
 def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
@@ -251,14 +209,30 @@ def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
 
     Every line is checked for its width and for finite float values, in
     chunks of ``GLOVE_CHUNK_LINES``; only the first occurrence of each
-    token in ``words`` is kept. A large file is parsed in byte ranges by
-    forked processes (``_byte_ranges``); the table and any error are those
-    of one range over the whole file.
+    token in ``words`` is kept. A large file is parsed in the byte ranges of
+    ``_byte_ranges``: the first here, each other on a forked process pool
+    whose workers get ``path`` and ``words`` once, from its initializer. No
+    worker outlives the call. If any range fails, a worker dies or cannot be
+    forked, or the ranges' dimensions differ, the running workers are waited
+    for and the whole file is parsed here as one range, whose table or error
+    is the answer.
     """
-    parts = _parse_ranges(path, _byte_ranges(path), words)
-    if len(parts) == 1:
-        _, rows, matrix = parts[0]
-        return StaticEmbeddingTable(rows, matrix)
+    ranges, parts = _byte_ranges(path), None
+    if len(ranges) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import active_children, get_context
+        try:
+            with ProcessPoolExecutor(len(ranges) - 1, mp_context=get_context("fork"),
+                                     initializer=_start_pool_load, initargs=(path, words)) as pool:
+                later = [pool.submit(_parse_pool_range, *r) for r in ranges[1:]]
+                parts = [_parse_range(path, *ranges[0], words), *(f.result() for f in later)]
+        except Exception:   # whatever failed, the one-range parse below answers
+            parts = None
+            for worker in active_children():    # forked before a later fork failed
+                worker.kill()
+                worker.join()
+    if parts is None or any(dimension != parts[0][0] for dimension, _, _ in parts):
+        parts = [_parse_range(path, 0, None, words)]
     rows, blocks = {}, []
     for _, part_rows, part in parts:    # in file order, so the first occurrence wins
         take = []
@@ -266,8 +240,8 @@ def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
             if token not in rows:
                 rows[token] = len(rows)
                 take.append(i)
-        blocks.append(part[take])
-    return StaticEmbeddingTable(rows, np.concatenate(blocks))
+        blocks.append(part if len(take) == len(part) else part[take])
+    return StaticEmbeddingTable(rows, np.concatenate(blocks) if len(blocks) > 1 else blocks[0])
 
 
 # ---------------------------------------------------------------------------

@@ -193,18 +193,25 @@ class MetaphorTagger:
     def _init_params(self, rng: tc.RngStream) -> dict[str, tc.Tensor]:
         cfg = self.config
         hidden = cfg.hidden_size
+        shapes = self._expected_shapes()
         params: dict[str, tc.Tensor] = {}
-        for name, shape in self._expected_shapes().items():
-            if name.endswith("_b"):
-                data = np.zeros(shape)
-                if name.startswith("lstm_"):
-                    data[hidden:2 * hidden] = 1.0   # forget gate opens at init
-            elif name.startswith("conv_w"):
-                fan_in = int(np.prod(shape[1:]))
-                data = _glorot(rng, shape, fan_in, cfg.kernels_per_window)
-            else:
-                data = _glorot(rng, shape, shape[0], shape[-1])
-            params[name] = tc.Tensor(data, requires_grad=True)
+        try:
+            for name, shape in shapes.items():
+                if name.endswith("_b"):
+                    data = np.zeros(shape)
+                    if name.startswith("lstm_"):
+                        data[hidden:2 * hidden] = 1.0   # forget gate opens at init
+                elif name.startswith("conv_w"):
+                    fan_in = int(np.prod(shape[1:]))
+                    data = _glorot(rng, shape, fan_in, cfg.kernels_per_window)
+                else:
+                    data = _glorot(rng, shape, shape[0], shape[-1])
+                params[name] = tc.Tensor(data, requires_grad=True)
+        except (MemoryError, ValueError, OverflowError):   # sizes beyond numpy or a float
+            count = sum(math.prod(shape) for shape in shapes.values())
+            shown = count if count < 10 ** 300 else "over 10**300"   # str() stops at 4,300 digits
+            raise ParameterError(f"the configured model has {shown} float64 parameters, "
+                                 "more than can be allocated") from None
         return params
 
     def _check_param_shapes(self) -> None:
@@ -412,13 +419,16 @@ def load_checkpoint(path) -> Checkpoint:
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "parameter rank"))
             shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "parameter dims"))
             # The product of 2**32-sized dims can pass Python's int-to-str
-            # digit limit, so it is bounded here and never printed.
-            count = math.prod(shape)
+            # digit limit, and takes time quadratic in the rank: it is taken
+            # only until it passes the bytes left, and never printed.
             left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if count > left // 8:
-                raise TruncatedError(f"{path}: file ended while reading parameter {name} "
-                                     f"payload: its rank-{rank} shape declares more than "
-                                     f"the {left} bytes left")
+            count = int(0 not in shape)
+            for dim in shape:
+                count *= dim
+                if count > left // 8:
+                    raise TruncatedError(f"{path}: file ended while reading parameter {name} "
+                                         f"payload: its rank-{rank} shape declares more than "
+                                         f"the {left} bytes left")
             payload = _read_exact(fh, 8 * count, f"parameter {name} payload")
             try:
                 params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()

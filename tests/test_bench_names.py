@@ -41,3 +41,9 @@ def test_traced_probe_benchmark_runs_clean():
     """The traced probe run wraps ``ContextualLayerFile.all_rows`` and the
     probe functions by name and calls them through the CLI's probe pool."""
     _traced_smoke_run("probe-layers")
+
+
+def test_traced_eval_benchmark_runs_clean():
+    """The traced eval run wraps ``cli.load_static_text`` and reads
+    ``len(table)``, so a rename on the static-vector path breaks it."""
+    _traced_smoke_run("eval-paper")

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -449,6 +450,21 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: {problem}")
         assert "Traceback" not in err and len(err) < 300
+        assert not out.exists()
+
+    def test_rank_100000_parameter_is_exit_3_without_multiplying_every_dim(
+            self, corpus_files, trained, tmp_path, capsys):
+        _, paths = corpus_files
+        ckpt = tmp_path / "bad.mseq"
+        ckpt.write_bytes(trained.read_bytes() + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<100001I", 100_000, *[0xFFFFFFFF] * 100_000) + bytes(8))
+        out = tmp_path / "eval"
+        began = time.perf_counter()
+        assert main(self._eval_args(paths, ckpt, out)) == 3
+        assert time.perf_counter() - began < 2.0
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: file ended while reading parameter w payload: its rank-100000 "
+            "shape declares more than the 8 bytes left\n")
         assert not out.exists()
 
 
@@ -1219,6 +1235,30 @@ class TestConfigFile:
         assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.mseq").exists()
+
+    # The fixture config on channel G alone: static_dim 8, four kernels in
+    # each of windows 2-5 (56 per unit of d), hidden size 8 (d = 16). Every
+    # shape that fails holds more than 2**57 bytes of float64, so no
+    # allocation succeeds under any overcommit setting.
+    @pytest.mark.parametrize("line,count", [
+        ("unified_dim=36028797018963968", 65 * 2**55 + 1634),     # proj_w alone: 2**61 B
+        ("hidden_size=1000000000000000000000",                   # past numpy's largest dim
+         8 * 10**42 + 140 * 10**21 + 1042),
+        (f"hidden_size={10**2000}", "over 10**300"),             # past a float, too
+    ], ids=["unified_dim", "hidden_size", "hidden_size-2001-digits"])
+    def test_a_model_too_large_to_allocate_is_usage_error(self, corpus_files, tmp_path, capsys,
+                                                          line, count):
+        _, paths = corpus_files
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(_config_with(paths, "channel_order=G", "epochs=1", line))
+        out = tmp_path / "run"
+        args = ["train", "--data", str(paths["data"]), "--glove", str(paths["glove"]),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: the configured model has {count} float64 parameters, "
+            "more than can be allocated\n")
+        assert not out.exists()
 
     def test_usage_exit_code_for_missing_required(self):
         assert main(["train", "--out", "x"]) == 2

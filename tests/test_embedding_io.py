@@ -296,6 +296,23 @@ class TestStaticTable:
         assert list(table.rows) == ["w0", "w39"]
         np.testing.assert_array_equal(table.matrix, [[0.5, -0.25], [39.5, -0.25]])
 
+    def test_a_worker_that_raises_changes_nothing(self, tmp_path, monkeypatch):
+        p = tmp_path / "emb.txt"
+        p.write_text("".join(f"w{i} {i}.5 -0.25\n" for i in range(40)))
+        parse, stops = embedding_io._parse_range, []
+
+        def failing(path, start, stop, words):
+            if start:       # a range after the first: only a pool worker parses one
+                raise MemoryError("a range too large")
+            stops.append(stop)
+            return parse(path, start, stop, words)
+
+        monkeypatch.setattr(embedding_io, "_parse_range", failing)
+        table = load_static_text(p, {"w0", "w39"})
+        assert stops[-1] is None            # the whole file, parsed here
+        assert list(table.rows) == ["w0", "w39"]
+        np.testing.assert_array_equal(table.matrix, [[0.5, -0.25], [39.5, -0.25]])
+
     # No shrinking: a failing case is reported as found, within the time budget.
     @settings(max_examples=200, derandomize=True, deadline=None, database=None,
               phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -364,17 +381,69 @@ sys.exit(code)
 """
 
 
-def test_static_table_on_split_ranges():
+def _fresh_run(code: str, *args: str) -> list:
+    """The JSON on the last line printed by ``code`` run in a fresh
+    interpreter, with one BLAS thread, which must exit 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
     env.update(dict.fromkeys(tc.BLAS_THREAD_VARS, "1"))
-    result = subprocess.run(
-        [sys.executable, "-c", SPLIT_RUN, "tests/test_embedding_io.py::TestStaticTable"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", code, *args],
+                            cwd=root, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
-    loads = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_static_table_on_split_ranges():
+    loads = _fresh_run(SPLIT_RUN, "tests/test_embedding_io.py::TestStaticTable")
     assert all(forks == children for children, forks in loads), loads
     assert sum(children > 0 for children, _ in loads) > 100
+
+
+# Three loads of one file in three ranges, in a fresh interpreter: each
+# forks one pool worker per range after the first, and leaves the threads
+# and the child processes as they were, so the next load splits again. The
+# third load's second fork fails: the worker forked before it is killed.
+POOL_RUN = """
+import json, os, sys, threading
+from metaseq import embedding_io, tensor_core
+
+embedding_io.GLOVE_RANGE_BYTES = 1
+tensor_core.usable_cpus = lambda: 3
+fork, forks, loads = os.fork, [], []
+
+def counted_fork():
+    if len(forks) == fail_at:
+        raise OSError("fork failed")
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+
+os.fork = counted_fork
+path, words = sys.argv[1], {"w0", "w20", "w39", "dup"}
+for fail_at in (None, None, 5):
+    ranges = len(embedding_io._byte_ranges(path))
+    table = embedding_io.load_static_text(path, words)
+    try:
+        children = os.waitpid(-1, os.WNOHANG)[0]
+    except ChildProcessError:
+        children = None
+    loads.append([ranges, len(forks), threading.active_count(), children,
+                  list(table.rows.items()), table.matrix.tobytes().hex()])
+_, rows, matrix = embedding_io._parse_range(path, 0, None, words)
+print(json.dumps([loads, list(rows.items()), matrix.tobytes().hex()]))
+"""
+
+
+def test_split_loads_leave_threads_and_children_as_they_were(tmp_path):
+    p = tmp_path / "emb.txt"
+    lines = [f"w{i} {i}.5 -0.25" for i in range(40)]
+    lines[5], lines[35] = "dup 1.0 2.0", "dup 9.0 9.0"
+    p.write_text("\n".join(lines) + "\n")
+    loads, rows, matrix = _fresh_run(POOL_RUN, str(p))
+    assert [load[:4] for load in loads] == [[3, 2, 1, None], [3, 4, 1, None], [3, 5, 1, None]]
+    assert all(load[4:] == [rows, matrix] for load in loads)
+    assert [token for token, _ in rows] == ["w0", "dup", "w20", "w39"]
 
 
 class TestSplitGate:

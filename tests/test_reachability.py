@@ -45,6 +45,9 @@ ALLOWED = {
     "embedding_io._check_widths": "runs only on a vector file with a bad line; the "
                                   "loader's error tests run it",
     "embedding_io.StaticEmbeddingTable.__len__": "the benchmark's glove_lines hook reads it",
+    "embedding_io._start_pool_load": "runs only in a static-vector pool worker, as its "
+                                     "initializer",
+    "embedding_io._parse_pool_range": "runs only in a static-vector pool worker",
     "tensor_core.Tensor.__repr__": "a debugging aid",
 }
 HOOK_REASON = ("bench/hooks.py wraps it by name; it goes when ROADMAP item 1 "
