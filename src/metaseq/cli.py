@@ -193,6 +193,7 @@ def _check_dev_rows(dev_path, dev_sentences, train_sentences) -> None:
 
 def cmd_train(args, argv: list[str]) -> int:
     config = _build_config(args)
+    tagger_model.check_allocatable(config)
     train_sentences = train_eval.parse_dataset(args.data)
     inputs = [args.data]
     if args.dev:

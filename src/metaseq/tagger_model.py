@@ -10,6 +10,7 @@ pool that ``tensor_core`` runs the conv windows and the update on.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -158,11 +159,49 @@ def _glorot(rng: tc.RngStream, shape: tuple[int, ...], fan_in: int, fan_out: int
     return rng.uniform(shape, -limit, limit)
 
 
+def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Each parameter's name and the shape ``cfg`` gives it."""
+    c = len(cfg.channel_order)
+    d = cfg.unified_dim
+    feat = cfg.feature_width
+    hidden = cfg.hidden_size
+    shapes: dict[str, tuple[int, ...]] = {}
+    if "G" in cfg.channel_order:
+        shapes["proj_w"] = (d, cfg.static_input_dim)
+        shapes["proj_b"] = (d,)
+    for w in cfg.window_sizes:
+        shapes[f"conv_w{w}"] = (cfg.kernels_per_window, c, w, d)
+    for direction in ("f", "b"):
+        shapes[f"lstm_{direction}_wx"] = (feat, 4 * hidden)
+        shapes[f"lstm_{direction}_wh"] = (hidden, 4 * hidden)
+        shapes[f"lstm_{direction}_b"] = (4 * hidden,)
+    shapes["cls_w"] = (2 * hidden, 2)
+    shapes["cls_b"] = (2,)
+    return shapes
+
+
+def check_allocatable(config: ModelConfig) -> None:
+    """Raise a ParameterError if numpy cannot allocate the parameters of
+    ``config``'s model, keeping no memory: each array is reserved untouched
+    and freed at once. ``metaseq train`` runs this before it reads any input."""
+    shapes = _param_shapes(config)
+    try:
+        for shape in shapes.values():
+            np.empty(shape)
+    except (MemoryError, ValueError, OverflowError):   # sizes beyond numpy or a float
+        count = sum(math.prod(shape) for shape in shapes.values())
+        shown = count if count < 10 ** 300 else "over 10**300"   # str() stops at 4,300 digits
+        raise ParameterError(f"the configured model has {shown} float64 parameters, "
+                             "more than can be allocated") from None
+
+
 class MetaphorTagger:
     """Trainable tagger; parameters live in a flat name -> Tensor map."""
 
     def __init__(self, config: ModelConfig, params: Mapping[str, np.ndarray] | None = None):
         self.config = config
+        self._in_pass = False
+        self._fold: list[np.ndarray] | None = None
         if params is not None:
             self.params = {name: tc.Tensor(arr, requires_grad=True)
                            for name, arr in params.items()}
@@ -170,52 +209,26 @@ class MetaphorTagger:
         else:
             self.params = self._init_params(tc.RngStream(config.seed, _INIT_STREAM))
 
-    def _expected_shapes(self) -> dict[str, tuple[int, ...]]:
-        cfg = self.config
-        c = len(cfg.channel_order)
-        d = cfg.unified_dim
-        feat = cfg.feature_width
-        hidden = cfg.hidden_size
-        shapes: dict[str, tuple[int, ...]] = {}
-        if "G" in cfg.channel_order:
-            shapes["proj_w"] = (d, cfg.static_input_dim)
-            shapes["proj_b"] = (d,)
-        for w in cfg.window_sizes:
-            shapes[f"conv_w{w}"] = (cfg.kernels_per_window, c, w, d)
-        for direction in ("f", "b"):
-            shapes[f"lstm_{direction}_wx"] = (feat, 4 * hidden)
-            shapes[f"lstm_{direction}_wh"] = (hidden, 4 * hidden)
-            shapes[f"lstm_{direction}_b"] = (4 * hidden,)
-        shapes["cls_w"] = (2 * hidden, 2)
-        shapes["cls_b"] = (2,)
-        return shapes
-
     def _init_params(self, rng: tc.RngStream) -> dict[str, tc.Tensor]:
         cfg = self.config
         hidden = cfg.hidden_size
-        shapes = self._expected_shapes()
+        check_allocatable(cfg)
         params: dict[str, tc.Tensor] = {}
-        try:
-            for name, shape in shapes.items():
-                if name.endswith("_b"):
-                    data = np.zeros(shape)
-                    if name.startswith("lstm_"):
-                        data[hidden:2 * hidden] = 1.0   # forget gate opens at init
-                elif name.startswith("conv_w"):
-                    fan_in = int(np.prod(shape[1:]))
-                    data = _glorot(rng, shape, fan_in, cfg.kernels_per_window)
-                else:
-                    data = _glorot(rng, shape, shape[0], shape[-1])
-                params[name] = tc.Tensor(data, requires_grad=True)
-        except (MemoryError, ValueError, OverflowError):   # sizes beyond numpy or a float
-            count = sum(math.prod(shape) for shape in shapes.values())
-            shown = count if count < 10 ** 300 else "over 10**300"   # str() stops at 4,300 digits
-            raise ParameterError(f"the configured model has {shown} float64 parameters, "
-                                 "more than can be allocated") from None
+        for name, shape in _param_shapes(cfg).items():
+            if name.endswith("_b"):
+                data = np.zeros(shape)
+                if name.startswith("lstm_"):
+                    data[hidden:2 * hidden] = 1.0   # forget gate opens at init
+            elif name.startswith("conv_w"):
+                fan_in = int(np.prod(shape[1:]))
+                data = _glorot(rng, shape, fan_in, cfg.kernels_per_window)
+            else:
+                data = _glorot(rng, shape, shape[0], shape[-1])
+            params[name] = tc.Tensor(data, requires_grad=True)
         return params
 
     def _check_param_shapes(self) -> None:
-        expected = self._expected_shapes()
+        expected = _param_shapes(self.config)
         if set(expected) != set(self.params):
             raise CompatibilityError(
                 f"parameter names {sorted(self.params)} do not match "
@@ -234,32 +247,42 @@ class MetaphorTagger:
 
     # -- forward ------------------------------------------------------------
 
-    def build_stack(self, channels: Mapping[str, np.ndarray]) -> tc.Tensor:
-        """Project the static channel and stack all channels in config order
-        into a (channel, position, dimension) block."""
+    def _channel_tensors(self, channels: Mapping[str, np.ndarray]) -> list[tc.Tensor]:
+        """The channels in config order as checked float64 tensors, all of
+        one length: the static one (n, static_input_dim), not projected, and
+        the others (n, unified_dim)."""
         cfg = self.config
-        mats = []
+        tensors = []
         for name in cfg.channel_order:
             if name not in channels:
                 raise DimensionError(f"channel {name} missing from input")
-            raw = channels[name]
+            mat = np.asarray(channels[name], dtype=np.float64)
             if name == "G":
-                raw = np.asarray(raw, dtype=np.float64)
-                if raw.ndim != 2 or raw.shape[1] != cfg.static_input_dim:
+                if mat.ndim != 2 or mat.shape[1] != cfg.static_input_dim:
                     raise DimensionError(
-                        f"static channel shape {raw.shape}, expected "
+                        f"static channel shape {mat.shape}, expected "
                         f"(n, {cfg.static_input_dim})")
-                projected = tc.add_bias(
-                    tc.matmul(tc.Tensor(raw), tc.transpose(self.params["proj_w"])),
-                    self.params["proj_b"])
-                mats.append(projected)
-            else:
-                mat = np.asarray(raw, dtype=np.float64)
-                if mat.ndim != 2 or mat.shape[1] != cfg.unified_dim:
-                    raise DimensionError(
-                        f"channel {name} shape {mat.shape}, expected (n, {cfg.unified_dim})")
-                mats.append(tc.Tensor(mat))
-        return stack_channels(mats, cfg.channel_order)
+            elif mat.ndim != 2 or mat.shape[1] != cfg.unified_dim:
+                raise DimensionError(
+                    f"channel {name} shape {mat.shape}, expected (n, {cfg.unified_dim})")
+            tensors.append(tc.Tensor(mat))
+        n, d = tensors[0].shape[0], cfg.unified_dim
+        for name, t in zip(cfg.channel_order, tensors):
+            if t.shape[0] != n:      # the shapes as stacked, the static channel projected
+                raise DimensionError(f"channel {name}: shape {(t.shape[0], d)} "
+                                     f"does not match {(n, d)}")
+        return tensors
+
+    def build_stack(self, channels: Mapping[str, np.ndarray]) -> tc.Tensor:
+        """Project the static channel and stack all channels in config order
+        into a (channel, position, dimension) block."""
+        order = self.config.channel_order
+        mats = self._channel_tensors(channels)
+        if "G" in order:
+            g = order.index("G")
+            mats[g] = tc.add_bias(tc.matmul(mats[g], tc.transpose(self.params["proj_w"])),
+                                  self.params["proj_b"])
+        return stack_channels(mats, order)
 
     def _lstm_direction(self, act: tc.Tensor, prefix: str, reverse: bool) -> tc.Tensor:
         """The (n, hidden) states of one BiLSTM direction over ``act``."""
@@ -276,11 +299,17 @@ class MetaphorTagger:
                 f"{len(cfg.channel_order)} channels of dimension {cfg.unified_dim}")
         block = tc.dropout(stack, cfg.input_dropout, rng, training)
         maps = tc.conv_bank(block, [self.params[f"conv_w{w}"] for w in cfg.window_sizes])
+        return self._classify_maps(maps, rng, training)
+
+    def _classify_maps(self, maps: tc.Tensor, rng: tc.RngStream | None,
+                       training: bool) -> tc.Tensor:
+        """Tanh, BiLSTM, hidden dropout and softmax classifier over the
+        (n, feature_width) conv maps."""
         feats = tc.tanh_act(maps)
         fwd = self._lstm_direction(feats, "lstm_f", reverse=False)
         bwd = self._lstm_direction(feats, "lstm_b", reverse=True)
         hidden = tc.concat_cols([fwd, bwd])
-        hidden = tc.dropout(hidden, cfg.hidden_dropout, rng, training)
+        hidden = tc.dropout(hidden, self.config.hidden_dropout, rng, training)
         logits = tc.add_bias(tc.matmul(hidden, self.params["cls_w"]), self.params["cls_b"])
         return tc.softmax(logits)
 
@@ -289,10 +318,48 @@ class MetaphorTagger:
         probs = self.forward(stack, rng, training)
         return tc.weighted_cross_entropy(probs, labels, self.config.class_weights)
 
+    def _folded_kernels(self) -> list[np.ndarray]:
+        """Each window's conv kernels over the unprojected channels, for
+        ``tc.conv_maps``: the static channel's block takes the projection
+        ``[proj_w | proj_b]`` of its rows with a ones column appended."""
+        order = self.config.channel_order
+        linear = {}
+        if "G" in order:
+            linear[order.index("G")] = np.concatenate(
+                [self.params["proj_w"].data, self.params["proj_b"].data[:, None]], axis=1)
+        return tc.fold_kernels([self.params[f"conv_w{w}"].data for w in self.config.window_sizes],
+                               linear)
+
     def predict_probs(self, channels: Mapping[str, np.ndarray]) -> np.ndarray:
-        """Inference probabilities (n, 2); no tape, no dropout."""
-        stack = self.build_stack(channels)
-        return self.forward(stack, None, training=False).data.copy()
+        """Inference probabilities (n, 2); no tape, no dropout.
+
+        With dropout off nothing separates the static projection from the
+        conv, so the channels are scored unprojected through kernels with
+        the projection folded in (``_folded_kernels``): the static rows get
+        a ones column that carries the bias and, like them, is zero past
+        the sentence's end. Within a ``_labelling_pass`` the fold is made
+        on the first sentence and kept; otherwise it serves this call only.
+        """
+        cfg = self.config
+        mats = [t.data for t in self._channel_tensors(channels)]
+        if "G" in cfg.channel_order:
+            g = cfg.channel_order.index("G")
+            mats[g] = np.concatenate([mats[g], np.ones((len(mats[g]), 1))], axis=1)
+        kernels = self._fold or self._folded_kernels()
+        if self._in_pass:
+            self._fold = kernels
+        maps = tc.Tensor(tc.conv_maps(mats, kernels, cfg.window_sizes))
+        return self._classify_maps(maps, None, training=False).data.copy()
+
+    @contextlib.contextmanager
+    def _labelling_pass(self):
+        """``predict_probs`` keeps its folded kernels within the block and
+        drops them on leaving, so a fold never outlives a parameter update."""
+        self._in_pass = True
+        try:
+            yield
+        finally:
+            self._in_pass, self._fold = False, None
 
     @classmethod
     def from_checkpoint(cls, checkpoint: Checkpoint) -> "MetaphorTagger":
@@ -307,13 +374,15 @@ def label_sentences(model: MetaphorTagger, sentences, provider
                     ) -> tuple[list[list[int]], train_eval.MetricsReport]:
     """Argmax labels per sentence and the target-token metrics over all of
     them. Each sentence's channels are built right before it is scored, so
-    one sentence's channels are alive at a time."""
+    one sentence's channels are alive at a time; the folded conv kernels
+    are made once for the pass, on its first sentence."""
     predictions, gold, masks = [], [], []
-    for index, sent in enumerate(sentences):
-        probs = model.predict_probs(provider.channels(sent, index))
-        predictions.append(np.argmax(probs, axis=1).tolist())
-        gold.extend(sent.labels().tolist())
-        masks.extend(sent.target_mask().tolist())
+    with model._labelling_pass():
+        for index, sent in enumerate(sentences):
+            probs = model.predict_probs(provider.channels(sent, index))
+            predictions.append(np.argmax(probs, axis=1).tolist())
+            gold.extend(sent.labels().tolist())
+            masks.extend(sent.target_mask().tolist())
     flat = [label for labels in predictions for label in labels]
     return predictions, train_eval.compute_metrics(flat, gold, masks)
 

@@ -7,10 +7,11 @@ All arithmetic is 64-bit. There is no broadcasting beyond the explicit
 
 Tape recording is thread-local: each model instance runs its forward and
 backward on one thread, while independent instances may run concurrently.
-Inside one op, ``conv_bank`` and ``sgd_step`` share independent
-per-window or per-parameter jobs between the calling thread and a shared
-thread pool (``pool_width``); the jobs record nothing, and their results
-are combined in a fixed order, so the bits do not depend on the width.
+Inside one op, ``conv_bank``, ``conv_maps``, ``fold_kernels`` and
+``sgd_step`` share independent per-window or per-parameter jobs between
+the calling thread and a shared thread pool (``pool_width``); the jobs
+record nothing, and their results are combined in a fixed order, so the
+bits do not depend on the width.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -477,6 +478,28 @@ def dropout(x: Tensor, rate: float, rng: RngStream | None, training: bool) -> Te
     return out
 
 
+def _im2col(mats: Sequence[np.ndarray], w: int) -> np.ndarray:
+    """The (n, w * sum of d_c) window matrix of per-channel (n, d_c)
+    matrices: cols[i, (c, o, d)] = mats[c][i + o, d], the kernels' own
+    order, and zero where i + o runs past the last position."""
+    n = mats[0].shape[0]
+    cols = np.empty((n, w * sum(m.shape[1] for m in mats)))
+    start = 0
+    for m in mats:
+        width = m.shape[1]
+        for o in range(w):
+            block = cols[:, start:start + width]
+            block[:max(n - o, 0)] = m[o:]
+            block[max(n - o, 0):] = 0.0
+            start += width
+    return cols
+
+
+def _check_length(n: int) -> None:
+    if n < 1:
+        raise WindowError(f"conv_bank: no window fits a padded sequence of length {n}")
+
+
 def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
     """The feature maps of every window size: (k_j, c, w_j, d) kernels ->
     (n, sum of k_j), kernel j's maps in its own columns, in the given order.
@@ -507,16 +530,12 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
                                  f"do not match input {(c, d)}")
         if w < 1:
             raise WindowError(f"conv_bank: window must be >= 1, got {w}")
-    if n < 1:
-        raise WindowError(f"conv_bank: no window fits a padded sequence of length {n}")
+    _check_length(n)
     sizes = [kern.size for kern in kernels]
 
     def forward(kern: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         k, _, w, _ = kern.shape
-        padded = np.concatenate([inp.data, np.zeros((c, w - 1, d))], axis=1) if w > 1 else inp.data
-        # im2col: cols[i, (c, o, d)] = padded[c, i + o, d], the kernels' own order
-        windows = np.lib.stride_tricks.sliding_window_view(padded, w, axis=1)
-        cols = windows.transpose(1, 0, 3, 2).reshape(n, c * w * d)
+        cols = _im2col(inp.data, w)
         k_flat = kern.data.reshape(k, c * w * d)
         return cols, k_flat, cols @ k_flat.T
 
@@ -548,6 +567,46 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
 
     _record("conv_bank", (inp, *kernels), out, bw)
     return out
+
+
+def conv_maps(mats: Sequence[np.ndarray], kernels: Sequence[np.ndarray],
+              windows: Sequence[int]) -> np.ndarray:
+    """``conv_bank``'s forward on no tape, over per-channel (n, d_c)
+    matrices whose widths may differ: kernel j is a (w_j * sum of d_c, k_j)
+    matrix whose rows follow ``_im2col``'s (c, offset, d) column order, as
+    ``fold_kernels`` makes them. Each window is one matrix product and one
+    pool task."""
+    _check_length(mats[0].shape[0])
+    maps = _largest_first(lambda j: _im2col(mats, windows[j]) @ kernels[j],
+                          range(len(kernels)), [kern.size for kern in kernels])
+    return np.concatenate(maps, axis=1)
+
+
+def fold_kernels(kernels: Sequence[np.ndarray],
+                 linear: Mapping[int, np.ndarray]) -> list[np.ndarray]:
+    """``conv_maps`` kernels for (k, c, w, d) conv kernels whose input
+    channel ch is ``x @ linear[ch].T``, a (d, d_ch) map of an (n, d_ch)
+    matrix x; every other channel is taken as it is. A mapped channel's
+    block is one product, ``K[:, ch].reshape(k * w, d) @ linear[ch]``, and
+    each window is one pool task. With no map the kernels are views of the
+    given arrays, not copies."""
+    if not linear:
+        return [kern.reshape(kern.shape[0], -1).T for kern in kernels]
+
+    def fold(kern: np.ndarray) -> np.ndarray:
+        k, c, w, d = kern.shape
+        widths = [linear[ch].shape[1] if ch in linear else d for ch in range(c)]
+        out = np.empty((w * sum(widths), k))
+        start = 0
+        for ch, width in enumerate(widths):
+            block = kern[:, ch]
+            if ch in linear:
+                block = block.reshape(k * w, d) @ linear[ch]
+            out[start:start + w * width] = block.reshape(k, w * width).T
+            start += w * width
+        return out
+
+    return _largest_first(fold, kernels, [kern.size for kern in kernels])
 
 
 def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,

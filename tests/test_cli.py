@@ -358,6 +358,35 @@ class TestEvalCommand:
         assert main(self._eval_args(paths, trained, tmp_path / "eval")) == 0
         assert calls == [(step, i) for i in range(8) for step in ("channels", "predict")]
 
+    def test_eval_scores_without_the_projected_stack(self, corpus_files, tmp_path, monkeypatch):
+        # eval scores through the folded kernels; its report is the one the
+        # unfolded model gives. Random parameters, the projection bias
+        # included, so that the labels are mixed.
+        _, paths = corpus_files
+        config = ModelConfig(**parse_config_file(paths["config"]))
+        rng = np.random.default_rng(5)
+        params = {name: rng.normal(scale=0.5, size=p.shape)
+                  for name, p in MetaphorTagger(config).params.items()}
+        ckpt = tmp_path / "random.mseq"
+        save_checkpoint(Checkpoint(config, params, 1, 0.0), ckpt)
+
+        def unfolded(self, chans):
+            return self.forward(self.build_stack(chans), None, training=False).data.copy()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MetaphorTagger, "predict_probs", unfolded)
+            assert main(self._eval_args(paths, ckpt, tmp_path / "unfolded", "pos")) == 0
+        want = (tmp_path / "unfolded" / "metrics.csv").read_bytes()
+        tp, fp = want.decode().splitlines()[1].split(",")[6:8]
+        assert int(tp) > 0 and int(fp) > 0    # both labels predicted
+
+        def no_stack(self, chans):
+            raise AssertionError("eval built the projected stack")
+
+        monkeypatch.setattr(MetaphorTagger, "build_stack", no_stack)
+        assert main(self._eval_args(paths, ckpt, tmp_path / "folded", "pos")) == 0
+        assert (tmp_path / "folded" / "metrics.csv").read_bytes() == want
+
     def test_layer_file_changed_before_scoring_is_exit_3(self, corpus_files, trained, tmp_path,
                                                           capsys, monkeypatch):
         _, paths = corpus_files
@@ -1258,6 +1287,23 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"error: the configured model has {count} float64 parameters, "
             "more than can be allocated\n")
+        assert not out.exists()
+
+    def test_a_model_too_large_to_allocate_is_reported_before_any_input_is_read(
+            self, corpus_files, tmp_path, capsys):
+        # the parameter count follows from the config alone: a --glove that
+        # does not exist would be exit 3 if it were opened first
+        _, paths = corpus_files
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(_config_with(paths, "channel_order=G", "epochs=1",
+                                    "hidden_size=1000000000000000000000"))
+        out = tmp_path / "run"
+        args = ["train", "--data", str(paths["data"]), "--glove", str(tmp_path / "absent.txt"),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: the configured model has {8 * 10**42 + 140 * 10**21 + 1042} float64 "
+            "parameters, more than can be allocated\n")
         assert not out.exists()
 
     def test_usage_exit_code_for_missing_required(self):

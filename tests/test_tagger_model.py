@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metaseq import tensor_core as tc
 from metaseq.cli import parse_config_file
@@ -14,14 +15,17 @@ from metaseq.errors import (
     DimensionError,
     FormatError,
     InputError,
+    NumericError,
     ParameterError,
     ParseError,
     TruncatedError,
+    WindowError,
 )
 from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
     ModelConfig,
+    label_sentences,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -453,6 +457,115 @@ class TestPredict:
         save_checkpoint(cp, path)
         after = MetaphorTagger.from_checkpoint(load_checkpoint(path)).predict_probs(channels)
         np.testing.assert_array_equal(before, after)
+
+
+class TestFoldedInference:
+    """``predict_probs`` scores the unprojected channels through conv kernels
+    with the static projection folded in. It must compute the model: the
+    unfolded ``forward`` of ``build_stack``, to rounding."""
+
+    @staticmethod
+    def _model(config, rng):
+        """``config``'s model with every parameter drawn at random, the
+        biases included, so that the projection bias is not zero."""
+        shapes = {name: p.shape for name, p in MetaphorTagger(config).params.items()}
+        return MetaphorTagger(config, params={name: rng.normal(scale=0.5, size=shape)
+                                              for name, shape in shapes.items()})
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(order=st.sampled_from([("G", "E", "B"), ("E", "G", "B"), ("E", "B"), ("G",),
+                                  ("B", "G")]),
+           use_pos=st.booleans(), use_abstractness=st.booleans(),
+           windows=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+           n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(order=("E", "G", "B"), use_pos=True, use_abstractness=True, windows=[6, 1],
+             n=1, seed=0)
+    @example(order=("G", "E", "B"), use_pos=False, use_abstractness=False, windows=[2, 5],
+             n=3, seed=1)
+    @example(order=("E", "B"), use_pos=False, use_abstractness=True, windows=[4], n=1, seed=2)
+    def test_matches_the_unfolded_forward(self, order, use_pos, use_abstractness, windows,
+                                          n, seed):
+        config = ModelConfig(unified_dim=6, static_dim=4, window_sizes=tuple(windows),
+                             kernels_per_window=3, hidden_size=3, channel_order=order,
+                             use_pos=use_pos, use_abstractness=use_abstractness,
+                             pos_tags=("VERB", "NOUN") if use_pos else (),
+                             input_dropout=0.5, hidden_dropout=0.1, seed=seed)
+        rng = np.random.default_rng(seed)
+        model = self._model(config, rng)
+        channels = {name: rng.normal(size=(n, config.static_input_dim if name == "G" else 6))
+                    for name in order}
+        want = model.forward(model.build_stack(channels), None, training=False).data
+        np.testing.assert_allclose(model.predict_probs(channels), want, rtol=0, atol=1e-12)
+
+    def test_a_parameter_update_between_passes_is_seen(self, tmp_path, monkeypatch):
+        corpus = build_separable_corpus(tmp_path, n_sentences=4, seed=23)
+        model = self._model(corpus.config, np.random.default_rng(3))
+        folds, scored = [], []
+        fold, predict = MetaphorTagger._folded_kernels, MetaphorTagger.predict_probs
+
+        def counted_fold(self):
+            folds.append(len(scored))
+            return fold(self)
+
+        def recorded(self, chans):
+            scored.append(predict(self, chans))
+            return scored[-1]
+
+        monkeypatch.setattr(MetaphorTagger, "_folded_kernels", counted_fold)
+        monkeypatch.setattr(MetaphorTagger, "predict_probs", recorded)
+        label_sentences(model, corpus.sentences, corpus.provider)
+        assert model._fold is None
+        first = scored[:]
+        channels = corpus.provider.channels(corpus.sentences[0], 0)
+        with tc.Tape() as tape:
+            loss = model.sentence_loss(model.build_stack(channels),
+                                       corpus.sentences[0].labels(), tc.RngStream(0))
+        tc.backward(loss, tape, model.parameters().values())
+        tc.sgd_step(model.parameters(), 0.5)
+        label_sentences(model, corpus.sentences, corpus.provider)
+        assert folds == [0, 4]          # once per pass, on its first sentence
+        for i, (sent, probs) in enumerate(zip(corpus.sentences, scored[4:])):
+            stack = model.build_stack(corpus.provider.channels(sent, i))
+            np.testing.assert_allclose(probs, model.forward(stack, None, training=False).data,
+                                       rtol=0, atol=1e-12)
+        assert max(np.abs(a - b).max() for a, b in zip(first, scored[4:])) > 1e-6
+
+    @pytest.mark.parametrize("fault,error,message", [
+        ("missing", DimensionError, "channel B missing from input"),
+        ("static-width", DimensionError, "static channel shape (5, 4), expected (n, 5)"),
+        ("layer-width", DimensionError, "channel E shape (5, 9), expected (n, 8)"),
+        ("length", DimensionError, "channel B: shape (6, 8) does not match (5, 8)"),
+        ("non-finite", NumericError, "tensor contains non-finite values"),
+    ])
+    def test_faults_are_reported_as_by_build_stack(self, fault, error, message):
+        model, batch = micro_model_and_batch()
+        bad = dict(batch[0][0])         # G (5, 5), E and B (5, 8)
+        if fault == "missing":
+            del bad["B"]
+        else:
+            name, value = {"static-width": ("G", np.zeros((5, 4))),
+                           "layer-width": ("E", np.zeros((5, 9))),
+                           "length": ("B", np.zeros((6, 8))),
+                           "non-finite": ("E", np.full((5, 8), np.nan))}[fault]
+            bad[name] = value
+        for score in (model.build_stack, model.predict_probs):
+            with pytest.raises(error) as caught:
+                score(bad)
+            assert str(caught.value) == message
+
+    def test_an_empty_sentence_is_reported_as_by_forward(self):
+        model, _ = micro_model_and_batch()
+        empty = {"G": np.zeros((0, 5)), "E": np.zeros((0, 8)), "B": np.zeros((0, 8))}
+        for score in (lambda: model.forward(model.build_stack(empty), None, training=False),
+                      lambda: model.predict_probs(empty)):
+            with pytest.raises(WindowError, match=r"^conv_bank: no window fits a padded "
+                                                  r"sequence of length 0$"):
+                score()
+
+    def test_a_call_outside_a_pass_keeps_no_fold(self):
+        model, batch = micro_model_and_batch()
+        model.predict_probs(batch[0][0])
+        assert model._fold is None
 
 
 class TestCheckpointCodec:
