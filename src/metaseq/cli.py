@@ -6,7 +6,8 @@ byte-identical outputs. Numeric CSV fields carry 6 decimal places, and a
 value that rounds to zero prints unsigned.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric failure. Each
-error class carries its code (``MetaseqError.exit_code``); OS errors are 3.
+error class carries its code (``MetaseqError.exit_code``); OS errors and
+running out of memory are 3.
 """
 
 from __future__ import annotations
@@ -333,6 +334,18 @@ def _check_layer_indices(paths: list[str], layers: list) -> None:
         first[layer.layer_index] = path
 
 
+def _check_l2_memory(path, dimension: int, threads: int) -> None:
+    """The rotated l2 probe's d x d matrices, on ``threads`` threads at
+    once, must fit in physical memory; else a data error naming ``path``,
+    whose header set d, raised before any of them is made."""
+    needed = space_analysis.PROCRUSTES_SQUARES * 8 * dimension ** 2 * threads
+    bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > bound:
+        raise InputError(f"{path}: dimension {dimension}: the rotated l2 probe needs "
+                         f"{needed} bytes on {threads} thread(s), more than the "
+                         f"{bound} bytes of physical memory")
+
+
 def cmd_probe(args, argv: list[str]) -> int:
     seed = _resolve_seed(args, {})
     if args.mode == "l2" and len(args.layer_files) < 2:
@@ -364,6 +377,9 @@ def cmd_probe(args, argv: list[str]) -> int:
             if layer.dimension != layers[0].dimension:
                 raise InputError(f"{path}: dimension {layer.dimension}, but the reference "
                                  f"{args.layer_files[0]} has dimension {layers[0].dimension}")
+        if args.l2_variant == "rotated":
+            _check_l2_memory(args.layer_files[0], layers[0].dimension,
+                             min(args.threads, len(layers) - 1))
         reference = layers[0].all_rows()
 
         def one(layer):
@@ -492,6 +508,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return EXIT_DATA
 
 

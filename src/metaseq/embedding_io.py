@@ -386,20 +386,9 @@ def load_contextual(path, sentences: Sequence, dimension: int | None = None
 # Channel assembly
 # ---------------------------------------------------------------------------
 
-def stack_channels(matrices: Sequence, order: Sequence[str]) -> tc.Tensor:
-    """Stack per-channel (length, dim) matrices, named by ``order``, into one
-    (channel, length, dim) tensor; all shapes must agree."""
-    if not matrices:
-        raise DimensionError("stack_channels needs at least one channel")
-    if len(order) != len(matrices):
-        raise DimensionError(
-            f"{len(order)} channel names for {len(matrices)} matrices")
-    tensors = [m if isinstance(m, tc.Tensor) else tc.Tensor(m) for m in matrices]
-    shape = tensors[0].shape
-    for name, t in zip(order, tensors):
-        if t.data.ndim != 2 or t.shape != shape:
-            raise DimensionError(
-                f"channel {name}: shape {t.shape} does not match {shape}")
+def stack_channels(tensors: Sequence[tc.Tensor]) -> tc.Tensor:
+    """Stack the model's checked per-channel (length, dim) tensors, in
+    channel order, into one (channel, length, dim) tensor."""
     return tc.stack_mats(tensors)
 
 

@@ -43,6 +43,12 @@ from .train_eval import METAPHOR, SentenceRecord
 
 ORTHOGONALITY_TOL = 1e-8
 
+# The most d x d float64 arrays procrustes_align holds at once: its
+# Newton-Schulz step holds M, V, W, 1.5 W, W.T W and W (W.T W); the SVD
+# fallback at most five (M, the rejected W, U, Vt, and numpy's copy of M or
+# U Vt). LAPACK's workspace comes on top, so this is a floor of its peak.
+PROCRUSTES_SQUARES = 6
+
 # Rows per block in avg_l2 (3 MiB at d = 1024). With OpenBLAS 0.3.31 on one
 # BLAS thread, blocks of a multiple of 192 rows gave products bit-identical
 # to the same rows of the whole product on the SkylakeX, Haswell, Zen and

@@ -10,7 +10,7 @@ pool that ``tensor_core`` runs the conv windows and the update on.
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import dataclasses
 import json
 import math
@@ -200,8 +200,7 @@ class MetaphorTagger:
 
     def __init__(self, config: ModelConfig, params: Mapping[str, np.ndarray] | None = None):
         self.config = config
-        self._in_pass = False
-        self._fold: list[np.ndarray] | None = None
+        self._fold: list[np.ndarray] | None = None   # set on a ``scorer()`` copy only
         if params is not None:
             self.params = {name: tc.Tensor(arr, requires_grad=True)
                            for name, arr in params.items()}
@@ -282,7 +281,7 @@ class MetaphorTagger:
             g = order.index("G")
             mats[g] = tc.add_bias(tc.matmul(mats[g], tc.transpose(self.params["proj_w"])),
                                   self.params["proj_b"])
-        return stack_channels(mats, order)
+        return stack_channels(mats)
 
     def _lstm_direction(self, act: tc.Tensor, prefix: str, reverse: bool) -> tc.Tensor:
         """The (n, hidden) states of one BiLSTM direction over ``act``."""
@@ -337,8 +336,8 @@ class MetaphorTagger:
         conv, so the channels are scored unprojected through kernels with
         the projection folded in (``_folded_kernels``): the static rows get
         a ones column that carries the bias and, like them, is zero past
-        the sentence's end. Within a ``_labelling_pass`` the fold is made
-        on the first sentence and kept; otherwise it serves this call only.
+        the sentence's end. A ``scorer()`` scores through the fold it was
+        made with; the model itself folds for this call alone.
         """
         cfg = self.config
         mats = [t.data for t in self._channel_tensors(channels)]
@@ -346,20 +345,17 @@ class MetaphorTagger:
             g = cfg.channel_order.index("G")
             mats[g] = np.concatenate([mats[g], np.ones((len(mats[g]), 1))], axis=1)
         kernels = self._fold or self._folded_kernels()
-        if self._in_pass:
-            self._fold = kernels
         maps = tc.Tensor(tc.conv_maps(mats, kernels, cfg.window_sizes))
-        return self._classify_maps(maps, None, training=False).data.copy()
+        return self._classify_maps(maps, None, training=False).data
 
-    @contextlib.contextmanager
-    def _labelling_pass(self):
-        """``predict_probs`` keeps its folded kernels within the block and
-        drops them on leaving, so a fold never outlives a parameter update."""
-        self._in_pass = True
-        try:
-            yield
-        finally:
-            self._in_pass, self._fold = False, None
+    def scorer(self) -> "MetaphorTagger":
+        """A shallow copy for one labelling pass: it shares ``config`` and
+        the parameter tensors, and holds the kernels folded from them now.
+        A parameter update after this leaves it stale, so a pass makes its
+        own and drops it when it returns."""
+        scorer = copy.copy(self)
+        scorer._fold = self._folded_kernels()
+        return scorer
 
     @classmethod
     def from_checkpoint(cls, checkpoint: Checkpoint) -> "MetaphorTagger":
@@ -374,15 +370,18 @@ def label_sentences(model: MetaphorTagger, sentences, provider
                     ) -> tuple[list[list[int]], train_eval.MetricsReport]:
     """Argmax labels per sentence and the target-token metrics over all of
     them. Each sentence's channels are built right before it is scored, so
-    one sentence's channels are alive at a time; the folded conv kernels
-    are made once for the pass, on its first sentence."""
+    one sentence's channels are alive at a time. Every sentence is scored
+    through one ``model.scorer()``, made right after the first one's
+    channels."""
     predictions, gold, masks = [], [], []
-    with model._labelling_pass():
-        for index, sent in enumerate(sentences):
-            probs = model.predict_probs(provider.channels(sent, index))
-            predictions.append(np.argmax(probs, axis=1).tolist())
-            gold.extend(sent.labels().tolist())
-            masks.extend(sent.target_mask().tolist())
+    scorer = None
+    for index, sent in enumerate(sentences):
+        channels = provider.channels(sent, index)
+        scorer = scorer or model.scorer()
+        probs = scorer.predict_probs(channels)
+        predictions.append(np.argmax(probs, axis=1).tolist())
+        gold.extend(sent.labels().tolist())
+        masks.extend(sent.target_mask().tolist())
     flat = [label for labels in predictions for label in labels]
     return predictions, train_eval.compute_metrics(flat, gold, masks)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import struct
 import time
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from metaseq import cli, embedding_io
+from metaseq import cli, embedding_io, space_analysis
+from metaseq import tensor_core as tc
 from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import (
     CONTEXTUAL_MAGIC,
@@ -798,6 +800,31 @@ class TestProbeCommand:
             f"error: {b}: dimension 5, but the reference {a} has dimension 4\n")
         assert not out.exists()
 
+    def test_l2_too_wide_for_memory_is_data_error_before_any_read(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # 4 tokens at width 200,000: 3.2 MB files whose d x d matrices are TBs
+        dim = 200_000
+        data = self._one_token_corpus(tmp_path, 4)
+        a, b = tmp_path / "a.cemb", tmp_path / "b.cemb"
+        for path, index in ((a, 1), (b, 2)):
+            write_contextual(path, index, dim, {i: np.full((1, dim), i + index, dtype=np.float32)
+                                                for i in range(4)})
+
+        def never(*args):
+            raise AssertionError("the rotated probe started")
+
+        monkeypatch.setattr(space_analysis, "procrustes_align", never)
+        monkeypatch.setattr(embedding_io.ContextualLayerFile, "all_rows", never)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
+                     "--mode", "l2", "--out", str(out)]) == 3
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert capsys.readouterr().err == (
+            f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
+            f"1 thread(s), more than the {bound} bytes of physical memory\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
     def test_pca_rank_one_prints_no_negative_zero(self, tmp_path, scale):
         n = 8
@@ -1493,3 +1520,40 @@ class TestExitCodes:
 
     def test_os_error_is_exit_3(self, monkeypatch, tmp_path):
         assert self._probe_raising(monkeypatch, tmp_path, FileNotFoundError("gone")) == 3
+
+
+class TestOutOfMemory:
+    """A MemoryError in a command's main stage ends in one line and exit 3,
+    before ``--out`` exists."""
+
+    @staticmethod
+    def _pca_args(tmp_path) -> list[str]:
+        data = tmp_path / "nouns.tsv"
+        data.write_text("".join(f"s{i}\tnews\t0\tw{i}\tNOUN\t0\t1\n\n" for i in range(4)))
+        layer = tmp_path / "layer.cemb"
+        write_contextual(layer, 1, 3, {i: np.full((1, 3), i, dtype=np.float32)
+                                       for i in range(4)})
+        return ["probe", "--data", str(data), "--layer-files", str(layer), "--mode", "pca"]
+
+    @pytest.mark.parametrize("command,owner,stage", [
+        ("train", tc, "conv_bank"),
+        ("eval", tc, "conv_maps"),
+        ("probe", space_analysis, "pca_2d"),
+    ])
+    def test_is_one_line_and_exit_3(self, corpus_files, trained, tmp_path, capsys,
+                                    monkeypatch, command, owner, stage):
+        _, paths = corpus_files
+        out = tmp_path / "out"
+        args = {"train": lambda: _train_args(paths, out),
+                "eval": lambda: TestEvalCommand()._eval_args(paths, trained, out),
+                "probe": lambda: self._pca_args(tmp_path) + ["--out", str(out)]}[command]()
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(owner, stage, exhausted)
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory in {command}\n"
+        assert captured.out == ""
+        assert not out.exists()

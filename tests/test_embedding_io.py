@@ -24,7 +24,6 @@ from metaseq.embedding_io import (
     _read_exact,
     load_contextual,
     load_static_text,
-    stack_channels,
 )
 from metaseq.errors import (
     AlignmentError,
@@ -862,15 +861,17 @@ class TestRowsReadWhenUsed:
             layer.all_rows()
 
 
-def projector(w, b) -> MetaphorTagger:
-    """A G-only model whose static projection is ``W x + b``."""
+def projector(w, b, order=("G",)) -> MetaphorTagger:
+    """A model over the channels ``order`` whose static projection, if G
+    is one of them, is ``W x + b``."""
     w = np.asarray(w, dtype=float)
     cfg = ModelConfig(unified_dim=w.shape[0], static_dim=w.shape[1],
-                      channel_order=("G",), window_sizes=(1,),
+                      channel_order=tuple(order), window_sizes=(1,),
                       kernels_per_window=1, hidden_size=1)
     model = MetaphorTagger(cfg)
-    model.params["proj_w"].data[...] = w
-    model.params["proj_b"].data[...] = b
+    if "G" in order:
+        model.params["proj_w"].data[...] = w
+        model.params["proj_b"].data[...] = b
     return model
 
 
@@ -972,25 +973,35 @@ class TestBuildGpa:
 
 
 class TestChannelStack:
+    """``MetaphorTagger.build_stack`` stacks the checked channels in config
+    order; through an identity projection the static channel is stacked as
+    given."""
+
+    @staticmethod
+    def stack_channels(mats, order) -> tc.Tensor:
+        dim = mats[0].shape[1]
+        model = projector(np.eye(dim), np.zeros(dim), order)
+        return model.build_stack(dict(zip(order, mats)))
+
     def test_three_channel_shape(self):
         mats = [np.random.default_rng(i).normal(size=(5, 16)) for i in range(3)]
-        stack = stack_channels(mats, ("G", "E", "B"))
+        stack = self.stack_channels(mats, ("G", "E", "B"))
         assert stack.shape == (3, 5, 16)
         for i, mat in enumerate(mats):  # channel i of the block is order[i]
             np.testing.assert_array_equal(stack.data[i], mat)
 
     def test_single_channel_ablation(self):
-        stack = stack_channels([np.zeros((4, 8))], ("E",))
+        stack = self.stack_channels([np.zeros((4, 8))], ("E",))
         assert stack.shape == (1, 4, 8)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            stack_channels([np.zeros((5, 8)), np.zeros((6, 8))], ("G", "E"))
+            self.stack_channels([np.zeros((5, 8)), np.zeros((6, 8))], ("G", "E"))
 
     def test_unstack_round_trip(self):
         rng = np.random.default_rng(4)
         mats = [rng.normal(size=(6, 10)) for _ in range(3)]
-        stack = stack_channels(mats, ("G", "E", "B"))
+        stack = self.stack_channels(mats, ("G", "E", "B"))
         for i, original in enumerate(mats):
             np.testing.assert_array_equal(original, stack.data[i])
 

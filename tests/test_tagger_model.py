@@ -562,6 +562,28 @@ class TestFoldedInference:
                                                   r"sequence of length 0$"):
                 score()
 
+    def test_a_pass_leaves_no_fold_on_the_model(self, tmp_path):
+        corpus = build_separable_corpus(tmp_path, n_sentences=4, seed=23)
+        model = self._model(corpus.config, np.random.default_rng(3))
+        seen = []
+
+        class Watching:     # the corpus provider, noting the model's fold on every call
+            def channels(self, sent, index):
+                seen.append(model._fold is None)
+                return corpus.provider.channels(sent, index)
+
+        label_sentences(model, corpus.sentences, Watching())
+        assert seen == [True] * 4
+
+    def test_a_scorer_scores_as_the_model_bit_for_bit(self):
+        model, batch = micro_model_and_batch()
+        model = self._model(model.config, np.random.default_rng(8))
+        scorer = model.scorer()
+        assert scorer.config is model.config and scorer.params is model.params
+        for channels, _ in batch:
+            assert scorer.predict_probs(channels).tobytes() == \
+                model.predict_probs(channels).tobytes()
+
     def test_a_call_outside_a_pass_keeps_no_fold(self):
         model, batch = micro_model_and_batch()
         model.predict_probs(batch[0][0])
