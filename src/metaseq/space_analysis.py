@@ -43,11 +43,14 @@ from .train_eval import METAPHOR, SentenceRecord
 
 ORTHOGONALITY_TOL = 1e-8
 
-# The most d x d float64 arrays procrustes_align holds at once: its
-# Newton-Schulz step holds M, V, W, 1.5 W, W.T W and W (W.T W); the SVD
-# fallback at most five (M, the rejected W, U, Vt, and numpy's copy of M or
-# U Vt). LAPACK's workspace comes on top, so this is a floor of its peak.
-PROCRUSTES_SQUARES = 6
+# The most d x d float64 arrays procrustes_align holds at once, LAPACK's
+# workspace included, rounded up from the rise of a fresh process's VmHWM
+# at d = 1,500 with one BLAS thread: 6.4 d^2 on the eigh path (3,000 random
+# rows), 7.3 on the SVD fallback for a singular M (200 rows) and 9.0 where W
+# is formed, rejected and made again by the SVD (M ill-conditioned, 600 to
+# 3,000 rows), of which numpy's SVD holds about 6.6 (its copy of M, U, Vt
+# and the workspace).
+PROCRUSTES_SQUARES = 10
 
 # Rows per block in avg_l2 (3 MiB at d = 1024). With OpenBLAS 0.3.31 on one
 # BLAS thread, blocks of a multiple of 192 rows gave products bit-identical
@@ -229,6 +232,7 @@ def procrustes_align(b_rows, e_rows) -> AlignmentResult:
             residual = _orthogonality_residual(w)
     del lam, v
     if not residual < ORTHOGONALITY_TOL / 10:    # singular or ill-conditioned M
+        w = None                                   # the rejected W, not held through the SVD
         u, _, vt = svd(m)
         w = u @ vt
         del u, vt

@@ -5,7 +5,8 @@ cross-entropy under plain SGD.
 Training is batch-size-1 over seeded shuffles; after every epoch the dev
 split is scored and the best-F1 parameter snapshot is kept. One training
 run is bitwise reproducible from its seed, whatever the width of the op
-pool that ``tensor_core`` runs the conv windows and the update on.
+pool that ``tensor_core`` runs the conv windows, the BiLSTM directions and
+the update on.
 """
 
 from __future__ import annotations
@@ -283,10 +284,11 @@ class MetaphorTagger:
                                   self.params["proj_b"])
         return stack_channels(mats)
 
-    def _lstm_direction(self, act: tc.Tensor, prefix: str, reverse: bool) -> tc.Tensor:
-        """The (n, hidden) states of one BiLSTM direction over ``act``."""
-        return tc.lstm(act, self.params[f"{prefix}_wx"], self.params[f"{prefix}_wh"],
-                       self.params[f"{prefix}_b"], reverse)
+    def _lstm_direction(self, prefix: str, reverse: bool
+                        ) -> tuple[tc.Tensor, tc.Tensor, tc.Tensor, bool]:
+        """One BiLSTM direction's weights and order, as ``tc.lstm`` takes them."""
+        return (self.params[f"{prefix}_wx"], self.params[f"{prefix}_wh"],
+                self.params[f"{prefix}_b"], reverse)
 
     def forward(self, stack: tc.Tensor, rng: tc.RngStream | None, training: bool) -> tc.Tensor:
         """Per-token class probabilities, shape (n, 2)."""
@@ -305,9 +307,8 @@ class MetaphorTagger:
         """Tanh, BiLSTM, hidden dropout and softmax classifier over the
         (n, feature_width) conv maps."""
         feats = tc.tanh_act(maps)
-        fwd = self._lstm_direction(feats, "lstm_f", reverse=False)
-        bwd = self._lstm_direction(feats, "lstm_b", reverse=True)
-        hidden = tc.concat_cols([fwd, bwd])
+        hidden = tc.lstm(feats, [self._lstm_direction("lstm_f", reverse=False),
+                                 self._lstm_direction("lstm_b", reverse=True)])
         hidden = tc.dropout(hidden, self.config.hidden_dropout, rng, training)
         logits = tc.add_bias(tc.matmul(hidden, self.params["cls_w"]), self.params["cls_b"])
         return tc.softmax(logits)
@@ -419,6 +420,7 @@ def train(train_sentences, provider, config: ModelConfig, dev_sentences=None,
             tc.backward(loss, tape, params.values())
             tc.sgd_step(params, config.learning_rate)
             total_loss += float(loss.data)
+        tc.release_gradients(params.values())   # not needed while the dev split is scored
         dev_f1 = label_sentences(model, dev_sentences, provider)[1].f1
         if on_epoch is not None:
             on_epoch(epoch, total_loss / len(train_sentences), dev_f1)

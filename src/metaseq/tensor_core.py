@@ -7,19 +7,19 @@ All arithmetic is 64-bit. There is no broadcasting beyond the explicit
 
 Tape recording is thread-local: each model instance runs its forward and
 backward on one thread, while independent instances may run concurrently.
-Inside one op, ``conv_bank``, ``conv_maps``, ``fold_kernels`` and
-``sgd_step`` share independent per-window or per-parameter jobs between
-the calling thread and a shared thread pool (``pool_width``); the jobs
-record nothing, and their results are combined in a fixed order, so the
-bits do not depend on the width.
+Inside one op, ``conv_bank``, ``conv_maps``, ``fold_kernels``, ``lstm``
+and ``sgd_step`` share independent per-window, per-direction or
+per-parameter jobs between the calling thread and a shared thread pool
+(``pool_width``); the jobs record nothing, and their results are combined
+in a fixed order, so the bits do not depend on the width.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
 matrix product straight through ``np.matmul(..., out=)``), later ones in
 the same pass are added with ``+=``. So a ``.grad`` array is valid until
 the next ``backward`` into that tensor; ``sgd_step`` sets ``.grad`` to
-None but keeps the storage for the next step. A caller that keeps a
-gradient must copy it.
+None but keeps the storage for the next step, and ``release_gradients``
+drops the storage too. A caller that keeps a gradient must copy it.
 """
 
 from __future__ import annotations
@@ -609,29 +609,15 @@ def fold_kernels(kernels: Sequence[np.ndarray],
     return _largest_first(fold, kernels, [kern.size for kern in kernels])
 
 
-def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over an (n, f) sequence -> (n, hidden) states.
-
-    Gates are laid out (input, forget, candidate, output) along the 4*hidden
-    columns of ``wx`` (f, 4h), ``wh`` (h, 4h) and ``bias`` (4h,); the state
-    starts at zero and runs from the last position to the first when
-    ``reverse``. The input projection of all positions is one matmul; the
-    backward is hand-written BPTT whose weight and input gradients are
-    single matmuls over the stored pre-activation gradients.
-    """
-    _require_2d("lstm", x)
-    _require_2d("lstm", wh)
-    n, f = x.shape
-    hidden = wh.shape[0]
-    if wx.shape != (f, 4 * hidden) or wh.shape != (hidden, 4 * hidden) \
-            or bias.shape != (4 * hidden,):
-        raise DimensionError(
-            f"lstm: weights {wx.shape}, {wh.shape}, bias {bias.shape} do not fit "
-            f"input {x.shape} with hidden size {hidden}")
+def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, bias: np.ndarray,
+                  reverse: bool) -> tuple[np.ndarray, ...]:
+    """One direction's recurrence: its (n, hidden) states, and the
+    activated gates, cell tanh and entering states and cells that its
+    BPTT reads."""
+    n, hidden = x.shape[0], wh.shape[0]
     h2, h3 = 2 * hidden, 3 * hidden
     steps = range(n - 1, -1, -1) if reverse else range(n)
-    zx = x.data @ wx.data + bias.data
+    zx = x @ wx + bias
     gates = np.empty((n, 4 * hidden))       # activated i, f, g, o
     tanh_cells = np.empty((n, hidden))
     states = np.empty((n, hidden))
@@ -642,7 +628,7 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,
     for t in steps:
         prev_states[t] = h
         prev_cells[t] = cell
-        z = zx[t] + h @ wh.data
+        z = zx[t] + h @ wh
         a = gates[t]
         a[:] = _sigmoid(z)
         a[h2:h3] = np.tanh(z[h2:h3])
@@ -650,31 +636,89 @@ def lstm(x: Tensor, wx: Tensor, wh: Tensor, bias: Tensor,
         tanh_cells[t] = np.tanh(cell)
         h = a[h3:] * tanh_cells[t]
         states[t] = h
-    out = Tensor(states, requires_grad=x.requires_grad or wx.requires_grad
-                 or wh.requires_grad or bias.requires_grad)
+    return states, gates, tanh_cells, prev_states, prev_cells
+
+
+def _lstm_backward(g: np.ndarray, wh: np.ndarray, reverse: bool, gates: np.ndarray,
+                   tanh_cells: np.ndarray, prev_cells: np.ndarray) -> np.ndarray:
+    """One direction's BPTT: the (n, 4 hidden) pre-activation gradients
+    for the (n, hidden) state gradient ``g``."""
+    n, hidden = g.shape
+    h2, h3 = 2 * hidden, 3 * hidden
+    dz = np.empty((n, 4 * hidden))
+    dh_next = np.zeros(hidden)
+    dc_next = np.zeros(hidden)
+    for t in (range(n) if reverse else range(n - 1, -1, -1)):
+        a = gates[t]
+        gi, gf, gg, go = a[:hidden], a[hidden:h2], a[h2:h3], a[h3:]
+        dh = g[t] + dh_next
+        dc = dh * go * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
+        d = dz[t]
+        d[:hidden] = dc * gg * gi * (1.0 - gi)
+        d[hidden:h2] = dc * prev_cells[t] * gf * (1.0 - gf)
+        d[h2:h3] = dc * gi * (1.0 - gg * gg)
+        d[h3:] = dh * tanh_cells[t] * go * (1.0 - go)
+        dc_next = dc * gf
+        dh_next = d @ wh.T
+    return dz
+
+
+def lstm(x: Tensor, directions: Sequence[tuple[Tensor, Tensor, Tensor, bool]]) -> Tensor:
+    """LSTM directions over one (n, f) sequence -> (n, sum of hidden_j):
+    direction j's states in its own columns, in the given order.
+
+    A direction is ``(wx, wh, bias, reverse)``. Gates are laid out (input,
+    forget, candidate, output) along the 4*hidden columns of ``wx`` (f, 4h),
+    ``wh`` (h, 4h) and ``bias`` (4h,); the state starts at zero and runs
+    from the last position to the first when ``reverse``. The input
+    projection of all positions is one matmul; the backward is hand-written
+    BPTT whose weight and input gradients are single matmuls over the
+    stored pre-activation gradients. Each direction is one pool task,
+    forward and backward. One tape node covers every direction; its
+    backward adds the directions' input gradients into ``x`` last direction
+    first, the order in which one node per direction would replay.
+    """
+    _require_2d("lstm", x)
+    if not directions:
+        raise ContractError("lstm needs at least one direction")
+    weights = [t for wx, wh, bias, _ in directions for t in (wx, wh, bias)]
+    if len({id(t) for t in weights}) != len(weights):
+        raise ContractError("lstm: a weight tensor is given twice")
+    n, f = x.shape
+    for j, (wx, wh, bias, _) in enumerate(directions):
+        _require_2d("lstm", wh)
+        hidden = wh.shape[0]
+        if wx.shape != (f, 4 * hidden) or wh.shape != (hidden, 4 * hidden) \
+                or bias.shape != (4 * hidden,):
+            raise DimensionError(
+                f"lstm: direction {j}: weights {wx.shape}, {wh.shape}, bias {bias.shape} "
+                f"do not fit input {x.shape} with hidden size {hidden}")
+    sizes = [wx.size + wh.size for wx, wh, _, _ in directions]
+    parts = _largest_first(
+        lambda d: _lstm_forward(x.data, d[0].data, d[1].data, d[2].data, d[3]),
+        directions, sizes)
+    out = Tensor(np.concatenate([states for states, *_ in parts], axis=1),
+                 requires_grad=x.requires_grad or any(t.requires_grad for t in weights))
+    starts = np.cumsum([0] + [wh.shape[0] for _, wh, _, _ in directions]).tolist()
 
     def bw(g: np.ndarray) -> None:
-        dz = np.empty((n, 4 * hidden))
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
-        for t in reversed(steps):
-            a = gates[t]
-            gi, gf, gg, go = a[:hidden], a[hidden:h2], a[h2:h3], a[h3:]
-            dh = g[t] + dh_next
-            dc = dh * go * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
-            d = dz[t]
-            d[:hidden] = dc * gg * gi * (1.0 - gi)
-            d[hidden:h2] = dc * prev_cells[t] * gf * (1.0 - gf)
-            d[h2:h3] = dc * gi * (1.0 - gg * gg)
-            d[h3:] = dh * tanh_cells[t] * go * (1.0 - go)
-            dc_next = dc * gf
-            dh_next = d @ wh.data.T
-        _accumulate_product(wx, x.data.T, dz)
-        _accumulate_product(wh, prev_states.T, dz)
-        _accumulate(bias, dz.sum(axis=0))
-        _accumulate_product(x, dz, wx.data.T)
+        def direction(j: int) -> np.ndarray | None:
+            """Direction j's weight gradients, and its input-gradient block."""
+            wx, wh, bias, reverse = directions[j]
+            _, gates, tanh_cells, prev_states, prev_cells = parts[j]
+            dz = _lstm_backward(g[:, starts[j]:starts[j + 1]], wh.data, reverse,
+                                gates, tanh_cells, prev_cells)
+            _accumulate_product(wx, x.data.T, dz)
+            _accumulate_product(wh, prev_states.T, dz)
+            _accumulate(bias, dz.sum(axis=0))
+            return dz @ wx.data.T if x.requires_grad else None
 
-    _record("lstm", (x, wx, wh, bias), out, bw)
+        blocks = _largest_first(direction, range(len(directions)), sizes)
+        if x.requires_grad:
+            for block in reversed(blocks):
+                _accumulate(x, block)
+
+    _record("lstm", (x, *weights), out, bw)
     return out
 
 
@@ -794,3 +838,11 @@ def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> 
         p.grad = None
 
     _largest_first(update, params, [p.size for p in params])
+
+
+def release_gradients(parameters: Iterable[Tensor]) -> None:
+    """Drop each parameter's gradient and its storage: they hold no memory
+    until the next ``backward`` makes the storage afresh."""
+    for p in parameters:
+        p.grad = None
+        p._grad_store = None

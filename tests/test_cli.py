@@ -825,6 +825,27 @@ class TestProbeCommand:
             f"1 thread(s), more than the {bound} bytes of physical memory\n")
         assert not out.exists()
 
+    def test_l2_memory_check_counts_the_procrustes_peak(self, tmp_path, capsys, monkeypatch):
+        # physical memory of 8 d x d float64 arrays: above the 6 that
+        # procrustes_align's own arrays take, below its measured peak
+        dim = 64
+        data = self._one_token_corpus(tmp_path, 4)
+        a, b = tmp_path / "a.cemb", tmp_path / "b.cemb"
+        for path, index in ((a, 1), (b, 2)):
+            write_contextual(path, index, dim, {i: np.full((1, dim), i + index, dtype=np.float32)
+                                                for i in range(4)})
+        bound = 8 * 8 * dim ** 2
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": bound}.get)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
+                     "--mode", "l2", "--out", str(out)]) == 3
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        assert needed > bound
+        assert capsys.readouterr().err == (
+            f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
+            f"1 thread(s), more than the {bound} bytes of physical memory\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
     def test_pca_rank_one_prints_no_negative_zero(self, tmp_path, scale):
         n = 8

@@ -166,11 +166,13 @@ class TestForward:
         maps = tc.conv_bank(stack, [model.params[f"conv_w{w}"] for w in (2, 3, 4, 5)])
         feats = tc.tanh_act(maps)
         assert feats.shape == (7, 400)
-        fwd = model._lstm_direction(feats, "lstm_f", reverse=False)
-        bwd = model._lstm_direction(feats, "lstm_b", reverse=True)
+        directions = [model._lstm_direction("lstm_f", reverse=False),
+                      model._lstm_direction("lstm_b", reverse=True)]
+        fwd, bwd = (tc.lstm(feats, [direction]) for direction in directions)
         assert fwd.shape == bwd.shape == (7, 256)
-        hidden = tc.concat_cols([fwd, bwd])
+        hidden = tc.lstm(feats, directions)
         assert hidden.shape == (7, 512)
+        assert hidden.data.tobytes() == np.concatenate([fwd.data, bwd.data], axis=1).tobytes()
         probs = model.forward(stack, tc.RngStream(0), training=False)
         assert probs.shape == (7, 2)
 
@@ -203,13 +205,17 @@ class TestForward:
         assert not np.array_equal(a, b)
 
 
-def _per_timestep_direction(model, act, prefix, reverse):
-    """One BiLSTM direction composed from per-timestep tape ops: the oracle
-    for the fused ``tc.lstm``."""
-    hidden = model.config.hidden_size
-    wx = model.params[f"{prefix}_wx"]
-    wh = model.params[f"{prefix}_wh"]
-    bias = model.params[f"{prefix}_b"]
+def _per_timestep_lstm(act, directions):
+    """The directions of ``tc.lstm`` each composed from per-timestep tape
+    ops, one after another, and joined by ``concat_cols``: the oracle for
+    the fused op."""
+    return tc.concat_cols([_per_timestep_direction(act, *direction)
+                           for direction in directions])
+
+
+def _per_timestep_direction(act, wx, wh, bias, reverse):
+    """One LSTM direction composed from per-timestep tape ops."""
+    hidden = wh.shape[0]
     n = act.shape[0]
     h = tc.Tensor(np.zeros((1, hidden)))
     c = tc.Tensor(np.zeros((1, hidden)))
@@ -247,7 +253,7 @@ class TestFusedLstm:
             channels = corpus.provider.channels(sent, i)
             fused_probs, fused_grads = _probs_and_grads(model, channels, sent.labels())
             with monkeypatch.context() as m:
-                m.setattr(MetaphorTagger, "_lstm_direction", _per_timestep_direction)
+                m.setattr(tc, "lstm", _per_timestep_lstm)
                 ref_probs, ref_grads = _probs_and_grads(model, channels, sent.labels())
             np.testing.assert_allclose(fused_probs, ref_probs, rtol=0, atol=1e-12)
             assert set(fused_grads) == set(ref_grads)
@@ -434,6 +440,36 @@ class TestTraining:
         best_f1 = max(f1 for _, f1 in history)
         assert cp.dev_f1 == best_f1
         assert cp.epoch == min(e for e, f1 in history if f1 == best_f1)
+
+    def test_dev_pass_holds_no_gradient_storage(self, tmp_path, monkeypatch):
+        corpus = build_separable_corpus(tmp_path, n_sentences=6, seed=17)
+        cfg = dataclasses.replace(corpus.config, epochs=2)
+        dev = [dataclasses.replace(s) for s in corpus.sentences[:2]]   # same rows, own identity
+        models = []
+        init = MetaphorTagger.__init__
+
+        def spy_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            models.append(self)
+
+        seen = {"train": [], "dev": []}
+
+        class SpyProvider:
+            def channels(self, sentence, index):
+                held = [name for name, p in models[0].params.items()
+                        if p.grad is not None or p._grad_store is not None]
+                seen["dev" if any(sentence is d for d in dev) else "train"].append(held)
+                return corpus.provider.channels(sentence, index)
+
+        monkeypatch.setattr(MetaphorTagger, "__init__", spy_init)
+        with_release = train(corpus.sentences, SpyProvider(), cfg, dev_sentences=dev)
+        assert len(seen["dev"]) == cfg.epochs * len(dev)
+        assert seen["dev"] == [[]] * len(seen["dev"])
+        assert sorted(seen["train"][1]) == sorted(models[0].params)   # storage after a step
+        monkeypatch.setattr(tc, "release_gradients", lambda params: None)
+        kept = train(corpus.sentences, corpus.provider, cfg, dev_sentences=dev)
+        for name, arr in kept.params.items():
+            assert with_release.params[name].tobytes() == arr.tobytes(), name
 
 
 class TestPredict:

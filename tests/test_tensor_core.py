@@ -482,25 +482,110 @@ class TestLstm:
         z = x[0] @ wx.data + bias.data
         sig = 1.0 / (1.0 + np.exp(-z))
         expected = sig[6:] * np.tanh(sig[:2] * np.tanh(z[4:6]))
-        got = tc.lstm(tc.Tensor(x), wx, wh, bias).data
+        got = tc.lstm(tc.Tensor(x), [(wx, wh, bias, False)]).data
         np.testing.assert_allclose(got[0], expected, rtol=0, atol=1e-15)
 
     def test_reverse_is_forward_over_reversed_rows(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(6, 3))
         wx, wh, bias = self._weights(rng, 3, 2)
-        backward = tc.lstm(tc.Tensor(x), wx, wh, bias, reverse=True).data
-        forward = tc.lstm(tc.Tensor(x[::-1]), wx, wh, bias).data
+        backward = tc.lstm(tc.Tensor(x), [(wx, wh, bias, True)]).data
+        forward = tc.lstm(tc.Tensor(x[::-1]), [(wx, wh, bias, False)]).data
         np.testing.assert_array_equal(backward, forward[::-1])
-        assert not np.allclose(backward, tc.lstm(tc.Tensor(x), wx, wh, bias).data)
+        assert not np.allclose(backward, tc.lstm(tc.Tensor(x), [(wx, wh, bias, False)]).data)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(32)
         wx, wh, bias = self._weights(rng, 3, 2)
         with pytest.raises(DimensionError):
-            tc.lstm(tc.Tensor(np.zeros((4, 5))), wx, wh, bias)
+            tc.lstm(tc.Tensor(np.zeros((4, 5))), [(wx, wh, bias, False)])
         with pytest.raises(DimensionError):
-            tc.lstm(tc.Tensor(np.zeros((4, 3))), wx, wh, tc.Tensor(np.zeros(7)))
+            tc.lstm(tc.Tensor(np.zeros((4, 3))), [(wx, wh, tc.Tensor(np.zeros(7)), False)])
+
+
+class TestLstmDirections:
+    """Several directions in one lstm call: one tape node whose states and
+    gradients are bit-equal to one node per direction."""
+
+    HIDDEN = (3, 2, 3)
+    REVERSE = (False, True, True)
+
+    def _inputs(self, seed=60):
+        rng = np.random.default_rng(seed)
+        x = tc.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        directions = [(tc.Tensor(rng.normal(size=(4, 4 * h)), requires_grad=True),
+                       tc.Tensor(rng.normal(size=(h, 4 * h)), requires_grad=True),
+                       tc.Tensor(rng.normal(size=4 * h), requires_grad=True),
+                       reverse)
+                      for h, reverse in zip(self.HIDDEN, self.REVERSE)]
+        return x, directions
+
+    @staticmethod
+    def _tensors(x, directions):
+        return [x, *(t for direction in directions for t in direction[:3])]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_each_direction_is_its_own_recurrence(self, width):
+        x, directions = self._inputs()
+        with op_pool(width):
+            states = tc.lstm(x, directions).data
+        assert states.shape == (6, sum(self.HIDDEN))
+        at = 0
+        for direction in directions:
+            single = tc.lstm(x, [direction]).data
+            hidden = single.shape[1]
+            assert states[:, at:at + hidden].tobytes() == single.tobytes()
+            at += hidden
+
+    def test_gradient_matches_finite_differences(self):
+        x, directions = self._inputs(61)
+        probe = tc.Tensor(np.random.default_rng(62).normal(size=(6, sum(self.HIDDEN))))
+        check_grads(lambda: sum_all(tc.mul(tc.lstm(x, directions), probe)),
+                    self._tensors(x, directions))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_gradients_are_bit_equal_to_one_node_per_direction(self, width):
+        def grads(build):
+            x, directions = self._inputs(63)
+            with tc.Tape() as tape:
+                loss = sum_all(tc.tanh_act(build(x, directions)))
+            tc.backward(loss, tape)
+            return [t.grad.tobytes() for t in self._tensors(x, directions)]
+
+        with op_pool(width):
+            got = grads(tc.lstm)
+            started = tc._pool is not None
+        want = grads(lambda x, directions: tc.concat_cols(
+            [tc.lstm(x, [direction]) for direction in directions]))
+        assert started == (width > 1)
+        assert got == want
+
+    def test_records_one_tape_node(self):
+        x, directions = self._inputs()
+        with tc.Tape() as tape:
+            tc.lstm(x, directions)
+        assert [node.op for node in tape.nodes] == ["lstm"]
+        assert tape.nodes[0].inputs == tuple(self._tensors(x, directions))
+
+    def test_empty_direction_list_is_contract_error(self):
+        with pytest.raises(ContractError, match="at least one direction"):
+            tc.lstm(tc.Tensor(np.zeros((2, 4))), [])
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_weight_repeated_across_directions_is_contract_error(self, which):
+        x, directions = self._inputs()
+        first, second = directions[0], list(directions[2])
+        second[which] = first[which]
+        with pytest.raises(ContractError, match="given twice"):
+            tc.lstm(x, [first, directions[1], tuple(second)])
+
+    def test_mismatch_names_the_direction(self):
+        x, directions = self._inputs()
+        wx, wh, bias, reverse = directions[1]
+        wrong = (wx, wh, tc.Tensor(np.zeros(7)), reverse)
+        with pytest.raises(DimensionError, match=r"direction 1: weights \(4, 8\)"):
+            tc.lstm(x, [directions[0], wrong])
+
 
 class TestSoftmax:
     def test_equal_logits(self):
@@ -685,6 +770,21 @@ class TestSgdStep:
 
         assert run() == run()
 
+    def test_released_storage_is_rebuilt_with_the_same_bits(self):
+        def run(release):
+            p = tc.Tensor([1.0, -2.0, 0.5], requires_grad=True)
+            for _ in range(3):
+                with tc.Tape() as tape:
+                    loss = sum_all(tc.mul(tc.mul(p, p), p))
+                tc.backward(loss, tape, [p])
+                tc.sgd_step([p], lr=0.1)
+                if release:
+                    tc.release_gradients([p])
+                    assert (p.grad, p._grad_store) == (None, None)
+            return p.data.tobytes()
+
+        assert run(True) == run(False)
+
 
 class TestThreadIsolation:
     def test_tapes_do_not_leak_across_threads(self):
@@ -757,7 +857,7 @@ class TestOpGradientsAgainstFiniteDifferences:
         bias = tc.Tensor(rng.normal(size=4 * hidden), requires_grad=True)
         probe = tc.Tensor(rng.normal(size=(n, hidden)))   # weights every output
 
-        check_grads(lambda: sum_all(tc.mul(tc.lstm(x, wx, wh, bias, reverse), probe)),
+        check_grads(lambda: sum_all(tc.mul(tc.lstm(x, [(wx, wh, bias, reverse)]), probe)),
                     [x, wx, wh, bias])
 
     @pytest.mark.parametrize("w", [1, 2, 3, 4])
