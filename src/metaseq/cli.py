@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__, space_analysis, tagger_model, train_eval
+from . import tensor_core as tc
 from .embedding_io import ChannelProvider, load_contextual, load_static_text
 from .errors import (
     AlignmentError,
@@ -336,10 +337,11 @@ def _check_layer_indices(paths: list[str], layers: list) -> None:
 
 def _check_l2_memory(path, dimension: int, threads: int) -> None:
     """The rotated l2 probe's d x d matrices, on ``threads`` threads at
-    once, must fit in physical memory; else a data error naming ``path``,
+    once, must fit in the memory this process may use
+    (``tensor_core.usable_memory``); else a data error naming ``path``,
     whose header set d, raised before any of them is made."""
     needed = space_analysis.PROCRUSTES_SQUARES * 8 * dimension ** 2 * threads
-    bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    bound = tc.usable_memory()
     if needed > bound:
         raise InputError(f"{path}: dimension {dimension}: the rotated l2 probe needs "
                          f"{needed} bytes on {threads} thread(s), more than the "

@@ -181,19 +181,23 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# The copies of the parameters that ``train`` holds at once: the parameters
+# themselves, their gradient storage while it steps and the best snapshot.
+# A new best is exported while the old one is still alive, but by then the
+# gradient storage has been released for the dev pass.
+TRAIN_PARAM_COPIES = 3
+
+
 def check_allocatable(config: ModelConfig) -> None:
-    """Raise a ParameterError if numpy cannot allocate the parameters of
-    ``config``'s model, keeping no memory: each array is reserved untouched
-    and freed at once. ``metaseq train`` runs this before it reads any input."""
-    shapes = _param_shapes(config)
-    try:
-        for shape in shapes.values():
-            np.empty(shape)
-    except (MemoryError, ValueError, OverflowError):   # sizes beyond numpy or a float
-        count = sum(math.prod(shape) for shape in shapes.values())
+    """Raise a ParameterError if the TRAIN_PARAM_COPIES copies of
+    ``config``'s float64 parameters do not fit in the memory this process
+    may use (``tensor_core.usable_memory``). ``metaseq train`` runs this
+    before it reads any input."""
+    count = sum(math.prod(shape) for shape in _param_shapes(config).values())
+    if 8 * TRAIN_PARAM_COPIES * count > tc.usable_memory():
         shown = count if count < 10 ** 300 else "over 10**300"   # str() stops at 4,300 digits
         raise ParameterError(f"the configured model has {shown} float64 parameters, "
-                             "more than can be allocated") from None
+                             "more than can be allocated")
 
 
 class MetaphorTagger:
@@ -284,11 +288,12 @@ class MetaphorTagger:
                                   self.params["proj_b"])
         return stack_channels(mats)
 
-    def _lstm_direction(self, prefix: str, reverse: bool
-                        ) -> tuple[tc.Tensor, tc.Tensor, tc.Tensor, bool]:
-        """One BiLSTM direction's weights and order, as ``tc.lstm`` takes them."""
-        return (self.params[f"{prefix}_wx"], self.params[f"{prefix}_wh"],
-                self.params[f"{prefix}_b"], reverse)
+    def _lstm_direction(self, feats: tc.Tensor) -> tc.Tensor:
+        """The BiLSTM over the (n, feature_width) features: one ``tc.lstm``
+        call, forward states then backward states, (n, 2 hidden_size). The
+        benchmark's hooks time it by this name as the bilstm stage."""
+        return tc.lstm(feats, [(self.params[f"lstm_{name}_wx"], self.params[f"lstm_{name}_wh"],
+                                self.params[f"lstm_{name}_b"], name == "b") for name in "fb"])
 
     def forward(self, stack: tc.Tensor, rng: tc.RngStream | None, training: bool) -> tc.Tensor:
         """Per-token class probabilities, shape (n, 2)."""
@@ -307,9 +312,7 @@ class MetaphorTagger:
         """Tanh, BiLSTM, hidden dropout and softmax classifier over the
         (n, feature_width) conv maps."""
         feats = tc.tanh_act(maps)
-        hidden = tc.lstm(feats, [self._lstm_direction("lstm_f", reverse=False),
-                                 self._lstm_direction("lstm_b", reverse=True)])
-        hidden = tc.dropout(hidden, self.config.hidden_dropout, rng, training)
+        hidden = tc.dropout(self._lstm_direction(feats), self.config.hidden_dropout, rng, training)
         logits = tc.add_bias(tc.matmul(hidden, self.params["cls_w"]), self.params["cls_b"])
         return tc.softmax(logits)
 

@@ -11,7 +11,8 @@ Inside one op, ``conv_bank``, ``conv_maps``, ``fold_kernels``, ``lstm``
 and ``sgd_step`` share independent per-window, per-direction or
 per-parameter jobs between the calling thread and a shared thread pool
 (``pool_width``); the jobs record nothing, and their results are combined
-in a fixed order, so the bits do not depend on the width.
+in a fixed order, so the bits do not depend on the width. ``conv_bank``
+and ``lstm`` each build their one tape node with ``_pooled_node``.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -217,6 +218,34 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:      # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def usable_memory(cgroup_root: str = "/sys/fs/cgroup", cgroups: str = "/proc/self/cgroup") -> int:
+    """Bytes of memory this process may use: the machine's physical memory,
+    or the lowest memory limit of the process's own cgroup and its ancestors
+    where that is lower, v2 ``memory.max`` or v1 ``memory.limit_in_bytes``.
+    A limit file that cannot be read, or that reads ``max``, sets none."""
+    bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(cgroups, encoding="utf-8") as fh:
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        return bound
+    for _, controllers, path in groups:
+        if controllers == "":
+            base, name = cgroup_root, "memory.max"
+        elif "memory" in controllers.split(","):
+            base, name = os.path.join(cgroup_root, "memory"), "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts) + 1):
+            try:
+                with open(os.path.join(base, *parts[:depth], name), encoding="ascii") as fh:
+                    bound = min(bound, int(fh.read()))
+            except (OSError, ValueError):
+                pass
+    return bound
 
 
 def pool_width() -> int:
@@ -500,6 +529,39 @@ def _check_length(n: int) -> None:
         raise WindowError(f"conv_bank: no window fits a padded sequence of length {n}")
 
 
+def _pooled_node(op: str, x: Tensor, weights: Sequence[Tensor], jobs: Sequence,
+                 sizes: Sequence[int], forward: Callable, backward: Callable) -> Tensor:
+    """One tape node over ``(x, *weights)`` whose independent jobs are one
+    pool task each, forward and backward, largest ``sizes`` first.
+
+    ``forward(job)`` returns the job's (n, k_j) output block and what its
+    backward reads; the output is the blocks side by side, in job order.
+    ``backward(job, saved, g)`` gets the latter and the job's columns of the
+    output gradient, accumulates the job's own weight gradients and returns
+    its block of ``x``'s gradient, or None. The blocks are added into ``x``
+    last job first, the order in which one node per job would replay, so
+    the bits do not depend on the pool width. A weight given twice is a
+    ContractError: two jobs would write one gradient storage at once.
+    """
+    if len({id(t) for t in weights}) != len(weights):
+        raise ContractError(f"{op}: a weight tensor is given twice")
+    parts = _largest_first(forward, jobs, sizes)
+    out = Tensor(np.concatenate([block for block, _ in parts], axis=1),
+                 requires_grad=x.requires_grad or any(t.requires_grad for t in weights))
+    starts = np.cumsum([0] + [block.shape[1] for block, _ in parts]).tolist()
+
+    def bw(g: np.ndarray) -> None:
+        blocks = _largest_first(
+            lambda j: backward(jobs[j], parts[j][1], g[:, starts[j]:starts[j + 1]]),
+            range(len(jobs)), sizes)
+        if x.requires_grad:
+            for block in reversed(blocks):
+                _accumulate(x, block)
+
+    _record(op, (x, *weights), out, bw)
+    return out
+
+
 def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
     """The feature maps of every window size: (k_j, c, w_j, d) kernels ->
     (n, sum of k_j), kernel j's maps in its own columns, in the given order.
@@ -507,19 +569,15 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
     Position i of map k of window j is the full sum over channels, window
     offsets and embedding dimensions of input[c, i+o, d] * kernels[j][k, c, o, d],
     with the (c, n, d) input zero-padded at the end so every position yields
-    a value. Each window is one im2col matrix product and one pool task,
-    forward and backward. The input gradient is computed for
+    a value. Each window is one im2col matrix product, and one job of a
+    ``_pooled_node``. The input gradient is computed for
     ``inp.grad_channels`` only, one matmul over each channel's w*d kernel
-    columns; the other channels get zeros. One tape node covers every
-    window; its backward adds the windows' input gradients into ``inp`` last
-    window first, the order in which one node per window would replay.
+    columns; the other channels get zeros.
     """
     if inp.data.ndim != 3:
         raise DimensionError("conv_bank expects a (channel, position, dim) input")
     if not kernels:
         raise ContractError("conv_bank needs at least one kernel tensor")
-    if len({id(kern) for kern in kernels}) != len(kernels):
-        raise ContractError("conv_bank: a kernel tensor is given twice")
     c, n, d = inp.shape
     for kern in kernels:
         if kern.data.ndim != 4:
@@ -531,42 +589,29 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
         if w < 1:
             raise WindowError(f"conv_bank: window must be >= 1, got {w}")
     _check_length(n)
-    sizes = [kern.size for kern in kernels]
 
-    def forward(kern: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def forward(kern: Tensor) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
         k, _, w, _ = kern.shape
         cols = _im2col(inp.data, w)
         k_flat = kern.data.reshape(k, c * w * d)
-        return cols, k_flat, cols @ k_flat.T
+        return cols @ k_flat.T, (cols, k_flat)
 
-    parts = _largest_first(forward, kernels, sizes)
-    out = Tensor(np.concatenate([maps for _, _, maps in parts], axis=1),
-                 requires_grad=inp.requires_grad or any(kern.requires_grad for kern in kernels))
-    starts = np.cumsum([0] + [kern.shape[0] for kern in kernels]).tolist()
+    def backward(kern: Tensor, saved: tuple, g: np.ndarray) -> np.ndarray | None:
+        cols, k_flat = saved
+        w = kern.shape[2]
+        g = np.ascontiguousarray(g)
+        _accumulate_product(kern, g.T, cols)
+        if not inp.requires_grad:
+            return None
+        dpad = np.zeros((c, n + w - 1, d))
+        for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
+            contrib = (g @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
+            for o in range(w):
+                dpad[ch, o:o + n, :] += contrib[:, o, :]
+        return dpad[:, :n, :]
 
-    def bw(g: np.ndarray) -> None:
-        def window(j: int) -> np.ndarray | None:
-            """Kernel j's gradient, and its window's input-gradient block."""
-            cols, k_flat, _ = parts[j]
-            w = kernels[j].shape[2]
-            gj = np.ascontiguousarray(g[:, starts[j]:starts[j + 1]])
-            _accumulate_product(kernels[j], gj.T, cols)
-            if not inp.requires_grad:
-                return None
-            dpad = np.zeros((c, n + w - 1, d))
-            for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
-                contrib = (gj @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
-                for o in range(w):
-                    dpad[ch, o:o + n, :] += contrib[:, o, :]
-            return dpad[:, :n, :]
-
-        blocks = _largest_first(window, range(len(kernels)), sizes)
-        if inp.requires_grad:
-            for block in reversed(blocks):
-                _accumulate(inp, block)
-
-    _record("conv_bank", (inp, *kernels), out, bw)
-    return out
+    return _pooled_node("conv_bank", inp, kernels, kernels, [kern.size for kern in kernels],
+                        forward, backward)
 
 
 def conv_maps(mats: Sequence[np.ndarray], kernels: Sequence[np.ndarray],
@@ -610,39 +655,35 @@ def fold_kernels(kernels: Sequence[np.ndarray],
 
 
 def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, bias: np.ndarray,
-                  reverse: bool) -> tuple[np.ndarray, ...]:
-    """One direction's recurrence: its (n, hidden) states, and the
-    activated gates, cell tanh and entering states and cells that its
-    BPTT reads."""
+                  reverse: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """One direction's recurrence: its (n, hidden) states, and the states
+    and cells entering each step, activated gates and cell tanh that its
+    BPTT reads. States and cells are stored once, (n + 1, hidden) each: row
+    t + 1 leaves step t and row t enters it, or the reverse when
+    ``reverse``, and the extra zero row enters the first step."""
     n, hidden = x.shape[0], wh.shape[0]
     h2, h3 = 2 * hidden, 3 * hidden
-    steps = range(n - 1, -1, -1) if reverse else range(n)
     zx = x @ wx + bias
     gates = np.empty((n, 4 * hidden))       # activated i, f, g, o
     tanh_cells = np.empty((n, hidden))
-    states = np.empty((n, hidden))
-    prev_states = np.zeros((n, hidden))     # h entering each position
-    prev_cells = np.zeros((n, hidden))
-    h = np.zeros(hidden)
-    cell = np.zeros(hidden)
-    for t in steps:
-        prev_states[t] = h
-        prev_cells[t] = cell
-        z = zx[t] + h @ wh
+    (h, h_in), (cell, cell_in) = ((rows[:-1], rows[1:]) if reverse else (rows[1:], rows[:-1])
+                                  for rows in np.zeros((2, n + 1, hidden)))
+    for t in (range(n - 1, -1, -1) if reverse else range(n)):
+        z = zx[t] + h_in[t] @ wh
         a = gates[t]
         a[:] = _sigmoid(z)
         a[h2:h3] = np.tanh(z[h2:h3])
-        cell = a[hidden:h2] * cell + a[:hidden] * a[h2:h3]
-        tanh_cells[t] = np.tanh(cell)
-        h = a[h3:] * tanh_cells[t]
-        states[t] = h
-    return states, gates, tanh_cells, prev_states, prev_cells
+        cell[t] = a[hidden:h2] * cell_in[t] + a[:hidden] * a[h2:h3]
+        tanh_cells[t] = np.tanh(cell[t])
+        h[t] = a[h3:] * tanh_cells[t]
+    return h, (h_in, cell_in, gates, tanh_cells)
 
 
 def _lstm_backward(g: np.ndarray, wh: np.ndarray, reverse: bool, gates: np.ndarray,
-                   tanh_cells: np.ndarray, prev_cells: np.ndarray) -> np.ndarray:
+                   tanh_cells: np.ndarray, cell_in: np.ndarray) -> np.ndarray:
     """One direction's BPTT: the (n, 4 hidden) pre-activation gradients
-    for the (n, hidden) state gradient ``g``."""
+    for the (n, hidden) state gradient ``g``; ``cell_in`` holds the cells
+    entering each step."""
     n, hidden = g.shape
     h2, h3 = 2 * hidden, 3 * hidden
     dz = np.empty((n, 4 * hidden))
@@ -655,7 +696,7 @@ def _lstm_backward(g: np.ndarray, wh: np.ndarray, reverse: bool, gates: np.ndarr
         dc = dh * go * (1.0 - tanh_cells[t] * tanh_cells[t]) + dc_next
         d = dz[t]
         d[:hidden] = dc * gg * gi * (1.0 - gi)
-        d[hidden:h2] = dc * prev_cells[t] * gf * (1.0 - gf)
+        d[hidden:h2] = dc * cell_in[t] * gf * (1.0 - gf)
         d[h2:h3] = dc * gi * (1.0 - gg * gg)
         d[h3:] = dh * tanh_cells[t] * go * (1.0 - go)
         dc_next = dc * gf
@@ -673,17 +714,12 @@ def lstm(x: Tensor, directions: Sequence[tuple[Tensor, Tensor, Tensor, bool]]) -
     from the last position to the first when ``reverse``. The input
     projection of all positions is one matmul; the backward is hand-written
     BPTT whose weight and input gradients are single matmuls over the
-    stored pre-activation gradients. Each direction is one pool task,
-    forward and backward. One tape node covers every direction; its
-    backward adds the directions' input gradients into ``x`` last direction
-    first, the order in which one node per direction would replay.
+    stored pre-activation gradients. Each direction is one job of a
+    ``_pooled_node``.
     """
     _require_2d("lstm", x)
     if not directions:
         raise ContractError("lstm needs at least one direction")
-    weights = [t for wx, wh, bias, _ in directions for t in (wx, wh, bias)]
-    if len({id(t) for t in weights}) != len(weights):
-        raise ContractError("lstm: a weight tensor is given twice")
     n, f = x.shape
     for j, (wx, wh, bias, _) in enumerate(directions):
         _require_2d("lstm", wh)
@@ -693,33 +729,20 @@ def lstm(x: Tensor, directions: Sequence[tuple[Tensor, Tensor, Tensor, bool]]) -
             raise DimensionError(
                 f"lstm: direction {j}: weights {wx.shape}, {wh.shape}, bias {bias.shape} "
                 f"do not fit input {x.shape} with hidden size {hidden}")
-    sizes = [wx.size + wh.size for wx, wh, _, _ in directions]
-    parts = _largest_first(
-        lambda d: _lstm_forward(x.data, d[0].data, d[1].data, d[2].data, d[3]),
-        directions, sizes)
-    out = Tensor(np.concatenate([states for states, *_ in parts], axis=1),
-                 requires_grad=x.requires_grad or any(t.requires_grad for t in weights))
-    starts = np.cumsum([0] + [wh.shape[0] for _, wh, _, _ in directions]).tolist()
 
-    def bw(g: np.ndarray) -> None:
-        def direction(j: int) -> np.ndarray | None:
-            """Direction j's weight gradients, and its input-gradient block."""
-            wx, wh, bias, reverse = directions[j]
-            _, gates, tanh_cells, prev_states, prev_cells = parts[j]
-            dz = _lstm_backward(g[:, starts[j]:starts[j + 1]], wh.data, reverse,
-                                gates, tanh_cells, prev_cells)
-            _accumulate_product(wx, x.data.T, dz)
-            _accumulate_product(wh, prev_states.T, dz)
-            _accumulate(bias, dz.sum(axis=0))
-            return dz @ wx.data.T if x.requires_grad else None
+    def backward(direction: tuple, saved: tuple, g: np.ndarray) -> np.ndarray | None:
+        wx, wh, bias, reverse = direction
+        h_in, cell_in, gates, tanh_cells = saved
+        dz = _lstm_backward(g, wh.data, reverse, gates, tanh_cells, cell_in)
+        _accumulate_product(wx, x.data.T, dz)
+        _accumulate_product(wh, h_in.T, dz)
+        _accumulate(bias, dz.sum(axis=0))
+        return dz @ wx.data.T if x.requires_grad else None
 
-        blocks = _largest_first(direction, range(len(directions)), sizes)
-        if x.requires_grad:
-            for block in reversed(blocks):
-                _accumulate(x, block)
-
-    _record("lstm", (x, *weights), out, bw)
-    return out
+    return _pooled_node(
+        "lstm", x, [t for wx, wh, bias, _ in directions for t in (wx, wh, bias)], directions,
+        [wx.size + wh.size for wx, wh, _, _ in directions],
+        lambda d: _lstm_forward(x.data, d[0].data, d[1].data, d[2].data, d[3]), backward)
 
 
 def row(x: Tensor, i: int) -> Tensor:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs over synthetic file fixtures."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
     ModelConfig,
+    _param_shapes,
     load_checkpoint,
     save_checkpoint,
 )
@@ -846,6 +848,33 @@ class TestProbeCommand:
             f"1 thread(s), more than the {bound} bytes of physical memory\n")
         assert not out.exists()
 
+    def test_l2_memory_check_reads_the_cgroup_limit(self, tmp_path, capsys, monkeypatch):
+        # a v1 memory limit on the process's cgroup's parent, below both the
+        # probe's d x d arrays and the machine's physical memory
+        dim = 64
+        data = self._one_token_corpus(tmp_path, 4)
+        a, b = tmp_path / "a.cemb", tmp_path / "b.cemb"
+        for path, index in ((a, 1), (b, 2)):
+            write_contextual(path, index, dim, {i: np.full((1, dim), i + index, dtype=np.float32)
+                                                for i in range(4)})
+        limit = 8 * dim ** 2
+        (tmp_path / "cgroup" / "memory" / "job" / "run").mkdir(parents=True)
+        (tmp_path / "cgroup" / "memory" / "job" / "memory.limit_in_bytes").write_text(
+            f"{limit}\n")
+        cgroups = tmp_path / "self_cgroup"
+        cgroups.write_text("5:cpu,cpuacct:/job/run\n4:memory:/job/run\n")
+        monkeypatch.setattr(tc, "usable_memory", functools.partial(
+            tc.usable_memory, str(tmp_path / "cgroup"), str(cgroups)), raising=False)
+        assert limit < os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
+                     "--mode", "l2", "--out", str(out)]) == 3
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        assert capsys.readouterr().err == (
+            f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
+            f"1 thread(s), more than the {limit} bytes of physical memory\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
     def test_pca_rank_one_prints_no_negative_zero(self, tmp_path, scale):
         n = 8
@@ -1352,6 +1381,29 @@ class TestConfigFile:
         assert capsys.readouterr().err == (
             f"error: the configured model has {8 * 10**42 + 140 * 10**21 + 1042} float64 "
             "parameters, more than can be allocated\n")
+        assert not out.exists()
+
+    def test_every_copy_of_the_parameters_is_counted_before_any_input_is_read(
+            self, corpus_files, tmp_path, capsys, monkeypatch):
+        # each parameter array fits in the bound, and so does any one copy
+        # of them all, but not the copies that train holds at once
+        _, paths = corpus_files
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(_config_with(paths, "channel_order=G", "epochs=1"))
+        shapes = _param_shapes(ModelConfig(unified_dim=16, static_dim=8, kernels_per_window=4,
+                                           hidden_size=8, channel_order=("G",)))
+        largest = 8 * max(math.prod(shape) for shape in shapes.values())
+        count = sum(math.prod(shape) for shape in shapes.values())
+        bound = (largest + 8 * count) // 2
+        assert largest < bound < 8 * count
+        monkeypatch.setattr(tc, "usable_memory", lambda: bound, raising=False)
+        out = tmp_path / "run"
+        args = ["train", "--data", str(paths["data"]), "--glove", str(tmp_path / "absent.txt"),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: the configured model has {count} float64 parameters, "
+            "more than can be allocated\n")
         assert not out.exists()
 
     def test_usage_exit_code_for_missing_required(self):

@@ -1,8 +1,12 @@
 """Model configuration, forward contract, training behavior, checkpoints."""
 
 import dataclasses
+import json
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,8 +170,9 @@ class TestForward:
         maps = tc.conv_bank(stack, [model.params[f"conv_w{w}"] for w in (2, 3, 4, 5)])
         feats = tc.tanh_act(maps)
         assert feats.shape == (7, 400)
-        directions = [model._lstm_direction("lstm_f", reverse=False),
-                      model._lstm_direction("lstm_b", reverse=True)]
+        directions = [(model.params[f"{prefix}_wx"], model.params[f"{prefix}_wh"],
+                       model.params[f"{prefix}_b"], reverse)
+                      for prefix, reverse in (("lstm_f", False), ("lstm_b", True))]
         fwd, bwd = (tc.lstm(feats, [direction]) for direction in directions)
         assert fwd.shape == bwd.shape == (7, 256)
         hidden = tc.lstm(feats, directions)
@@ -273,6 +278,51 @@ class TestFusedLstm:
             model.sentence_loss(model.build_stack(channels), rng.integers(0, 2, size=20),
                                 tc.RngStream(0), training=True)
         assert len(tape.nodes) <= 25
+
+
+# One desk-size SGD step under the benchmark's traced hooks, in a fresh
+# interpreter, since the hooks replace module attributes for good.
+TRACED_STEP = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import hooks
+from metaseq import tensor_core as tc
+from metaseq.tagger_model import MetaphorTagger, ModelConfig
+
+rec = hooks.Recorder(True)
+hooks.install(rec)
+rec.command = hooks.Command("train", hooks.now())
+model = MetaphorTagger(ModelConfig(unified_dim=16, static_dim=8, kernels_per_window=4,
+                                   hidden_size=8))
+rng = np.random.default_rng(4)
+channels = {"G": rng.normal(size=(9, 8)), "E": rng.normal(size=(9, 16)),
+            "B": rng.normal(size=(9, 16))}
+params = model.parameters()
+with tc.Tape() as tape:
+    loss = model.sentence_loss(model.build_stack(channels), rng.integers(0, 2, size=9),
+                               tc.RngStream(0), training=True)
+tc.backward(loss, tape, params.values())
+tc.sgd_step(params, model.config.learning_rate)
+print(json.dumps({"nodes": [node.op for node in tape.nodes],
+                  "total": rec.trace.summary()["total"]}))
+"""
+
+
+class TestTracedStages:
+    def test_lstm_node_is_timed_in_the_bilstm_stage(self):
+        """The hooks stage ``_lstm_direction``: the one ``lstm`` node must be
+        appended inside it, so that its backward is the bilstm stage's."""
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", TRACED_STEP, str(root / "src"), str(root / "bench")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        traced = json.loads(result.stdout.strip().splitlines()[-1])
+        total = traced["total"]
+        assert traced["nodes"].count("lstm") == 1
+        assert total["stage.bilstm.fwd"] > 0
+        assert total.get("stage.bilstm.bwd") == total["op.lstm.bwd"] > 0
 
 
 class TestGradients:

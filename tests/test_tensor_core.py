@@ -320,6 +320,27 @@ class TestOpPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert tc.usable_cpus() == 1
 
+    def test_usable_memory_is_the_lowest_cgroup_limit_below_physical_memory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.get)
+        root, cgroups = tmp_path / "cgroup", tmp_path / "self_cgroup"
+        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000   # no cgroup file
+        cgroups.write_text("0::/a/b/c\n")
+        (root / "a" / "b" / "c").mkdir(parents=True)
+        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000   # no limit file
+        (root / "a" / "b" / "c" / "memory.max").write_text("max\n")
+        (root / "a" / "memory.max").write_text("3000000\n")
+        assert tc.usable_memory(str(root), str(cgroups)) == 3_000_000   # an ancestor's
+        (root / "a" / "b" / "memory.max").write_text("2000000\n")
+        assert tc.usable_memory(str(root), str(cgroups)) == 2_000_000
+        (root / "memory.max").write_text("9000000\n")                 # above physical
+        assert tc.usable_memory(str(root), str(cgroups)) == 2_000_000
+        cgroups.write_text("7:pids:/a/b/c\n4:memory:/a/b/c\n0::/\n")   # v1 memory
+        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000
+        (root / "memory" / "a").mkdir(parents=True)
+        (root / "memory" / "a" / "memory.limit_in_bytes").write_text("1000000\n")
+        assert tc.usable_memory(str(root), str(cgroups)) == 1_000_000
+
     def test_width_comes_from_affinity_then_cpu_count(self, monkeypatch):
         threads = threading.active_count()
         for var in tc.BLAS_THREAD_VARS:
