@@ -1,9 +1,12 @@
 """Command-line surface: train, eval, and probe subcommands.
 
-Every run writes one JSON manifest (command, seed, input digests, output
-paths) next to its result CSVs; reruns of an identical invocation produce
-byte-identical outputs. Numeric CSV fields carry 6 decimal places, and a
-value that rounds to zero prints unsigned.
+Every run writes its outputs, then one JSON manifest (command, seed, input
+digests, output paths), into ``--out`` through ``_write_run`` alone. The
+previous run's manifest is removed before the first output, and each file
+is written whole under a temporary name and renamed into place, so a run
+that stops leaves no manifest; with no fsync, a power loss is not covered.
+Reruns of an identical invocation produce byte-identical outputs. Numeric
+CSV fields carry 6 decimal places; a value that rounds to zero prints unsigned.
 
 Exit codes: 0 success, 2 usage, 3 data/format, 4 numeric failure. Each
 error class carries its code (``MetaseqError.exit_code``); OS errors and
@@ -13,6 +16,7 @@ running out of memory are 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -96,9 +100,8 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, args_list: list[str], config_path,
-                    seed: int, inputs: list, outputs: list[Path],
-                    extra: dict | None = None) -> Path:
+def _write_manifest(args_list: list[str], config_path, seed: int, inputs: list,
+                    outputs: list[Path], extra: dict | None, path: Path) -> None:
     manifest = {
         "command": args_list,
         "config_path": str(config_path) if config_path else None,
@@ -106,14 +109,32 @@ def _write_manifest(out_dir: Path, args_list: list[str], config_path,
         "inputs": {str(p): _sha256(p) for p in sorted(str(x) for x in inputs)},
         "outputs": sorted(str(p) for p in outputs),
         "version": __version__,
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _write_run(out, argv: list[str], config_path, seed: int, inputs: list,
+               outputs: dict, extra: dict | None = None) -> list[Path]:
+    """Write ``outputs`` (file name -> text, or a function that writes a
+    given path), then the manifest, into ``out`` as the module docstring says."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    paths = [out_dir / name for name in outputs]
+    manifest = functools.partial(_write_manifest, argv, config_path, seed, inputs, paths, extra)
+    for name, content in [*outputs.items(), ("manifest.json", manifest)]:
+        partial = out_dir / f".{name}.partial"
+        try:
+            if callable(content):
+                content(partial)
+            else:
+                partial.write_text(content, encoding="utf-8")
+            os.replace(partial, out_dir / name)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    return paths
 
 
 def _load_layers(config: ModelConfig, layer_paths: list[str],
@@ -216,19 +237,11 @@ def cmd_train(args, argv: list[str]) -> int:
         train_sentences, provider, config, dev_sentences=dev_sentences,
         on_epoch=lambda epoch, loss, f1: curve.append((epoch, loss, f1)))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out_dir / "checkpoint.mseq"
-    tagger_model.save_checkpoint(checkpoint, ckpt_path)
-    curve_path = out_dir / "training_curve.csv"
-    with open(curve_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,dev_f1\n")
-        for epoch, loss, f1 in curve:
-            fh.write(f"{epoch},{_fmt(loss)},{_fmt(f1)}\n")
-    _write_manifest(out_dir, argv, args.config, config.seed, inputs,
-                    [ckpt_path, curve_path],
-                    extra={"best_epoch": checkpoint.epoch,
-                           "best_dev_f1": _fmt(checkpoint.dev_f1)})
+    ckpt_path, _ = _write_run(args.out, argv, args.config, config.seed, inputs, {
+        "checkpoint.mseq": functools.partial(tagger_model.save_checkpoint, checkpoint),
+        "training_curve.csv": "epoch,train_loss,dev_f1\n" + "".join(
+            f"{epoch},{_fmt(loss)},{_fmt(f1)}\n" for epoch, loss, f1 in curve)},
+        extra={"best_epoch": checkpoint.epoch, "best_dev_f1": _fmt(checkpoint.dev_f1)})
     print(f"checkpoint: {ckpt_path} (epoch {checkpoint.epoch}, "
           f"dev F1 {_fmt(checkpoint.dev_f1)})")
     return EXIT_OK
@@ -264,13 +277,8 @@ def cmd_eval(args, argv: list[str]) -> int:
             order = sorted(per_class)
         rows.extend(_report_row(args.breakdown, cls, per_class[cls]) for cls in order)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(_REPORT_HEADER)
-        fh.writelines(rows)
-    _write_manifest(out_dir, argv, None, config.seed, inputs, [metrics_path])
+    [metrics_path] = _write_run(args.out, argv, None, config.seed, inputs,
+                                {"metrics.csv": _REPORT_HEADER + "".join(rows)})
     print(f"metrics: {metrics_path} (F1 {_fmt(overall.f1)})")
     return EXIT_OK
 
@@ -341,11 +349,11 @@ def _check_l2_memory(path, dimension: int, threads: int) -> None:
     (``tensor_core.usable_memory``); else a data error naming ``path``,
     whose header set d, raised before any of them is made."""
     needed = space_analysis.PROCRUSTES_SQUARES * 8 * dimension ** 2 * threads
-    bound = tc.usable_memory()
+    bound, source = tc.usable_memory()
     if needed > bound:
         raise InputError(f"{path}: dimension {dimension}: the rotated l2 probe needs "
                          f"{needed} bytes on {threads} thread(s), more than the "
-                         f"{bound} bytes of physical memory")
+                         f"{bound} bytes of {source}")
 
 
 def cmd_probe(args, argv: list[str]) -> int:
@@ -428,12 +436,7 @@ def cmd_probe(args, argv: list[str]) -> int:
                   f"{variance[str(layer_index)]}")
         extra["explained_variance"] = variance
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = [out_dir / name for name in files]
-    for path, text in zip(outputs, files.values()):
-        path.write_text(text, encoding="utf-8")
-    _write_manifest(out_dir, argv, None, seed, inputs, outputs, extra=extra)
+    _write_run(args.out, argv, None, seed, inputs, files, extra)
     return EXIT_OK
 
 

@@ -194,10 +194,11 @@ def check_allocatable(config: ModelConfig) -> None:
     may use (``tensor_core.usable_memory``). ``metaseq train`` runs this
     before it reads any input."""
     count = sum(math.prod(shape) for shape in _param_shapes(config).values())
-    if 8 * TRAIN_PARAM_COPIES * count > tc.usable_memory():
+    bound, source = tc.usable_memory()
+    if 8 * TRAIN_PARAM_COPIES * count > bound:
         shown = count if count < 10 ** 300 else "over 10**300"   # str() stops at 4,300 digits
         raise ParameterError(f"the configured model has {shown} float64 parameters, "
-                             "more than can be allocated")
+                             f"more than can be allocated in the {bound} bytes of {source}")
 
 
 class MetaphorTagger:

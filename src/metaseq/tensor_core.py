@@ -220,17 +220,19 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def usable_memory(cgroup_root: str = "/sys/fs/cgroup", cgroups: str = "/proc/self/cgroup") -> int:
-    """Bytes of memory this process may use: the machine's physical memory,
-    or the lowest memory limit of the process's own cgroup and its ancestors
-    where that is lower, v2 ``memory.max`` or v1 ``memory.limit_in_bytes``.
+def usable_memory(cgroup_root: str = "/sys/fs/cgroup",
+                  cgroups: str = "/proc/self/cgroup") -> tuple[int, str]:
+    """Bytes of memory this process may use, and the bound that sets them:
+    the machine's ``physical memory``, or ``the memory limit in <file>``,
+    the lowest limit of the process's own cgroup and its ancestors where
+    that is lower, v2 ``memory.max`` or v1 ``memory.limit_in_bytes``.
     A limit file that cannot be read, or that reads ``max``, sets none."""
-    bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    bound, source = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"
     try:
         with open(cgroups, encoding="utf-8") as fh:
             groups = [line.rstrip("\n").split(":", 2) for line in fh]
     except OSError:
-        return bound
+        return bound, source
     for _, controllers, path in groups:
         if controllers == "":
             base, name = cgroup_root, "memory.max"
@@ -240,12 +242,15 @@ def usable_memory(cgroup_root: str = "/sys/fs/cgroup", cgroups: str = "/proc/sel
             continue
         parts = [part for part in path.split("/") if part]
         for depth in range(len(parts) + 1):
+            limit_file = os.path.join(base, *parts[:depth], name)
             try:
-                with open(os.path.join(base, *parts[:depth], name), encoding="ascii") as fh:
-                    bound = min(bound, int(fh.read()))
+                with open(limit_file, encoding="ascii") as fh:
+                    limit = int(fh.read())
             except (OSError, ValueError):
-                pass
-    return bound
+                continue
+            if limit < bound:
+                bound, source = limit, f"the memory limit in {limit_file}"
+    return bound, source
 
 
 def pool_width() -> int:

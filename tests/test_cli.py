@@ -1,18 +1,22 @@
 """End-to-end CLI runs over synthetic file fixtures."""
 
+import ast
 import dataclasses
+import errno
 import functools
 import json
 import math
 import os
+import shutil
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from metaseq import cli, embedding_io, space_analysis
+from metaseq import cli, embedding_io, space_analysis, tagger_model
 from metaseq import tensor_core as tc
 from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import (
@@ -219,6 +223,99 @@ class TestTrainCommand:
                                            f"configured unified dimension 16\n")
         assert not (tmp_path / "out").exists()
 
+
+@pytest.fixture(scope="module")
+def seed_1_run(corpus_files, tmp_path_factory):
+    """A finished seed-1 ``train`` run's ``--out``."""
+    out = tmp_path_factory.mktemp("seed1") / "run"
+    assert main(_train_args(corpus_files[1], out, seed="1")) == 0
+    return out
+
+
+_ENOSPC = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestRunDirectory:
+    """A rerun into a finished run's ``--out`` that stops, here at seed 2,
+    leaves each file it did not finish with the previous run's bytes, no
+    ``.partial`` file, and no manifest: the old one named other bytes."""
+
+    @staticmethod
+    def _rerun(corpus_files, seed_1_run, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(seed_1_run, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        return out, before, _train_args(corpus_files[1], out, seed="2")
+
+    def test_a_rerun_stopped_at_its_manifest_leaves_no_manifest(
+            self, corpus_files, seed_1_run, tmp_path, capsys, monkeypatch):
+        out, before, args = self._rerun(corpus_files, seed_1_run, tmp_path)
+
+        def full(*args, **kwargs):
+            raise _ENOSPC
+
+        monkeypatch.setattr(cli, "_write_manifest", full)
+        assert main(args) == 3
+        assert capsys.readouterr() == ("", f"error: {_ENOSPC}\n")
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint.mseq", "training_curve.csv"]
+        assert (out / "checkpoint.mseq").read_bytes() != before["checkpoint.mseq"]
+
+    @pytest.mark.parametrize("stage,name", [
+        ("rename", "checkpoint.mseq"), ("rename", "training_curve.csv"),
+        ("write", "checkpoint.mseq")])
+    def test_a_failed_output_keeps_the_previous_file(
+            self, corpus_files, seed_1_run, tmp_path, capsys, monkeypatch, stage, name):
+        out, before, args = self._rerun(corpus_files, seed_1_run, tmp_path)
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name == name:
+                raise _ENOSPC
+            replace(src, dst)
+
+        def failing_save(checkpoint, path):
+            Path(path).write_bytes(before[name][:100])
+            raise _ENOSPC
+
+        if stage == "rename":
+            monkeypatch.setattr(os, "replace", failing_replace)
+        else:
+            monkeypatch.setattr(tagger_model, "save_checkpoint", failing_save)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: {_ENOSPC}\n"
+        assert (out / name).read_bytes() == before[name]
+        assert not (out / "manifest.json").exists()
+        assert not [path for path in out.iterdir() if path.name.endswith(".partial")]
+
+
+_WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "save_checkpoint"}
+
+
+def _writes(node) -> bool:
+    """Whether ``node`` calls a directory maker, a path writer, ``os.replace``,
+    ``save_checkpoint`` or ``open`` in a mode other than reading."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "replace":   # os.replace, not str.replace
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name == "open":
+        at = 0 if isinstance(func, ast.Attribute) else 1   # Path.open(mode), open(path, mode)
+        modes = [*node.args[at:at + 1], *(k.value for k in node.keywords if k.arg == "mode")]
+        return any(not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+                   for mode in modes)
+    return name in _WRITE_CALLS
+
+
+def test_only_the_run_writer_writes_to_out():
+    """Each command writes ``--out`` through ``cli._write_run`` alone, so
+    its outputs are renamed into place and its manifest goes last."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = {getattr(node, "name", "<module>") for node in tree.body
+               if any(_writes(inner) for inner in ast.walk(node))}
+    assert writers == {"_write_run", "_write_manifest"}
 
 
 @pytest.fixture(scope="module")
@@ -821,10 +918,10 @@ class TestProbeCommand:
         assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
                      "--mode", "l2", "--out", str(out)]) == 3
         needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
-        bound = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        bound, source = tc.usable_memory()
         assert capsys.readouterr().err == (
             f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
-            f"1 thread(s), more than the {bound} bytes of physical memory\n")
+            f"1 thread(s), more than the {bound} bytes of {source}\n")
         assert not out.exists()
 
     def test_l2_memory_check_counts_the_procrustes_peak(self, tmp_path, capsys, monkeypatch):
@@ -870,9 +967,10 @@ class TestProbeCommand:
         assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
                      "--mode", "l2", "--out", str(out)]) == 3
         needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        limit_file = tmp_path / "cgroup" / "memory" / "job" / "memory.limit_in_bytes"
         assert capsys.readouterr().err == (
             f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
-            f"1 thread(s), more than the {limit} bytes of physical memory\n")
+            f"1 thread(s), more than the {limit} bytes of the memory limit in {limit_file}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
@@ -1250,6 +1348,125 @@ class TestMutatedCheckpoint:
         else:
             assert (code, err) == (loaded.exit_code, f"error: {loaded}\n")
 
+_DESK_CONFIG = (b"# desk model\nunified_dim=16\nstatic_dim=8\nwindow_sizes=2,3\n"
+                b"kernels_per_window=2\nhidden_size=4\ninput_dropout=0.1\nhidden_dropout=0.0\n"
+                b"learning_rate=0.2\nclass_weights=1.0,2.0\nchannel_order=G,E,B\nepochs=1\n"
+                b"seed=3\nuse_pos=true\npos_tags=VERB,NOUN\nuse_abstractness=false\n"
+                b"lowercase_lexicon=true\n")
+# No digits among the inserted bytes, and only small numbers among the
+# values, so that no mutation asks for a long run.
+_TEXT_BYTE = st.sampled_from(list(b"=,#.-eEx \t\r\n") + [0, 0xc3, 0xff])
+_CONFIG_VALUE = st.sampled_from([
+    "", "0", "-1", "1", "2", "3", "0.5", "1e-300", "1e3", "1e400", "nan", "-inf", "-0",
+    "0x1", "1_0", "2,2", "3,2,", ",", "true", "FALSE", "yes", "G", "E,B", "B,G", "G,E,B,G",
+    "X", "VERB", "VERB,VERB", "1.0", "1.0,0", "1.0,2.0,3.0", " 2 , 3 ", "\u0663"])
+_TEXT_EDIT = st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 999), _TEXT_BYTE),
+    st.tuples(st.just("cut"), st.integers(0, 999), st.integers(1, 40)),
+    st.tuples(st.just("insert"), st.integers(0, 999),
+              st.lists(_TEXT_BYTE, min_size=1, max_size=4).map(bytes)),
+    st.tuples(st.just("truncate"), st.integers(0, 999), st.none()),
+)
+
+
+def _edit_text(data: bytearray, edit: str, at: int, arg) -> None:
+    """One byte-level edit of a text input, in place."""
+    if edit == "byte" and data:
+        data[at % len(data)] = arg
+    elif edit == "cut":
+        at %= len(data) + 1
+        del data[at:at + arg]
+    elif edit == "insert":
+        at %= len(data) + 1
+        data[at:at] = arg
+    elif edit == "truncate":
+        del data[at % (len(data) + 1):]
+
+
+@st.composite
+def mutated_config(draw) -> bytes:
+    """The desk config after one to three edits: a line's key set to another
+    key, a line's value set to an edge value, a byte overwritten, bytes cut
+    out or put in, or the file cut short."""
+    data = bytearray(_DESK_CONFIG)
+    edits = st.one_of(st.tuples(st.just("key"), st.integers(0, 99),
+                                st.sampled_from([*_CONFIG_KEYS, "bogus", ""])),
+                      st.tuples(st.just("value"), st.integers(0, 99), _CONFIG_VALUE),
+                      _TEXT_EDIT)
+    for edit, at, arg in draw(st.lists(edits, min_size=1, max_size=3)):
+        if edit in ("key", "value"):
+            lines = bytes(data).split(b"\n")
+            key, _, value = lines[at % len(lines)].partition(b"=")
+            key, value = (arg.encode(), value) if edit == "key" else (key, arg.encode())
+            lines[at % len(lines)] = key + b"=" + value
+            data = bytearray(b"\n".join(lines))
+        else:
+            _edit_text(data, edit, at, arg)
+    return bytes(data)
+
+
+class TestMutatedConfig:
+    """A mutated ``--config`` ends ``train`` with 0 or a one-line named
+    error (exit 2, 3 or 4), never a traceback."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_config())
+    def test_train_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data):
+        paths, _ = desk_eval
+        config = tmp_path / "mutated.cfg"
+        config.write_bytes(data)
+        capsys.readouterr()
+        code = main(["train", "--data", str(paths["data"]), "--glove", str(paths["glove"]),
+                     "--layers", str(paths["E"]), str(paths["B"]),
+                     "--abst-lexicon", str(DATA_DIR / "abstractness_small.tsv"),
+                     "--config", str(config), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), err
+
+
+@st.composite
+def mutated_scores(draw) -> bytes:
+    """A two-layer ``layer,score`` CSV after one to three edits: a row's
+    score set to an edge value, a row repeated, a byte overwritten, bytes
+    cut out or put in, or the file cut short."""
+    data = bytearray(b"layer,score\n1,0.25\n2,0.75\n")
+    edits = st.one_of(st.tuples(st.just("value"), st.integers(0, 99), _CONFIG_VALUE),
+                      st.tuples(st.just("repeat"), st.integers(0, 99), st.none()),
+                      _TEXT_EDIT)
+    for edit, at, arg in draw(st.lists(edits, min_size=1, max_size=3)):
+        lines = bytes(data).split(b"\n")
+        if edit == "value":
+            layer, _, _ = lines[at % len(lines)].partition(b",")
+            lines[at % len(lines)] = layer + b"," + arg.encode()
+            data = bytearray(b"\n".join(lines))
+        elif edit == "repeat":
+            lines.insert(at % len(lines), lines[at % len(lines)])
+            data = bytearray(b"\n".join(lines))
+        else:
+            _edit_text(data, edit, at, arg)
+    return bytes(data)
+
+
+class TestMutatedScores:
+    """A mutated ``--scores`` CSV ends ``probe --mode l2`` with 0 or a
+    one-line named error, never a traceback."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_scores())
+    def test_probe_l2_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data):
+        paths, _ = desk_eval
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(data)
+        capsys.readouterr()
+        code = main(["probe", "--data", str(paths["data"]),
+                     "--layer-files", str(paths["E"]), str(paths["E"]), str(paths["B"]),
+                     "--mode", "l2", "--scores", str(scores), "--out", str(tmp_path / "probe")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), err
+
+
 class TestCsvPrecision:
     def test_six_decimal_round_trip(self, corpus_files, trained, tmp_path):
         _, paths = corpus_files
@@ -1361,9 +1578,10 @@ class TestConfigFile:
         args = ["train", "--data", str(paths["data"]), "--glove", str(paths["glove"]),
                 "--config", str(cfg), "--out", str(out)]
         assert main(args) == 2
+        bound, source = tc.usable_memory()
         assert capsys.readouterr().err == (
             f"error: the configured model has {count} float64 parameters, "
-            "more than can be allocated\n")
+            f"more than can be allocated in the {bound} bytes of {source}\n")
         assert not out.exists()
 
     def test_a_model_too_large_to_allocate_is_reported_before_any_input_is_read(
@@ -1378,9 +1596,10 @@ class TestConfigFile:
         args = ["train", "--data", str(paths["data"]), "--glove", str(tmp_path / "absent.txt"),
                 "--config", str(cfg), "--out", str(out)]
         assert main(args) == 2
+        bound, source = tc.usable_memory()
         assert capsys.readouterr().err == (
             f"error: the configured model has {8 * 10**42 + 140 * 10**21 + 1042} float64 "
-            "parameters, more than can be allocated\n")
+            f"parameters, more than can be allocated in the {bound} bytes of {source}\n")
         assert not out.exists()
 
     def test_every_copy_of_the_parameters_is_counted_before_any_input_is_read(
@@ -1396,14 +1615,15 @@ class TestConfigFile:
         count = sum(math.prod(shape) for shape in shapes.values())
         bound = (largest + 8 * count) // 2
         assert largest < bound < 8 * count
-        monkeypatch.setattr(tc, "usable_memory", lambda: bound, raising=False)
+        monkeypatch.setattr(tc, "usable_memory", lambda: (bound, "physical memory"),
+                            raising=False)
         out = tmp_path / "run"
         args = ["train", "--data", str(paths["data"]), "--glove", str(tmp_path / "absent.txt"),
                 "--config", str(cfg), "--out", str(out)]
         assert main(args) == 2
         assert capsys.readouterr().err == (
             f"error: the configured model has {count} float64 parameters, "
-            "more than can be allocated\n")
+            f"more than can be allocated in the {bound} bytes of physical memory\n")
         assert not out.exists()
 
     def test_usage_exit_code_for_missing_required(self):

@@ -324,22 +324,26 @@ class TestOpPool:
             self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1000}.get)
         root, cgroups = tmp_path / "cgroup", tmp_path / "self_cgroup"
-        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000   # no cgroup file
+        physical = (4_096_000, "physical memory")
+        assert tc.usable_memory(str(root), str(cgroups)) == physical   # no cgroup file
         cgroups.write_text("0::/a/b/c\n")
         (root / "a" / "b" / "c").mkdir(parents=True)
-        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000   # no limit file
+        assert tc.usable_memory(str(root), str(cgroups)) == physical   # no limit file
         (root / "a" / "b" / "c" / "memory.max").write_text("max\n")
         (root / "a" / "memory.max").write_text("3000000\n")
-        assert tc.usable_memory(str(root), str(cgroups)) == 3_000_000   # an ancestor's
+        assert tc.usable_memory(str(root), str(cgroups)) == (          # an ancestor's
+            3_000_000, f"the memory limit in {root / 'a' / 'memory.max'}")
         (root / "a" / "b" / "memory.max").write_text("2000000\n")
-        assert tc.usable_memory(str(root), str(cgroups)) == 2_000_000
+        lowest = (2_000_000, f"the memory limit in {root / 'a' / 'b' / 'memory.max'}")
+        assert tc.usable_memory(str(root), str(cgroups)) == lowest
         (root / "memory.max").write_text("9000000\n")                 # above physical
-        assert tc.usable_memory(str(root), str(cgroups)) == 2_000_000
+        assert tc.usable_memory(str(root), str(cgroups)) == lowest
         cgroups.write_text("7:pids:/a/b/c\n4:memory:/a/b/c\n0::/\n")   # v1 memory
-        assert tc.usable_memory(str(root), str(cgroups)) == 4_096_000
+        assert tc.usable_memory(str(root), str(cgroups)) == physical
         (root / "memory" / "a").mkdir(parents=True)
         (root / "memory" / "a" / "memory.limit_in_bytes").write_text("1000000\n")
-        assert tc.usable_memory(str(root), str(cgroups)) == 1_000_000
+        assert tc.usable_memory(str(root), str(cgroups)) == (
+            1_000_000, f"the memory limit in {root / 'memory' / 'a' / 'memory.limit_in_bytes'}")
 
     def test_width_comes_from_affinity_then_cpu_count(self, monkeypatch):
         threads = threading.active_count()
