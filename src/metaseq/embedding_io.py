@@ -251,13 +251,16 @@ def load_static_text(path, words: AbstractSet[str]) -> StaticEmbeddingTable:
 @dataclass
 class ContextualLayerFile:
     """One layer file checked by ``load_contextual``, which alone builds it:
-    its identity (device, inode, size, modification time) and each dataset
-    sentence's payload offset and token count, but no rows. ``rows(i)``
-    reads sentence i's float32 (tokens, dim) matrix; ``gather`` and
-    ``all_rows`` read each record they need once through it. Every read
+    its identity (device, inode, size, modification and change times) and
+    each dataset sentence's payload offset and token count, but no rows.
+    ``rows(i)`` reads sentence i's float32 (tokens, dim) matrix; ``gather``
+    and ``all_rows`` read each record they need once through it. Every read
     checks the identity, then the record's size and values: a difference
-    is a FormatError naming the file and sentence. A change that keeps the
-    size and modification time and writes only finite values is not seen.
+    is a FormatError naming the file and sentence. A write moves the change
+    time, which ``os.utime`` cannot set back, so a rewrite that keeps the
+    size and restores the modification time is seen too. On a file system
+    with coarse timestamps, a same-size rewrite of finite values within one
+    tick of the check is not.
     """
 
     path: object
@@ -312,7 +315,7 @@ class ContextualLayerFile:
 
 
 def _identity(st: os.stat_result) -> tuple:
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

@@ -11,8 +11,10 @@ Inside one op, ``conv_bank``, ``conv_maps``, ``fold_kernels``, ``lstm``
 and ``sgd_step`` share independent per-window, per-direction or
 per-parameter jobs between the calling thread and a shared thread pool
 (``pool_width``); the jobs record nothing, and their results are combined
-in a fixed order, so the bits do not depend on the width. ``conv_bank``
-and ``lstm`` each build their one tape node with ``_pooled_node``.
+in a fixed order, so the bits do not depend on the width.
+
+Every op builds its output and its tape node with ``_node``: ``conv_bank``
+and ``lstm`` through ``_pooled_node``, the joining ops through ``_joined``.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -126,11 +128,16 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _record(op: str, inputs: tuple[Tensor, ...], output: Tensor,
-            backward_fn: Callable[[np.ndarray], None]) -> None:
+def _node(op: str, inputs: tuple[Tensor, ...], value,
+          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """The output of ``op`` over ``inputs``: a tensor of ``value`` that
+    requires a gradient when any input does. Under an active tape such an
+    output is recorded with ``backward_fn``, which gets its gradient."""
+    out = Tensor(value, requires_grad=any(t.requires_grad for t in inputs))
     tape = active_tape()
-    if tape is not None and output.requires_grad:
-        tape.nodes.append(_Node(op, inputs, output, backward_fn))
+    if tape is not None and out.requires_grad:
+        tape.nodes.append(_Node(op, inputs, out, backward_fn))
+    return out
 
 
 def _grad_storage(t: Tensor) -> np.ndarray:
@@ -346,52 +353,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d("matmul", b)
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree for {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         _accumulate_product(a, g, b.data.T)
         _accumulate_product(b, a.data.T, g)
 
-    _record("matmul", (a, b), out, bw)
-    return out
+    return _node("matmul", (a, b), a.data @ b.data, bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     _require_2d("transpose", x)
-    out = Tensor(x.data.T, requires_grad=x.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
-
-    _record("transpose", (x,), out, bw)
-    return out
+    return _node("transpose", (x,), x.data.T, lambda g: _accumulate(x, g.T))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    _record("add", (a, b), out, bw)
-    return out
+    return _node("add", (a, b), a.data + b.data, bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     if a.shape != b.shape:
         raise DimensionError(f"mul: shapes differ, {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, requires_grad=a.requires_grad or b.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    _record("mul", (a, b), out, bw)
-    return out
+    return _node("mul", (a, b), a.data * b.data, bw)
 
 
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
@@ -399,25 +394,17 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     _require_2d("add_bias", m)
     if bias.data.ndim != 1 or bias.shape[0] != m.shape[1]:
         raise DimensionError(f"add_bias: bias {bias.shape} does not fit matrix {m.shape}")
-    out = Tensor(m.data + bias.data[None, :], requires_grad=m.requires_grad or bias.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         _accumulate(m, g)
         _accumulate(bias, g.sum(axis=0))
 
-    _record("add_bias", (m, bias), out, bw)
-    return out
+    return _node("add_bias", (m, bias), m.data + bias.data[None, :], bw)
 
 
 def tanh_act(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    out = Tensor(t, requires_grad=x.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, g * (1.0 - t * t))
-
-    _record("tanh", (x,), out, bw)
-    return out
+    return _node("tanh", (x,), t, lambda g: _accumulate(x, g * (1.0 - t * t)))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -429,13 +416,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
-    out = Tensor(s, requires_grad=x.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, g * s * (1.0 - s))
-
-    _record("sigmoid", (x,), out, bw)
-    return out
+    return _node("sigmoid", (x,), s, lambda g: _accumulate(x, g * s * (1.0 - s)))
 
 
 def softmax(logits: Tensor) -> Tensor:
@@ -451,14 +432,12 @@ def softmax(logits: Tensor) -> Tensor:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, requires_grad=logits.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         inner = (g * p).sum(axis=-1, keepdims=True)
         _accumulate(logits, p * (g - inner))
 
-    _record("softmax", (logits,), out, bw)
-    return out
+    return _node("softmax", (logits,), p, bw)
 
 
 def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
@@ -482,7 +461,6 @@ def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
     picked = probs.data[np.arange(n), y]
     clamped = np.maximum(picked, PROB_FLOOR)
     loss = -(w[y] * np.log(clamped)).sum()
-    out = Tensor(loss, requires_grad=probs.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         dp = np.zeros_like(probs.data)
@@ -491,8 +469,7 @@ def weighted_cross_entropy(probs: Tensor, labels: Sequence[int],
         dp[rows, y[live]] = -w[y[live]] / picked[live] * float(g)
         _accumulate(probs, dp)
 
-    _record("weighted_cross_entropy", (probs,), out, bw)
-    return out
+    return _node("weighted_cross_entropy", (probs,), loss, bw)
 
 
 def dropout(x: Tensor, rate: float, rng: RngStream | None, training: bool) -> Tensor:
@@ -502,13 +479,8 @@ def dropout(x: Tensor, rate: float, rng: RngStream | None, training: bool) -> Te
     if not training or rate == 0.0:
         return x
     keep = (rng.uniform(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
-    out = Tensor(x.data * keep, requires_grad=x.requires_grad)
+    out = _node("dropout", (x,), x.data * keep, lambda g: _accumulate(x, g * keep))
     out.grad_channels = x.grad_channels
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(x, g * keep)
-
-    _record("dropout", (x,), out, bw)
     return out
 
 
@@ -551,8 +523,6 @@ def _pooled_node(op: str, x: Tensor, weights: Sequence[Tensor], jobs: Sequence,
     if len({id(t) for t in weights}) != len(weights):
         raise ContractError(f"{op}: a weight tensor is given twice")
     parts = _largest_first(forward, jobs, sizes)
-    out = Tensor(np.concatenate([block for block, _ in parts], axis=1),
-                 requires_grad=x.requires_grad or any(t.requires_grad for t in weights))
     starts = np.cumsum([0] + [block.shape[1] for block, _ in parts]).tolist()
 
     def bw(g: np.ndarray) -> None:
@@ -563,8 +533,7 @@ def _pooled_node(op: str, x: Tensor, weights: Sequence[Tensor], jobs: Sequence,
             for block in reversed(blocks):
                 _accumulate(x, block)
 
-    _record(op, (x, *weights), out, bw)
-    return out
+    return _node(op, (x, *weights), np.concatenate([block for block, _ in parts], axis=1), bw)
 
 
 def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
@@ -755,30 +724,37 @@ def row(x: Tensor, i: int) -> Tensor:
     _require_2d("row", x)
     if not 0 <= i < x.shape[0]:
         raise DimensionError(f"row {i} out of range for shape {x.shape}")
-    out = Tensor(x.data[i:i + 1, :], requires_grad=x.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         full = np.zeros_like(x.data)
         full[i, :] = g[0]
         _accumulate(x, full)
 
-    _record("row", (x,), out, bw)
-    return out
+    return _node("row", (x,), x.data[i:i + 1, :], bw)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     _require_2d("slice_cols", x)
     if not 0 <= start < stop <= x.shape[1]:
         raise DimensionError(f"column slice [{start}:{stop}] invalid for shape {x.shape}")
-    out = Tensor(x.data[:, start:stop], requires_grad=x.requires_grad)
 
     def bw(g: np.ndarray) -> None:
         full = np.zeros_like(x.data)
         full[:, start:stop] = g
         _accumulate(x, full)
 
-    _record("slice_cols", (x,), out, bw)
-    return out
+    return _node("slice_cols", (x,), x.data[:, start:stop], bw)
+
+
+def _joined(op: str, parts: Sequence[Tensor], value: np.ndarray, at: Sequence) -> Tensor:
+    """The ``op`` node that joins ``parts`` into ``value``, where part i is
+    ``value[at[i]]``; its backward hands part i the gradient ``g[at[i]]``."""
+
+    def bw(g: np.ndarray) -> None:
+        for p, index in zip(parts, at):
+            _accumulate(p, g[index])
+
+    return _node(op, tuple(parts), value, bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -790,18 +766,9 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         _require_2d("concat_cols", p)
         if p.shape[0] != n:
             raise DimensionError(f"concat_cols: row counts differ, {p.shape[0]} vs {n}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
-                 requires_grad=any(p.requires_grad for p in parts))
-    widths = [p.shape[1] for p in parts]
-
-    def bw(g: np.ndarray) -> None:
-        at = 0
-        for p, width in zip(parts, widths):
-            _accumulate(p, g[:, at:at + width])
-            at += width
-
-    _record("concat_cols", tuple(parts), out, bw)
-    return out
+    stops = np.cumsum([p.shape[1] for p in parts]).tolist()
+    return _joined("concat_cols", parts, np.concatenate([p.data for p in parts], axis=1),
+                   [(slice(None), slice(stop - p.shape[1], stop)) for p, stop in zip(parts, stops)])
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -812,15 +779,8 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     for r in rows:
         if r.data.ndim != 2 or r.shape != (1, k):
             raise DimensionError(f"stack_rows expects (1, {k}) rows, got {r.shape}")
-    out = Tensor(np.concatenate([r.data for r in rows], axis=0),
-                 requires_grad=any(r.requires_grad for r in rows))
-
-    def bw(g: np.ndarray) -> None:
-        for i, r in enumerate(rows):
-            _accumulate(r, g[i:i + 1, :])
-
-    _record("stack_rows", tuple(rows), out, bw)
-    return out
+    return _joined("stack_rows", rows, np.concatenate([r.data for r in rows], axis=0),
+                   [slice(i, i + 1) for i in range(len(rows))])
 
 
 def stack_mats(mats: Sequence[Tensor]) -> Tensor:
@@ -832,15 +792,8 @@ def stack_mats(mats: Sequence[Tensor]) -> Tensor:
         _require_2d("stack_mats", m)
         if m.shape != shape:
             raise DimensionError(f"stack_mats: shapes differ, {m.shape} vs {shape}")
-    out = Tensor(np.stack([m.data for m in mats], axis=0),
-                 requires_grad=any(m.requires_grad for m in mats))
+    out = _joined("stack_mats", mats, np.stack([m.data for m in mats], axis=0), range(len(mats)))
     out.grad_channels = tuple(i for i, m in enumerate(mats) if m.requires_grad)
-
-    def bw(g: np.ndarray) -> None:
-        for i, m in enumerate(mats):
-            _accumulate(m, g[i])
-
-    _record("stack_mats", tuple(mats), out, bw)
     return out
 
 

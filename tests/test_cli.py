@@ -288,13 +288,64 @@ class TestRunDirectory:
         assert not (out / "manifest.json").exists()
         assert not [path for path in out.iterdir() if path.name.endswith(".partial")]
 
+    @staticmethod
+    def _pca(corpus_files, out, *layers) -> list[str]:
+        paths = corpus_files[1]
+        return ["probe", "--data", str(paths["data"]), "--mode", "pca", "--out", str(out),
+                "--layer-files", *(str(paths[name]) for name in layers)]
 
-_WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "save_checkpoint"}
+    def test_a_rerun_removes_the_outputs_it_does_not_write(self, corpus_files, tmp_path):
+        """pca over layers 1 and 2, then over layer 2 alone: the earlier
+        run's ``pca_layer1.csv`` goes, and a file no manifest named stays."""
+        out = tmp_path / "run"
+        assert main(self._pca(corpus_files, out, "E", "B")) == 0
+        assert (out / "pca_layer1.csv").exists()
+        (out / "notes.txt").write_text("mine\n")
+        assert main(self._pca(corpus_files, out, "B")) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == [str(out / "pca_layer2.csv")]
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.json", "notes.txt", "pca_layer2.csv"]
+
+    def test_a_listed_path_outside_out_is_never_removed(self, corpus_files, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "run"
+        assert main(self._pca(corpus_files, out, "E", "B")) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        outside = [tmp_path / "x", elsewhere / "pca_layer1.csv", elsewhere / "y"]
+        for path in outside:
+            path.write_text("not an output\n")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"] += [str(out / "../x"), str(outside[1]), "elsewhere/y",
+                                str(out / "sub" / ".."), str(out), f"{out}/./pca_layer1.csv"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(self._pca(corpus_files, out, "B")) == 0
+        assert all(path.read_text() == "not an output\n" for path in outside)
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "pca_layer2.csv"]
+
+    @pytest.mark.parametrize("previous", [
+        b"{not json", b"\xff\xfe", b"[1]", b'{"command": []}',
+        b'{"outputs": "pca_layer1.csv"}', b'{"outputs": [5, "pca_layer1.csv"]}'])
+    def test_a_malformed_previous_manifest_removes_nothing_else(
+            self, corpus_files, tmp_path, previous):
+        out = tmp_path / "run"
+        assert main(self._pca(corpus_files, out, "E", "B")) == 0
+        (out / "manifest.json").write_bytes(previous)
+        assert main(self._pca(corpus_files, out, "B")) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.json", "pca_layer1.csv", "pca_layer2.csv"]
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+            str(out / "pca_layer2.csv")]
+
+
+_WRITE_CALLS = {"mkdir", "write_text", "write_bytes", "save_checkpoint", "unlink"}
 
 
 def _writes(node) -> bool:
     """Whether ``node`` calls a directory maker, a path writer, ``os.replace``,
-    ``save_checkpoint`` or ``open`` in a mode other than reading."""
+    ``save_checkpoint``, ``unlink`` or ``open`` in a mode other than reading."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -826,7 +827,8 @@ class TestRowsReadWhenUsed:
             fh.seek(-4, os.SEEK_END)
             fh.write(np.float32(value).astype("<f4").tobytes())
 
-    @pytest.mark.parametrize("change", ["other-values", "replaced", "truncated", "appended"])
+    @pytest.mark.parametrize("change", ["other-values", "same-size-same-mtime", "replaced",
+                                        "truncated", "appended"])
     def test_file_changed_after_its_check_is_format_error(self, tmp_path, change):
         p, layer = self._loaded(tmp_path)
         raw, st = p.read_bytes(), os.stat(p)
@@ -835,6 +837,10 @@ class TestRowsReadWhenUsed:
             # a later write: set here, since two writes within the file
             # system's timestamp granularity can share a modification time
             os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        elif change == "same-size-same-mtime":   # only the change time tells
+            time.sleep(0.01)    # past a coarse change-time tick
+            self._overwrite_last_value(p, 7.0)
+            os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
         elif change == "replaced":       # the same bytes in a new file renamed over it
             (tmp_path / "new").write_bytes(raw)
             os.replace(tmp_path / "new", p)
@@ -850,9 +856,9 @@ class TestRowsReadWhenUsed:
 
     def test_nan_written_in_place_is_caught_by_the_value_check(self, tmp_path):
         p, layer = self._loaded(tmp_path)
-        st = os.stat(p)
         self._overwrite_last_value(p, np.nan)
-        os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))   # the identity check cannot see it
+        # past the identity check: it is taken again after the write
+        layer.identity = embedding_io._identity(os.stat(p))
         np.testing.assert_array_equal(layer.rows(0), np.full((2, 4), 1.0))
         with pytest.raises(FormatError) as info:
             layer.rows(1)

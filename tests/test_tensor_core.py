@@ -4,11 +4,14 @@ Every differentiable op is checked against the central finite-difference
 oracle on random float64 inputs, alongside the hand-computed examples.
 """
 
+import ast
+import itertools
 import math
 import os
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -755,6 +758,91 @@ class TestBackward:
         tc.backward(loss, tape)
         # grad of sum(2*x^2) = 4x
         np.testing.assert_allclose(x.grad, [4.0, 8.0])
+
+
+# Each public op: the name it records, its inputs' shapes, and a call on them.
+_RECORDED = {
+    "matmul": ("matmul", [(2, 3), (3, 4)], lambda a, b: tc.matmul(a, b)),
+    "transpose": ("transpose", [(2, 3)], lambda x: tc.transpose(x)),
+    "add": ("add", [(2, 3), (2, 3)], lambda a, b: tc.add(a, b)),
+    "mul": ("mul", [(2, 3), (2, 3)], lambda a, b: tc.mul(a, b)),
+    "add_bias": ("add_bias", [(2, 3), (3,)], lambda m, b: tc.add_bias(m, b)),
+    "tanh_act": ("tanh", [(2, 3)], lambda x: tc.tanh_act(x)),
+    "sigmoid": ("sigmoid", [(2, 3)], lambda x: tc.sigmoid(x)),
+    "softmax": ("softmax", [(2, 3)], lambda x: tc.softmax(x)),
+    "weighted_cross_entropy": ("weighted_cross_entropy", [(2, 3)],
+                               lambda p: tc.weighted_cross_entropy(p, [0, 2], [1.0, 2.0, 0.5])),
+    "dropout": ("dropout", [(2, 3)], lambda x: tc.dropout(x, 0.5, tc.RngStream(0), True)),
+    "row": ("row", [(2, 3)], lambda x: tc.row(x, 1)),
+    "slice_cols": ("slice_cols", [(2, 3)], lambda x: tc.slice_cols(x, 1, 3)),
+    "concat_cols": ("concat_cols", [(2, 3), (2, 1)], lambda *parts: tc.concat_cols(parts)),
+    "stack_rows": ("stack_rows", [(1, 3), (1, 3)], lambda *rows: tc.stack_rows(rows)),
+    "stack_mats": ("stack_mats", [(2, 3), (2, 3)], lambda *mats: tc.stack_mats(mats)),
+    "conv_bank": ("conv_bank", [(2, 4, 3), (2, 2, 2, 3), (1, 2, 3, 3)],
+                  lambda x, *kernels: tc.conv_bank(x, kernels)),
+    "lstm": ("lstm", [(4, 3), (3, 8), (2, 8), (8,)],
+             lambda x, wx, wh, b: tc.lstm(x, [(wx, wh, b, False)])),
+}
+
+
+class TestTapeRecord:
+    """What each op records is what ``bench/hooks.py`` reads: the node's
+    op name and its inputs, by identity and in order."""
+
+    @pytest.mark.parametrize("name,mask", [
+        pytest.param(name, mask, id=f"{name}-{''.join('g' if r else '.' for r in mask)}")
+        for name, (_, shapes, _) in _RECORDED.items()
+        for mask in itertools.product([False, True], repeat=len(shapes))])
+    def test_a_node_is_recorded_when_an_input_requires_a_gradient(self, name, mask):
+        op, shapes, call = _RECORDED[name]
+        rng = np.random.default_rng(0)
+
+        def inputs():
+            return [tc.Tensor(rng.uniform(0.1, 1.0, size=shape), requires_grad=r)
+                    for shape, r in zip(shapes, mask)]
+
+        given = inputs()
+        with tc.Tape() as tape:
+            out = call(*given)
+        assert out.requires_grad == any(mask)
+        if any(mask):
+            [node] = tape.nodes
+            assert node.op == op and node.output is out
+            assert list(map(id, node.inputs)) == list(map(id, given))
+        else:
+            assert tape.nodes == []
+        assert tc.active_tape() is None
+        assert call(*inputs()).requires_grad == any(mask)
+        assert tape.nodes == ([node] if any(mask) else [])
+
+    def test_only_the_node_builder_records(self):
+        """No function in ``tensor_core`` but ``_node`` makes a ``_Node`` or
+        adds to a tape's ``nodes``, and each public op that builds a node
+        has its case above."""
+        tree = ast.parse(Path(tc.__file__).read_text(encoding="utf-8"))
+
+        def records(node) -> bool:
+            if isinstance(node, ast.AugAssign):
+                node = node.target
+            elif isinstance(node, ast.Call):
+                node = node.func
+                if isinstance(node, ast.Name):
+                    return node.id == "_Node"
+                node = getattr(node, "value", None)
+            else:
+                return False
+            return isinstance(node, ast.Attribute) and node.attr == "nodes"
+
+        def builds(node) -> bool:
+            return isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "_node", "_joined", "_pooled_node")
+
+        recorders = {getattr(node, "name", "<module>") for node in tree.body
+                     if any(records(inner) for inner in ast.walk(node))}
+        assert recorders == {"_node"}
+        ops = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_") and any(map(builds, ast.walk(node)))}
+        assert ops == set(_RECORDED)
 
 
 class TestSgdStep:
