@@ -2,8 +2,9 @@
 
 Every run writes its outputs, then one JSON manifest (command, seed, input
 digests, output paths), into ``--out`` through ``_write_run`` alone. The
-previous run's manifest is removed before the first output, and with it
-each output it lists in ``--out`` that this run does not write. Each file
+previous run's manifest is removed before the first output, and with it,
+when it is of the same command, each output it lists in ``--out`` that
+this run neither writes nor reads. Each file
 is written whole under a temporary name and renamed into place, so a run
 that stops leaves no manifest; with no fsync, a power loss is not covered.
 Reruns of an identical invocation produce byte-identical outputs. Numeric
@@ -115,21 +116,22 @@ def _write_manifest(args_list: list[str], config_path, seed: int, inputs: list,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _stale_outputs(out_dir: Path, names) -> list[Path]:
-    """The files directly in ``out_dir`` that its manifest lists as outputs,
-    other than ``names`` and the manifest: an earlier run's outputs that
-    this run does not replace. A manifest that does not parse lists none,
-    and a listed path outside ``out_dir`` is never one."""
+def _stale_outputs(out_dir: Path, argv: list[str], inputs: list, names) -> list[Path]:
+    """The files in ``out_dir`` named by the outputs its manifest lists, when
+    that manifest is of the same command, other than ``names``, the manifest
+    and this run's ``inputs``: an earlier run's outputs that this run does
+    not replace. A manifest that does not parse lists none."""
     try:
-        listed = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
-        if not isinstance(listed, list):
+        previous = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        listed = previous["outputs"]
+        if previous["command"][:1] != argv[:1] or not isinstance(listed, list):
             return []
-        paths = [out_dir / Path(p).name for p in listed
-                 if Path(p).parent.resolve() == out_dir.resolve()]
+        paths = [out_dir / Path(p).name for p in listed]
     except (OSError, ValueError, TypeError, KeyError):
         return []
+    read = {Path(p).resolve() for p in inputs}
     return [p for p in paths if p.name not in (*names, "manifest.json")
-            and (p.is_file() or p.is_symlink())]
+            and (p.is_file() or p.is_symlink()) and p.resolve() not in read]
 
 
 def _write_run(out, argv: list[str], config_path, seed: int, inputs: list,
@@ -138,7 +140,7 @@ def _write_run(out, argv: list[str], config_path, seed: int, inputs: list,
     given path), then the manifest, into ``out`` as the module docstring says."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stale = _stale_outputs(out_dir, outputs)
+    stale = _stale_outputs(out_dir, argv, inputs, outputs)
     (out_dir / "manifest.json").unlink(missing_ok=True)
     for path in stale:
         path.unlink(missing_ok=True)    # a path may be listed twice

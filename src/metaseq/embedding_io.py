@@ -258,7 +258,9 @@ class ContextualLayerFile:
     checks the identity, then the record's size and values: a difference
     is a FormatError naming the file and sentence. A write moves the change
     time, which ``os.utime`` cannot set back, so a rewrite that keeps the
-    size and restores the modification time is seen too. On a file system
+    size and restores the modification time is seen too. So is a change of
+    the file's metadata alone (permissions, owner, links, extended
+    attributes), which moves the change time as well. On a file system
     with coarse timestamps, a same-size rewrite of finite values within one
     tick of the check is not.
     """

@@ -307,6 +307,18 @@ class TestRunDirectory:
         assert sorted(path.name for path in out.iterdir()) == [
             "manifest.json", "notes.txt", "pca_layer2.csv"]
 
+    def test_a_rerun_from_another_directory_removes_them_too(self, corpus_files, tmp_path,
+                                                             monkeypatch):
+        """The manifest lists ``run/pca_layer1.csv``, relative to the first
+        run's working directory; the second names ``--out`` as ``../run``."""
+        monkeypatch.chdir(tmp_path)
+        assert main(self._pca(corpus_files, "run", "E", "B")) == 0
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert main(self._pca(corpus_files, "../run", "B")) == 0
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == [
+            "manifest.json", "pca_layer2.csv"]
+
     def test_a_listed_path_outside_out_is_never_removed(self, corpus_files, tmp_path,
                                                         monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -325,9 +337,39 @@ class TestRunDirectory:
         assert all(path.read_text() == "not an output\n" for path in outside)
         assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "pca_layer2.csv"]
 
+    def test_a_rerun_keeps_the_outputs_it_reads(self, corpus_files, tmp_path):
+        out = tmp_path / "run"
+        assert main(self._pca(corpus_files, out, "E", "B")) == 0
+        layer = out / "layer.cemb"
+        shutil.copyfile(corpus_files[1]["B"], layer)
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["outputs"].append(str(layer))
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main([*self._pca(corpus_files, out), str(layer)]) == 0
+        assert layer.read_bytes() == corpus_files[1]["B"].read_bytes()
+        assert sorted(path.name for path in out.iterdir()) == [
+            "layer.cemb", "manifest.json", "pca_layer2.csv"]
+
+    def test_another_commands_outputs_are_kept(self, corpus_files, tmp_path):
+        """``eval`` of a trained checkpoint into its ``train`` run's
+        ``--out`` reads the checkpoint and keeps the curve beside it."""
+        out = tmp_path / "run"
+        assert main(_train_args(corpus_files[1], out, seed="1")) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        checkpoint = out / "checkpoint.mseq"
+        args = TestEvalCommand()._eval_args(corpus_files[1], checkpoint, out)
+        assert main(args) == 0
+        assert checkpoint.read_bytes() == before["checkpoint.mseq"]
+        assert (out / "training_curve.csv").read_bytes() == before["training_curve.csv"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"][0] == "eval"
+        assert str(checkpoint) in manifest["inputs"]
+
     @pytest.mark.parametrize("previous", [
         b"{not json", b"\xff\xfe", b"[1]", b'{"command": []}',
-        b'{"outputs": "pca_layer1.csv"}', b'{"outputs": [5, "pca_layer1.csv"]}'])
+        b'{"outputs": ["pca_layer1.csv"]}', b'{"command": "probe", "outputs": ["pca_layer1.csv"]}',
+        b'{"command": ["probe"], "outputs": "pca_layer1.csv"}',
+        b'{"command": ["probe"], "outputs": [5, "pca_layer1.csv"]}'])
     def test_a_malformed_previous_manifest_removes_nothing_else(
             self, corpus_files, tmp_path, previous):
         out = tmp_path / "run"

@@ -838,9 +838,13 @@ class TestRowsReadWhenUsed:
             # system's timestamp granularity can share a modification time
             os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
         elif change == "same-size-same-mtime":   # only the change time tells
-            time.sleep(0.01)    # past a coarse change-time tick
-            self._overwrite_last_value(p, 7.0)
-            os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+            for pause in (0.01, 0.1, 1.0, 2.0):  # until the change time leaves its tick
+                time.sleep(pause)
+                self._overwrite_last_value(p, 7.0)
+                os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+                if os.stat(p).st_ctime_ns != st.st_ctime_ns:
+                    break
+            assert os.stat(p).st_ctime_ns != st.st_ctime_ns, "the change time did not move"
         elif change == "replaced":       # the same bytes in a new file renamed over it
             (tmp_path / "new").write_bytes(raw)
             os.replace(tmp_path / "new", p)
