@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, and probe subcommands.
 
 Every run writes its outputs, then one JSON manifest (command, seed, input
-digests, output paths), into ``--out`` through ``_write_run`` alone. The
+digests, output paths, and the numpy and BLAS build that sets the last
+bits), into ``--out`` through ``_write_run`` alone. The
 previous run's manifest is removed before the first output, and with it,
 when it is of the same command, each output it lists in ``--out`` that
 this run neither writes nor reads. Each file
@@ -26,6 +27,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, space_analysis, tagger_model, train_eval
 from . import tensor_core as tc
@@ -102,9 +105,19 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def numeric_build() -> dict:
+    """What sets a run's last bits beside its inputs: numpy's version, its
+    OpenBLAS build, and the BLAS thread counts in effect (None: unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "openblas_configuration": blas.get("openblas configuration"),
+            "blas_threads": {var: os.environ.get(var) for var in tc.BLAS_THREAD_VARS}}
+
+
 def _write_manifest(args_list: list[str], config_path, seed: int, inputs: list,
                     outputs: list[Path], extra: dict | None, path: Path) -> None:
     manifest = {
+        "build": numeric_build(),
         "command": args_list,
         "config_path": str(config_path) if config_path else None,
         "seed": seed,

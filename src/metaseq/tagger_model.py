@@ -323,9 +323,10 @@ class MetaphorTagger:
         return tc.weighted_cross_entropy(probs, labels, self.config.class_weights)
 
     def _folded_kernels(self) -> list[np.ndarray]:
-        """Each window's conv kernels over the unprojected channels, for
-        ``tc.conv_maps``: the static channel's block takes the projection
-        ``[proj_w | proj_b]`` of its rows with a ones column appended."""
+        """Each window's offset-major conv kernels over the unprojected
+        channels, for ``tc.conv_maps``: the static channel's block takes the
+        projection ``[proj_w | proj_b]`` of its rows with a ones column
+        appended. A copy of the kernels, with or without a static channel."""
         order = self.config.channel_order
         linear = {}
         if "G" in order:
@@ -340,9 +341,11 @@ class MetaphorTagger:
         With dropout off nothing separates the static projection from the
         conv, so the channels are scored unprojected through kernels with
         the projection folded in (``_folded_kernels``): the static rows get
-        a ones column that carries the bias and, like them, is zero past
-        the sentence's end. A ``scorer()`` scores through the fold it was
-        made with; the model itself folds for this call alone.
+        a ones column that carries the bias and, like them, adds nothing
+        past the sentence's end. Each window is one product of the joined
+        rows and its shifted offset blocks, with no window matrix. A
+        ``scorer()`` scores through the fold it was made with; the model
+        itself folds for this call alone.
         """
         cfg = self.config
         mats = [t.data for t in self._channel_tensors(channels)]

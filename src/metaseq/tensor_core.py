@@ -15,6 +15,9 @@ in a fixed order, so the bits do not depend on the width.
 
 Every op builds its output and its tape node with ``_node``: ``conv_bank``
 and ``lstm`` through ``_pooled_node``, the joining ops through ``_joined``.
+Training's ``conv_bank`` multiplies an im2col window matrix; scoring's
+``conv_maps`` multiplies the unshifted rows by offset-major kernels and
+adds the shifted offset blocks.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -591,13 +594,24 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
 def conv_maps(mats: Sequence[np.ndarray], kernels: Sequence[np.ndarray],
               windows: Sequence[int]) -> np.ndarray:
     """``conv_bank``'s forward on no tape, over per-channel (n, d_c)
-    matrices whose widths may differ: kernel j is a (w_j * sum of d_c, k_j)
-    matrix whose rows follow ``_im2col``'s (c, offset, d) column order, as
-    ``fold_kernels`` makes them. Each window is one matrix product and one
-    pool task."""
-    _check_length(mats[0].shape[0])
-    maps = _largest_first(lambda j: _im2col(mats, windows[j]) @ kernels[j],
-                          range(len(kernels)), [kern.size for kern in kernels])
+    matrices whose widths may differ, joined side by side once as x, (n,
+    sum of d_c). Kernel j is ``fold_kernels``' offset-major (sum of d_c,
+    w_j * k_j) matrix. Window j is one pool task: y = x @ kernel j, then
+    map row i adds y's offset-o column block at row i + o, and a row past
+    the sentence's end adds nothing. No window matrix is built."""
+    n = mats[0].shape[0]
+    _check_length(n)
+    x = np.concatenate(mats, axis=1)
+
+    def window(j: int) -> np.ndarray:
+        y = x @ kernels[j]
+        k = y.shape[1] // windows[j]
+        out = y[:, :k].copy()
+        for o in range(1, min(windows[j], n)):
+            out[:n - o] += y[o:, o * k:(o + 1) * k]
+        return out
+
+    maps = _largest_first(window, range(len(kernels)), [kern.size for kern in kernels])
     return np.concatenate(maps, axis=1)
 
 
@@ -605,25 +619,17 @@ def fold_kernels(kernels: Sequence[np.ndarray],
                  linear: Mapping[int, np.ndarray]) -> list[np.ndarray]:
     """``conv_maps`` kernels for (k, c, w, d) conv kernels whose input
     channel ch is ``x @ linear[ch].T``, a (d, d_ch) map of an (n, d_ch)
-    matrix x; every other channel is taken as it is. A mapped channel's
-    block is one product, ``K[:, ch].reshape(k * w, d) @ linear[ch]``, and
-    each window is one pool task. With no map the kernels are views of the
-    given arrays, not copies."""
-    if not linear:
-        return [kern.reshape(kern.shape[0], -1).T for kern in kernels]
+    matrix x; every other channel is taken as it is. Each window's kernel
+    is offset-major, a (sum of d_c, w * k) copy: row block c holds channel
+    c's input dimensions and column o * k + kk offset o of kernel kk. A
+    mapped channel's block is one product, ``linear[ch].T @ K[:, ch]`` in
+    that layout, and each window is one pool task."""
 
     def fold(kern: np.ndarray) -> np.ndarray:
         k, c, w, d = kern.shape
-        widths = [linear[ch].shape[1] if ch in linear else d for ch in range(c)]
-        out = np.empty((w * sum(widths), k))
-        start = 0
-        for ch, width in enumerate(widths):
-            block = kern[:, ch]
-            if ch in linear:
-                block = block.reshape(k * w, d) @ linear[ch]
-            out[start:start + w * width] = block.reshape(k, w * width).T
-            start += w * width
-        return out
+        blocks = [kern[:, ch].transpose(2, 1, 0).reshape(d, w * k) for ch in range(c)]
+        return np.concatenate([linear[ch].T @ block if ch in linear else block
+                               for ch, block in enumerate(blocks)])
 
     return _largest_first(fold, kernels, [kern.size for kern in kernels])
 

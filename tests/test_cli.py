@@ -162,6 +162,21 @@ class TestTrainCommand:
         assert main(args) == 0
         assert (out / "manifest.json").read_bytes() == first
 
+    def test_manifest_records_the_numeric_build(self, corpus_files, tmp_path, monkeypatch):
+        """numpy's version, its OpenBLAS build and the BLAS thread counts in
+        effect, an unset one as null."""
+        _, paths = corpus_files
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(_train_args(paths, out)) == 0
+        build = json.loads((out / "manifest.json").read_text())["build"]
+        assert build == cli.numeric_build()
+        assert build["numpy"] == np.__version__
+        assert sorted(build["blas_threads"]) == sorted(tc.BLAS_THREAD_VARS)
+        assert build["blas_threads"]["OMP_NUM_THREADS"] == "1"
+        assert build["blas_threads"]["MKL_NUM_THREADS"] is None
+
     def test_unparseable_data_is_exit_3(self, corpus_files, tmp_path):
         _, paths = corpus_files
         bad = tmp_path / "bad.tsv"

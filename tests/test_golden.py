@@ -8,7 +8,10 @@ version, its OpenBLAS build and the OpenBLAS core kernels it picks
 (``OPENBLAS_VERBOSE=2``) are the recorded ones, the checkpoint, curve and
 probability digests must be equal. Elsewhere the last bits may differ, so
 the per-parameter sums are compared within 1e-9 of each parameter's sum
-of magnitudes instead, and the test says so.
+of magnitudes instead, and each recorded probability within
+``PROB_ULP_BUDGET`` units in the last place of its own value; the test
+says so. The build fields come from ``cli.numeric_build``, the helper
+that writes them into every manifest.
 
 Run as a script, this file prints a fresh record in the golden's layout:
 
@@ -24,9 +27,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "train_paper.json"
 SUM_TOLERANCE = 1e-9
+# Off the recorded OpenBLAS core kernel (OPENBLAS_CORETYPE=Haswell,
+# Sandybridge or Nehalem instead of SkylakeX) the recorded probabilities
+# moved by at most 15,473 ulps, the largest on probabilities near 1e-29.
+# Moving any probability in [0, 1] by 1e-9 moves it by over 4.5e6 ulps.
+PROB_ULP_BUDGET = 1 << 16
 
 RUN = """
 import hashlib, io, json, sys, contextlib
@@ -52,20 +62,18 @@ dev = train_eval.parse_dataset(args.dev)
 provider, _ = cli._make_provider(checkpoint.config, args,
                                  train_eval.parse_dataset(args.data), dev)
 scorer = tagger_model.MetaphorTagger.from_checkpoint(checkpoint).scorer()
-probs = hashlib.sha256()
-for index, sentence in enumerate(dev[:3]):
-    probs.update(scorer.predict_probs(provider.channels(sentence, index)).tobytes())
-blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+probs = [scorer.predict_probs(provider.channels(sentence, index))
+         for index, sentence in enumerate(dev[:3])]
 print(json.dumps({
     "plan": {"workload": "train-paper", "seed": 7, "scale": "full"},
     "sha256": {"checkpoint": sha256((out / "checkpoint.mseq").read_bytes()),
                "curve": sha256((out / "training_curve.csv").read_bytes()),
-               "dev_probs_first_3": probs.hexdigest()},
+               "dev_probs_first_3": sha256(b"".join(p.tobytes() for p in probs))},
+    "dev_probs_first_3": [[repr(float(v)) for v in p.ravel()] for p in probs],
     "param_sums": {name: float(p.sum()) for name, p in sorted(checkpoint.params.items())},
     "param_abs_sums": {name: float(np.abs(p).sum())
                        for name, p in sorted(checkpoint.params.items())},
-    "environment": {"numpy": np.__version__,
-                    "openblas_configuration": blas.get("openblas configuration")},
+    "environment": cli.numeric_build(),
 }))
 """
 
@@ -94,14 +102,22 @@ def test_train_paper_seed_7_matches_the_golden_run(tmp_path):
     if got["environment"] == golden["environment"]:
         assert got["sha256"] == golden["sha256"]
         assert got["param_sums"] == golden["param_sums"]
+        assert got["dev_probs_first_3"] == golden["dev_probs_first_3"]
         return
     print(f"environment {got['environment']} is not the recorded "
           f"{golden['environment']}: compared the parameter sums within "
-          f"{SUM_TOLERANCE} of each parameter's sum of magnitudes, not the digests")
+          f"{SUM_TOLERANCE} of each parameter's sum of magnitudes and the "
+          f"probabilities within {PROB_ULP_BUDGET} ulps, not the digests")
     for name, want in golden["param_sums"].items():
         scale = golden["param_abs_sums"][name]
         assert abs(got["param_sums"][name] - want) <= SUM_TOLERANCE * scale, name
         assert abs(got["param_abs_sums"][name] - scale) <= SUM_TOLERANCE * scale, name
+    for index, (mine, recorded) in enumerate(zip(got["dev_probs_first_3"],
+                                                  golden["dev_probs_first_3"], strict=True)):
+        mine, recorded = (np.array([float(v) for v in p]) for p in (mine, recorded))
+        assert mine.shape == recorded.shape, index
+        ulps = np.abs(mine - recorded) / np.spacing(np.abs(recorded))
+        assert ulps.max() <= PROB_ULP_BUDGET, (index, ulps.max())
 
 
 if __name__ == "__main__":

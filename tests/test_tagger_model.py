@@ -40,6 +40,7 @@ from helpers import (
     micro_gradcheck,
     micro_model_and_batch,
     op_pool,
+    peak_bytes,
     reference_sgd,
     sum_all,
     zero_grads,
@@ -669,6 +670,20 @@ class TestFoldedInference:
         for channels, _ in batch:
             assert scorer.predict_probs(channels).tobytes() == \
                 model.predict_probs(channels).tobytes()
+
+    def test_a_long_sentence_peaks_below_one_window_matrix(self):
+        """Scoring builds no (n, w * sum of d_c) window matrix: one scorer
+        call on 400 tokens holds less than the widest window's would take."""
+        config = ModelConfig(unified_dim=64, static_dim=64, window_sizes=(2, 3, 4, 5, 6),
+                             kernels_per_window=8, hidden_size=8)
+        rng = np.random.default_rng(4)
+        scorer = self._model(config, rng).scorer()
+        n = 400
+        channels = {name: rng.normal(size=(n, 64)) for name in config.channel_order}
+        widest = n * 6 * (config.static_input_dim + 1 + 2 * 64) * 8
+        for width in (1, 2):
+            with op_pool(width):
+                assert peak_bytes(lambda: scorer.predict_probs(channels)) < widest
 
     def test_a_call_outside_a_pass_keeps_no_fold(self):
         model, batch = micro_model_and_batch()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from metaseq import tensor_core as tc
 from metaseq.errors import (
@@ -293,6 +294,35 @@ class TestConvBankWindows:
         wrong = tc.Tensor(np.zeros((2, 2, 5, 4)))
         with pytest.raises(DimensionError, match=r"window 5: kernel channels/dim \(2, 4\)"):
             tc.conv_bank(stack, [kernels[0], wrong])
+
+
+class TestConvMaps:
+    """Scoring's conv: ``conv_maps`` over ``fold_kernels``' offset-major
+    kernels is ``conv_bank``'s forward on the stack with the mapped channel
+    projected, within 1e-12, and its bits do not depend on the pool width."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(windows=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+           c=st.integers(1, 3), d=st.integers(1, 16), mapped_dim=st.integers(1, 16),
+           mapped=st.one_of(st.none(), st.integers(0, 2)), n=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(windows=[6, 1], c=3, d=4, mapped_dim=5, mapped=1, n=1, seed=0)
+    @example(windows=[2, 5, 3], c=2, d=16, mapped_dim=1, mapped=None, n=4, seed=1)
+    def test_matches_conv_bank_on_the_projected_stack(self, windows, c, d, mapped_dim,
+                                                      mapped, n, seed):
+        mapped = None if mapped is None else mapped % c    # the mapped channel, if any
+        rng = np.random.default_rng(seed)
+        linear = {} if mapped is None else {mapped: rng.normal(size=(d, mapped_dim))}
+        mats = [rng.normal(size=(n, mapped_dim if ch == mapped else d)) for ch in range(c)]
+        kernels = [rng.normal(size=(int(rng.integers(1, 5)), c, w, d)) for w in windows]
+        stack = np.stack([m @ linear[ch].T if ch in linear else m for ch, m in enumerate(mats)])
+        want = tc.conv_bank(tc.Tensor(stack), [tc.Tensor(kern) for kern in kernels]).data
+        got = []
+        for width in (1, 2):
+            with op_pool(width):
+                got.append(tc.conv_maps(mats, tc.fold_kernels(kernels, linear), windows))
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
+        assert got[0].tobytes() == got[1].tobytes()
 
 
 class TestOpPool:
