@@ -254,9 +254,11 @@ def cmd_train(args, argv: list[str]) -> int:
     config = _build_config(args)
     tagger_model.check_allocatable(config)
     train_sentences = train_eval.parse_dataset(args.data)
+    tagger_model.check_sentence_memory(config, args.data, train_sentences, training=True)
     inputs = [args.data]
     if args.dev:
         dev_sentences = train_eval.parse_dataset(args.dev)
+        tagger_model.check_sentence_memory(config, args.dev, dev_sentences, training=False)
         inputs.append(args.dev)
         if any(name != "G" for name in config.channel_order):
             _check_dev_rows(args.dev, dev_sentences, train_sentences)
@@ -299,6 +301,7 @@ def cmd_eval(args, argv: list[str]) -> int:
     checkpoint = tagger_model.load_checkpoint(args.checkpoint)
     config = checkpoint.config
     sentences = train_eval.parse_dataset(args.data)
+    tagger_model.check_sentence_memory(config, args.data, sentences, training=False)
     provider, extra_inputs = _make_provider(config, args, sentences)
     inputs = [args.checkpoint, args.data, *extra_inputs]
 

@@ -201,6 +201,41 @@ def check_allocatable(config: ModelConfig) -> None:
                              f"more than can be allocated in the {bound} bytes of {source}")
 
 
+def activation_bytes(config: ModelConfig, n: int, training: bool) -> int:
+    """Bytes of the float64 arrays that one sentence of ``n`` tokens holds
+    together at ``config``, a lower bound on its peak. Both paths hold, per
+    token, the maps and their tanh, and per LSTM direction its gates, cell
+    tanh, states and cells (7 hidden values): scoring while it runs the second
+    direction, beside the channel rows; a training step to the end of its
+    backward, where it also holds the conv's (c, n, d) input, every window
+    matrix (c d w values for window w) and, when the static channel is
+    trained through, each window's input-gradient block beside their sum."""
+    c, d, windows = len(config.channel_order), config.unified_dim, config.window_sizes
+    static = "G" in config.channel_order
+    per_token = 2 * config.feature_width + 14 * config.hidden_size
+    if not training:
+        per_token += (config.static_input_dim - d if static else 0) + c * d
+    else:
+        per_token += c * d * (1 + sum(windows) + (len(windows) + 1 if static else 0))
+    return 8 * n * per_token
+
+
+def check_sentence_memory(config: ModelConfig, path, sentences: Sequence,
+                          training: bool) -> None:
+    """Raise an InputError naming ``path`` and its longest sentence if that
+    sentence's ``activation_bytes`` do not fit in the memory this process may
+    use (``tensor_core.usable_memory``). ``metaseq train`` and ``eval`` run
+    this on each file of sentences they read, before any activation is made."""
+    longest = max(sentences, key=lambda sentence: len(sentence.tokens))
+    needed = activation_bytes(config, len(longest.tokens), training)
+    bound, source = tc.usable_memory()
+    if needed > bound:
+        raise InputError(f"{path}: sentence {longest.sentence_id}: "
+                         f"{'training on' if training else 'scoring'} its "
+                         f"{len(longest.tokens)} tokens needs {needed} bytes of activations, "
+                         f"more than the {bound} bytes of {source}")
+
+
 class MetaphorTagger:
     """Trainable tagger; parameters live in a flat name -> Tensor map."""
 
@@ -342,18 +377,18 @@ class MetaphorTagger:
         conv, so the channels are scored unprojected through kernels with
         the projection folded in (``_folded_kernels``): the static rows get
         a ones column that carries the bias and, like them, adds nothing
-        past the sentence's end. Each window is one product of the joined
-        rows and its shifted offset blocks, with no window matrix. A
-        ``scorer()`` scores through the fold it was made with; the model
-        itself folds for this call alone.
+        past the sentence's end. The channels are joined side by side once,
+        the ones column in place after the static rows, and each window is
+        one product of the joined rows and its shifted offset blocks, with
+        no window matrix. A ``scorer()`` scores through the fold it was made
+        with; the model itself folds for this call alone.
         """
         cfg = self.config
         mats = [t.data for t in self._channel_tensors(channels)]
         if "G" in cfg.channel_order:
-            g = cfg.channel_order.index("G")
-            mats[g] = np.concatenate([mats[g], np.ones((len(mats[g]), 1))], axis=1)
+            mats.insert(cfg.channel_order.index("G") + 1, np.ones((len(mats[0]), 1)))
         kernels = self._fold or self._folded_kernels()
-        maps = tc.Tensor(tc.conv_maps(mats, kernels, cfg.window_sizes))
+        maps = tc.Tensor(tc.conv_maps(np.concatenate(mats, axis=1), kernels, cfg.window_sizes))
         return self._classify_maps(maps, None, training=False).data
 
     def scorer(self) -> "MetaphorTagger":

@@ -91,7 +91,7 @@ class Tensor:
 # Tape
 # ---------------------------------------------------------------------------
 
-_TLS = threading.local()
+_TLS = threading.local()    # .tape: this thread's active tape, if any
 
 
 class _Node:
@@ -109,26 +109,24 @@ class Tape:
     """Ordered record of differentiable operations.
 
     Nodes are appended at execution time, so the list is topologically
-    sorted by construction; ``backward`` replays it once, in reverse.
+    sorted by construction; ``backward`` replays it once, in reverse. A
+    tape entered inside another records in its place until it exits.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self._shadowed: Tape | None = None
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_TLS, "stack", None)
-        if stack is None:
-            stack = _TLS.stack = []
-        stack.append(self)
+        self._shadowed, _TLS.tape = active_tape(), self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _TLS.stack.pop()
+        _TLS.tape = self._shadowed
 
 
 def active_tape() -> Tape | None:
-    stack = getattr(_TLS, "stack", None)
-    return stack[-1] if stack else None
+    return getattr(_TLS, "tape", None)
 
 
 def _node(op: str, inputs: tuple[Tensor, ...], value,
@@ -189,11 +187,10 @@ def backward(loss: Tensor, tape: Tape,
         if out_grad is None:
             continue
         node.backward_fn(out_grad)
-    if parameters is not None:
-        for p in parameters:
-            if p.requires_grad and p.grad is None:
-                p.grad = _grad_storage(p)
-                p.grad.fill(0.0)
+    for p in parameters or ():
+        if p.requires_grad and p.grad is None:
+            p.grad = _grad_storage(p)
+            p.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -580,28 +577,27 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
         _accumulate_product(kern, g.T, cols)
         if not inp.requires_grad:
             return None
-        dpad = np.zeros((c, n + w - 1, d))
+        dx = np.zeros((c, n, d))
         for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
             contrib = (g @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
-            for o in range(w):
-                dpad[ch, o:o + n, :] += contrib[:, o, :]
-        return dpad[:, :n, :]
+            for o in range(min(w, n)):      # offset o's rows past the end add nothing
+                dx[ch, o:] += contrib[:n - o, o]
+        return dx
 
     return _pooled_node("conv_bank", inp, kernels, kernels, [kern.size for kern in kernels],
                         forward, backward)
 
 
-def conv_maps(mats: Sequence[np.ndarray], kernels: Sequence[np.ndarray],
+def conv_maps(x: np.ndarray, kernels: Sequence[np.ndarray],
               windows: Sequence[int]) -> np.ndarray:
-    """``conv_bank``'s forward on no tape, over per-channel (n, d_c)
-    matrices whose widths may differ, joined side by side once as x, (n,
-    sum of d_c). Kernel j is ``fold_kernels``' offset-major (sum of d_c,
-    w_j * k_j) matrix. Window j is one pool task: y = x @ kernel j, then
-    map row i adds y's offset-o column block at row i + o, and a row past
-    the sentence's end adds nothing. No window matrix is built."""
-    n = mats[0].shape[0]
+    """``conv_bank``'s forward on no tape, over the (n, sum of d_c) rows
+    ``x`` of every channel side by side, whose widths may differ. Kernel j
+    is ``fold_kernels``' offset-major (sum of d_c, w_j * k_j) matrix.
+    Window j is one pool task: y = x @ kernel j, then map row i adds y's
+    offset-o column block at row i + o, and a row past the sentence's end
+    adds nothing. No window matrix is built."""
+    n = x.shape[0]
     _check_length(n)
-    x = np.concatenate(mats, axis=1)
 
     def window(j: int) -> np.ndarray:
         y = x @ kernels[j]
@@ -811,8 +807,7 @@ def sgd_step(parameters: Iterable[Tensor] | Mapping[str, Tensor], lr: float) -> 
     """In-place p <- p - lr * grad for every parameter, one pool task per
     parameter, largest first; sets each ``grad`` to None and keeps its
     storage for the next ``backward``."""
-    params = parameters.values() if isinstance(parameters, Mapping) else parameters
-    params = list(params)
+    params = list(parameters.values() if isinstance(parameters, Mapping) else parameters)
     for p in params:
         if p.grad is None:
             raise StateError("sgd_step: parameter has no gradient (run backward first)")

@@ -1328,8 +1328,9 @@ class TestMutatedLayerFile:
 
 @pytest.fixture(scope="module")
 def desk_eval(tmp_path_factory):
-    """Inputs of a two-sentence ``eval`` and the bytes of an untrained desk
-    checkpoint that scores them."""
+    """Inputs of a two-sentence ``eval`` and the path of an untrained desk
+    checkpoint that scores them. A failing property test's report shows
+    its fixtures, so this one holds no large value."""
     base = tmp_path_factory.mktemp("desk")
     corpus = build_separable_corpus(base, n_sentences=2, seed=5)
     paths = write_corpus_files(corpus, base)
@@ -1337,7 +1338,7 @@ def desk_eval(tmp_path_factory):
     ckpt = paths["data"].parent / "desk.mseq"
     save_checkpoint(Checkpoint(model.config, {n: t.data for n, t in model.params.items()},
                                1, 0.5), ckpt)
-    return paths, ckpt.read_bytes()
+    return paths, ckpt
 
 
 def _checkpoint_layout(data: bytes) -> tuple[list[int], list[int]]:
@@ -1436,7 +1437,8 @@ class TestMutatedCheckpoint:
               phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_eval_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data):
-        paths, valid = desk_eval
+        paths, desk = desk_eval
+        valid = desk.read_bytes()
         ckpt = tmp_path / "mutated.mseq"
         ckpt.write_bytes(data.draw(mutated_checkpoint(valid)))
         try:
@@ -1571,6 +1573,123 @@ class TestMutatedScores:
         code = main(["probe", "--data", str(paths["data"]),
                      "--layer-files", str(paths["E"]), str(paths["E"]), str(paths["B"]),
                      "--mode", "l2", "--scores", str(scores), "--out", str(tmp_path / "probe")])
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), err
+
+
+_TSV_VALUE = st.sampled_from([
+    "", " ", "0", "1", "2", "-1", "01", "1.0", "s0", "s1", "news", "NEWS", "poetry", "NOUN",
+    "VERB", "x", "\u00e9", "\ufeff", "\x00"])
+
+
+@st.composite
+def mutated_tsv(draw, valid: bytes) -> bytes:
+    """A well-formed dataset TSV after one or two edits: a row's column set
+    to an edge value, a row repeated or dropped, a byte overwritten, bytes
+    cut out or put in, or the file cut short."""
+    data = bytearray(valid)
+    edits = st.one_of(st.tuples(st.just("column"), st.integers(0, 99),
+                                st.tuples(st.sampled_from(range(7)), _TSV_VALUE)),
+                      st.tuples(st.sampled_from(["repeat", "drop"]), st.integers(0, 99),
+                                st.none()),
+                      _TEXT_EDIT)
+    for edit, at, arg in draw(st.lists(edits, min_size=1, max_size=2)):
+        lines = bytes(data).split(b"\n")
+        at %= len(lines)
+        if edit == "column":
+            cols = lines[at].split(b"\t")
+            cols[arg[0] % len(cols)] = arg[1].encode()
+            lines[at] = b"\t".join(cols)
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "drop":
+            del lines[at]
+        else:
+            _edit_text(data, edit, at, arg)
+            continue
+        data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+_LEXICON_SCORE = st.sampled_from([
+    "", "0", "1", "0.5", "-0", "-0.0", "1.0000001", "-1e-300", "1e-300", "nan", "inf", "-inf",
+    "0x1", "1_0", ".5", "5.", "1e0", " 0.5", "0.5 ", "\u0660"])
+
+
+@st.composite
+def mutated_lexicon(draw) -> bytes:
+    """The small abstractness lexicon after one to three edits: a line's
+    score set to an edge value, a line repeated, a word set to another
+    line's word or its capitalised form, a byte overwritten, bytes cut out
+    or put in, or the file cut short."""
+    data = bytearray((DATA_DIR / "abstractness_small.tsv").read_bytes())
+    edits = st.one_of(st.tuples(st.just("score"), st.integers(0, 99), _LEXICON_SCORE),
+                      st.tuples(st.sampled_from(["repeat", "word", "title"]),
+                                st.integers(0, 99), st.integers(0, 99)),
+                      _TEXT_EDIT)
+    for edit, at, arg in draw(st.lists(edits, min_size=1, max_size=3)):
+        lines = bytes(data).split(b"\n")
+        at %= len(lines)
+        word, tab, score = lines[at].partition(b"\t")
+        if edit == "score":
+            lines[at] = word + b"\t" + arg.encode()
+        elif edit == "repeat":
+            lines.insert(at, lines[at])
+        elif edit == "word":
+            lines[at] = lines[arg % len(lines)].partition(b"\t")[0] + tab + score
+        elif edit == "title":
+            lines[at] = word.title() + tab + score
+        else:
+            _edit_text(data, edit, at, arg)
+            continue
+        data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+class TestMutatedTsv:
+    """A mutated ``--data`` TSV ends ``train`` with 0 or a one-line named
+    error, never a traceback: on the static channel alone, where what
+    parses is trained on, and with two layer files it must line up with."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), layers=st.booleans())
+    def test_train_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data, layers):
+        paths, _ = desk_eval
+        tsv = tmp_path / "mutated.tsv"
+        tsv.write_bytes(data.draw(mutated_tsv(paths["data"].read_bytes())))
+        config = tmp_path / "model.cfg"
+        config.write_text("unified_dim=16\nstatic_dim=8\nkernels_per_window=1\nhidden_size=2\n"
+                          "window_sizes=2\nepochs=1\n"
+                          f"channel_order={'G,E,B' if layers else 'G'}\n")
+        args = ["train", "--data", str(tsv), "--glove", str(paths["glove"]),
+                "--config", str(config), "--out", str(tmp_path / "run")]
+        if layers:
+            args[-2:-2] = ["--layers", str(paths["E"]), str(paths["B"])]
+        capsys.readouterr()
+        code = main(args)
+        err = capsys.readouterr().err
+        assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), err
+
+
+class TestMutatedLexicon:
+    """A mutated ``--abst-lexicon`` ends ``train`` with ``use_abstractness``
+    set with 0 or a one-line named error, never a traceback."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=mutated_lexicon())
+    def test_train_ends_in_a_named_error(self, tmp_path, capsys, desk_eval, data):
+        paths, _ = desk_eval
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_bytes(data)
+        config = tmp_path / "model.cfg"
+        config.write_text("unified_dim=4\nstatic_dim=8\nkernels_per_window=1\nhidden_size=2\n"
+                          "window_sizes=2\nepochs=1\nchannel_order=G\nuse_abstractness=true\n")
+        capsys.readouterr()
+        code = main(["train", "--data", str(paths["data"]), "--glove", str(paths["glove"]),
+                     "--abst-lexicon", str(lexicon), "--config", str(config),
+                     "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert (code, err.count("\n")) in ((0, 0), (2, 1), (3, 1), (4, 1)), err
 
@@ -1957,4 +2076,92 @@ class TestOutOfMemory:
         captured = capsys.readouterr()
         assert captured.err == f"error: out of memory in {command}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+
+class TestSentenceMemory:
+    """The activations of the longest sentence that ``train`` or ``eval``
+    reads (``tagger_model.activation_bytes``) must fit in the memory the
+    process may use; else a data error naming the file, the sentence, the
+    bytes and the bound, before ``--out`` exists or any channel is built."""
+
+    LENGTH = 400
+
+    @staticmethod
+    def _bounded(monkeypatch, bound: int, source: str) -> None:
+        monkeypatch.setattr(tc, "usable_memory", lambda: (bound, source), raising=False)
+
+        def never(*args, **kwargs):
+            raise AssertionError("channels were wired before the length check")
+
+        monkeypatch.setattr(cli, "_make_provider", never)
+
+    @staticmethod
+    def _long_tsv(path: Path, length: int) -> Path:
+        path.write_text("short\tnews\t0\tword\tNOUN\t0\t1\n\n" + "".join(
+            f"long\tnews\t{i}\tw{i}\tNOUN\t{i % 2}\t1\n" for i in range(length)) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command,flag,source", [
+        ("train", "--data", "physical memory"),
+        ("train", "--dev", "physical memory"),
+        ("eval", "--data", "the memory limit in /sys/fs/cgroup/job/memory.max"),
+    ])
+    def test_a_sentence_too_long_for_memory_is_data_error(
+            self, corpus_files, trained, tmp_path, capsys, monkeypatch, command, flag, source):
+        _, paths = corpus_files
+        long = self._long_tsv(tmp_path / "long.tsv", self.LENGTH)
+        out = tmp_path / "out"
+        if command == "train":
+            args = _train_args(paths, out)
+            config = ModelConfig(**parse_config_file(paths["config"]))
+        else:
+            args = TestEvalCommand()._eval_args(paths, trained, out)
+            config = load_checkpoint(trained).config
+        if flag in args:
+            args[args.index(flag) + 1] = str(long)
+        else:
+            args += [flag, str(long)]
+        training = flag == "--data" and command == "train"
+        needed = tagger_model.activation_bytes(config, self.LENGTH, training)
+        bound = needed - 1
+        # the parameters, and training on the fixture's own sentences, fit
+        assert 8 * 3 * sum(math.prod(shape) for shape in _param_shapes(config).values()) <= bound
+        longest = max(len(s.tokens) for s in parse_dataset(paths["data"]))
+        assert tagger_model.activation_bytes(config, longest, True) <= bound
+        self._bounded(monkeypatch, bound, source)
+        assert main(args) == 3
+        verb = "training on" if training else "scoring"
+        assert capsys.readouterr().err == (
+            f"error: {long}: sentence long: {verb} its {self.LENGTH} tokens needs {needed} "
+            f"bytes of activations, more than the {bound} bytes of {source}\n")
+        assert not out.exists()
+
+    def test_a_sentence_that_fits_is_trained_on(self, corpus_files, tmp_path, monkeypatch):
+        _, paths = corpus_files
+        config = ModelConfig(**parse_config_file(paths["config"]))
+        longest = max(len(s.tokens) for s in parse_dataset(paths["data"]))
+        params = sum(math.prod(shape) for shape in _param_shapes(config).values())
+        bound = max(tagger_model.activation_bytes(config, longest, True), 8 * 3 * params)
+        monkeypatch.setattr(tc, "usable_memory", lambda: (bound, "physical memory"),
+                            raising=False)
+        assert main(_train_args(paths, tmp_path / "run")) == 0
+
+    def test_a_20000_token_sentence_at_paper_config_is_data_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the paper's model, and inputs that are never opened
+        long = self._long_tsv(tmp_path / "long.tsv", 20000)
+        config = tmp_path / "paper.cfg"
+        config.write_text("# the paper's model\n")
+        absent = str(tmp_path / "absent")
+        bound = 4 << 30
+        self._bounded(monkeypatch, bound, "physical memory")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(long), "--glove", absent, "--layers", absent, absent,
+                     "--config", str(config), "--out", str(out)]) == 3
+        needed = tagger_model.activation_bytes(ModelConfig(), 20000, True)
+        assert needed > 20000 * 3 * 14 * 1024 * 8 > bound
+        assert capsys.readouterr().err == (
+            f"error: {long}: sentence long: training on its 20000 tokens needs {needed} "
+            f"bytes of activations, more than the {bound} bytes of physical memory\n")
         assert not out.exists()

@@ -8,7 +8,8 @@ version, its OpenBLAS build and the OpenBLAS core kernels it picks
 (``OPENBLAS_VERBOSE=2``) are the recorded ones, the checkpoint, curve and
 probability digests must be equal. Elsewhere the last bits may differ, so
 the per-parameter sums are compared within 1e-9 of each parameter's sum
-of magnitudes instead, and each recorded probability within
+of magnitudes instead, each parameter's first 8 elements within
+``PARAM_ULP_BUDGET`` and each recorded probability within
 ``PROB_ULP_BUDGET`` units in the last place of its own value; the test
 says so. The build fields come from ``cli.numeric_build``, the helper
 that writes them into every manifest.
@@ -37,6 +38,10 @@ SUM_TOLERANCE = 1e-9
 # moved by at most 15,473 ulps, the largest on probabilities near 1e-29.
 # Moving any probability in [0, 1] by 1e-9 moves it by over 4.5e6 ulps.
 PROB_ULP_BUDGET = 1 << 16
+# Under the same three core kernels each parameter's first 8 elements
+# moved by at most 17,344 ulps (Sandybridge, lstm_f_wx; conv_w2 at most
+# 5,868). Moving any recorded element by 1e-9 moves it by over 4.5e6 ulps.
+PARAM_ULP_BUDGET = 1 << 16
 
 RUN = """
 import hashlib, io, json, sys, contextlib
@@ -73,6 +78,8 @@ print(json.dumps({
     "param_sums": {name: float(p.sum()) for name, p in sorted(checkpoint.params.items())},
     "param_abs_sums": {name: float(np.abs(p).sum())
                        for name, p in sorted(checkpoint.params.items())},
+    "param_first_8": {name: [repr(float(v)) for v in p.ravel()[:8]]
+                      for name, p in sorted(checkpoint.params.items())},
     "environment": cli.numeric_build(),
 }))
 """
@@ -102,22 +109,32 @@ def test_train_paper_seed_7_matches_the_golden_run(tmp_path):
     if got["environment"] == golden["environment"]:
         assert got["sha256"] == golden["sha256"]
         assert got["param_sums"] == golden["param_sums"]
+        assert got["param_first_8"] == golden["param_first_8"]
         assert got["dev_probs_first_3"] == golden["dev_probs_first_3"]
         return
     print(f"environment {got['environment']} is not the recorded "
           f"{golden['environment']}: compared the parameter sums within "
-          f"{SUM_TOLERANCE} of each parameter's sum of magnitudes and the "
-          f"probabilities within {PROB_ULP_BUDGET} ulps, not the digests")
+          f"{SUM_TOLERANCE} of each parameter's sum of magnitudes, the parameters' "
+          f"first elements within {PARAM_ULP_BUDGET} ulps and the probabilities "
+          f"within {PROB_ULP_BUDGET} ulps, not the digests")
     for name, want in golden["param_sums"].items():
         scale = golden["param_abs_sums"][name]
         assert abs(got["param_sums"][name] - want) <= SUM_TOLERANCE * scale, name
         assert abs(got["param_abs_sums"][name] - scale) <= SUM_TOLERANCE * scale, name
+        worst = _ulps(got["param_first_8"][name], golden["param_first_8"][name])
+        assert worst <= PARAM_ULP_BUDGET, (name, worst)
     for index, (mine, recorded) in enumerate(zip(got["dev_probs_first_3"],
                                                   golden["dev_probs_first_3"], strict=True)):
-        mine, recorded = (np.array([float(v) for v in p]) for p in (mine, recorded))
-        assert mine.shape == recorded.shape, index
-        ulps = np.abs(mine - recorded) / np.spacing(np.abs(recorded))
-        assert ulps.max() <= PROB_ULP_BUDGET, (index, ulps.max())
+        worst = _ulps(mine, recorded)
+        assert worst <= PROB_ULP_BUDGET, (index, worst)
+
+
+def _ulps(mine: list[str], recorded: list[str]) -> float:
+    """The largest distance of ``mine`` from the same-length ``recorded``,
+    each a list of ``repr`` strings, in ulps of the recorded value."""
+    mine, recorded = (np.array([float(v) for v in p]) for p in (mine, recorded))
+    assert mine.shape == recorded.shape
+    return float((np.abs(mine - recorded) / np.spacing(np.abs(recorded))).max())
 
 
 if __name__ == "__main__":

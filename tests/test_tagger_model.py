@@ -29,6 +29,7 @@ from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
     ModelConfig,
+    activation_bytes,
     label_sentences,
     load_checkpoint,
     save_checkpoint,
@@ -521,6 +522,41 @@ class TestTraining:
         kept = train(corpus.sentences, corpus.provider, cfg, dev_sentences=dev)
         for name, arr in kept.params.items():
             assert with_release.params[name].tobytes() == arr.tobytes(), name
+
+
+class TestActivationBytes:
+    def test_paper_config_counts_the_window_matrices_per_token(self):
+        cfg = ModelConfig()
+        windows = 3 * 14 * 1024 * 8          # channels x window offsets x dim x 8 bytes
+        assert activation_bytes(cfg, 1, True) > windows > activation_bytes(cfg, 1, False)
+        for training in (True, False):
+            assert activation_bytes(cfg, 20000, training) == 20000 * activation_bytes(
+                cfg, 1, training)
+
+    @pytest.mark.parametrize("order", [("G", "E", "B"), ("E", "B")])
+    def test_is_a_lower_bound_on_a_traced_step_and_score(self, order):
+        cfg = ModelConfig(unified_dim=64, static_dim=24, kernels_per_window=8,
+                          hidden_size=16, channel_order=order, seed=3)
+        model, n = MetaphorTagger(cfg), 60
+        params = model.parameters()
+        rng = np.random.default_rng(0)
+
+        def channels():
+            return {name: rng.normal(size=(n, cfg.static_input_dim if name == "G" else 64))
+                    for name in order}
+
+        def step():
+            with tc.Tape() as tape:
+                loss = model.sentence_loss(model.build_stack(channels()), [0, 1] * (n // 2),
+                                           tc.RngStream(0, 3), training=True)
+            tc.backward(loss, tape, params.values())
+            tc.sgd_step(params, cfg.learning_rate)
+
+        step()                               # the gradient storage exists from here on
+        assert peak_bytes(step) >= activation_bytes(cfg, n, True)
+        scorer = model.scorer()
+        assert peak_bytes(lambda: scorer.predict_probs(channels())) >= activation_bytes(
+            cfg, n, False)
 
 
 class TestPredict:

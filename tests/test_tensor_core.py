@@ -297,9 +297,10 @@ class TestConvBankWindows:
 
 
 class TestConvMaps:
-    """Scoring's conv: ``conv_maps`` over ``fold_kernels``' offset-major
-    kernels is ``conv_bank``'s forward on the stack with the mapped channel
-    projected, within 1e-12, and its bits do not depend on the pool width."""
+    """Scoring's conv: ``conv_maps`` of the channels' rows side by side
+    over ``fold_kernels``' offset-major kernels is ``conv_bank``'s forward
+    on the stack with the mapped channel projected, within 1e-12, and its
+    bits do not depend on the pool width."""
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(windows=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
@@ -320,7 +321,8 @@ class TestConvMaps:
         got = []
         for width in (1, 2):
             with op_pool(width):
-                got.append(tc.conv_maps(mats, tc.fold_kernels(kernels, linear), windows))
+                got.append(tc.conv_maps(np.concatenate(mats, axis=1),
+                                        tc.fold_kernels(kernels, linear), windows))
         np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
         assert got[0].tobytes() == got[1].tobytes()
 
@@ -927,6 +929,29 @@ class TestSgdStep:
             return p.data.tobytes()
 
         assert run(True) == run(False)
+
+
+class TestNestedTapes:
+    def test_an_inner_tape_records_in_place_of_the_outer_until_it_exits(self):
+        x = tc.Tensor([1.0, 2.0], requires_grad=True)
+        with tc.Tape() as outer:
+            before = tc.mul(x, x)
+            with tc.Tape() as inner:
+                assert tc.active_tape() is inner
+                inside = tc.add(x, x)
+            assert tc.active_tape() is outer
+            after = tc.sigmoid(x)
+        assert tc.active_tape() is None
+        assert [node.output for node in inner.nodes] == [inside]
+        assert [node.output for node in outer.nodes] == [before, after]
+
+    def test_a_tape_left_by_an_exception_gives_its_place_back(self):
+        with tc.Tape() as outer:
+            with pytest.raises(DimensionError):
+                with tc.Tape():
+                    tc.add(tc.Tensor([1.0], requires_grad=True), tc.Tensor([1.0, 2.0]))
+            assert tc.active_tape() is outer
+        assert tc.active_tape() is None
 
 
 class TestThreadIsolation:
