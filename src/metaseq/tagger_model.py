@@ -181,6 +181,29 @@ def _param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _stored_axes(name: str) -> tuple[int, ...] | None:
+    """The axis permutation that takes parameter ``name`` from its
+    checkpoint layout (``_param_shapes``) to the layout the model stores
+    and its products read, or None where the two are one. ``proj_w`` is
+    stored as its (static_input_dim, unified_dim) transpose, the right
+    operand of the projection's product."""
+    return (1, 0) if name == "proj_w" else None
+
+
+def _to_storage(name: str, arr: np.ndarray) -> np.ndarray:
+    """``arr`` in the checkpoint layout of ``name`` as the model stores it:
+    a C-ordered copy where the layouts differ, else ``arr`` itself."""
+    axes = _stored_axes(name)
+    return arr if axes is None else np.ascontiguousarray(np.transpose(arr, axes))
+
+
+def _to_checkpoint(name: str, arr: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the stored ``arr`` in the checkpoint layout."""
+    axes = _stored_axes(name)
+    return arr.copy() if axes is None else np.ascontiguousarray(
+        np.transpose(arr, np.argsort(axes)))
+
+
 # The copies of the parameters that ``train`` holds at once: the parameters
 # themselves, their gradient storage while it steps and the best snapshot.
 # A new best is exported while the old one is still alive, but by then the
@@ -237,15 +260,19 @@ def check_sentence_memory(config: ModelConfig, path, sentences: Sequence,
 
 
 class MetaphorTagger:
-    """Trainable tagger; parameters live in a flat name -> Tensor map."""
+    """Trainable tagger; parameters live in a flat name -> Tensor map, each
+    in the layout its products read (``_stored_axes``). ``params=`` takes
+    them in the checkpoint layout and ``export_params`` gives them back in
+    it, so only those two convert."""
 
     def __init__(self, config: ModelConfig, params: Mapping[str, np.ndarray] | None = None):
         self.config = config
         self._fold: list[np.ndarray] | None = None   # set on a ``scorer()`` copy only
         if params is not None:
-            self.params = {name: tc.Tensor(arr, requires_grad=True)
+            self._check_param_shapes({name: np.shape(arr) for name, arr in params.items()})
+            self.params = {name: tc.Tensor(_to_storage(name, np.asarray(arr)),
+                                           requires_grad=True)
                            for name, arr in params.items()}
-            self._check_param_shapes()
         else:
             self.params = self._init_params(tc.RngStream(config.seed, _INIT_STREAM))
 
@@ -264,26 +291,29 @@ class MetaphorTagger:
                 data = _glorot(rng, shape, fan_in, cfg.kernels_per_window)
             else:
                 data = _glorot(rng, shape, shape[0], shape[-1])
-            params[name] = tc.Tensor(data, requires_grad=True)
+            params[name] = tc.Tensor(_to_storage(name, data), requires_grad=True)
         return params
 
-    def _check_param_shapes(self) -> None:
+    def _check_param_shapes(self, shapes: Mapping[str, tuple[int, ...]]) -> None:
+        """``shapes``, the given parameters' checkpoint shapes, must be the
+        ones the configuration implies."""
         expected = _param_shapes(self.config)
-        if set(expected) != set(self.params):
+        if set(expected) != set(shapes):
             raise CompatibilityError(
-                f"parameter names {sorted(self.params)} do not match "
+                f"parameter names {sorted(shapes)} do not match "
                 f"configuration ({sorted(expected)})")
         for name, shape in expected.items():
-            if self.params[name].shape != shape:
+            if shapes[name] != shape:
                 raise CompatibilityError(
-                    f"parameter {name}: stored shape {self.params[name].shape}, "
+                    f"parameter {name}: stored shape {shapes[name]}, "
                     f"configuration implies {shape}")
 
     def parameters(self) -> dict[str, tc.Tensor]:
         return self.params
 
     def export_params(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
+        """A copy of every parameter in the checkpoint layout."""
+        return {name: _to_checkpoint(name, p.data) for name, p in self.params.items()}
 
     # -- forward ------------------------------------------------------------
 
@@ -320,8 +350,7 @@ class MetaphorTagger:
         mats = self._channel_tensors(channels)
         if "G" in order:
             g = order.index("G")
-            mats[g] = tc.add_bias(tc.matmul(mats[g], tc.transpose(self.params["proj_w"])),
-                                  self.params["proj_b"])
+            mats[g] = tc.add_bias(tc.matmul(mats[g], self.params["proj_w"]), self.params["proj_b"])
         return stack_channels(mats)
 
     def _lstm_direction(self, feats: tc.Tensor) -> tc.Tensor:
@@ -366,7 +395,7 @@ class MetaphorTagger:
         linear = {}
         if "G" in order:
             linear[order.index("G")] = np.concatenate(
-                [self.params["proj_w"].data, self.params["proj_b"].data[:, None]], axis=1)
+                [self.params["proj_w"].data.T, self.params["proj_b"].data[:, None]], axis=1)
         return tc.fold_kernels([self.params[f"conv_w{w}"].data for w in self.config.window_sizes],
                                linear)
 

@@ -574,8 +574,8 @@ class TestEvalCommand:
         _, paths = corpus_files
         config = ModelConfig(**parse_config_file(paths["config"]))
         rng = np.random.default_rng(5)
-        params = {name: rng.normal(scale=0.5, size=p.shape)
-                  for name, p in MetaphorTagger(config).params.items()}
+        params = {name: rng.normal(scale=0.5, size=shape)
+                  for name, shape in _param_shapes(config).items()}
         ckpt = tmp_path / "random.mseq"
         save_checkpoint(Checkpoint(config, params, 1, 0.0), ckpt)
 
@@ -1336,8 +1336,7 @@ def desk_eval(tmp_path_factory):
     paths = write_corpus_files(corpus, base)
     model = MetaphorTagger(corpus.config)
     ckpt = paths["data"].parent / "desk.mseq"
-    save_checkpoint(Checkpoint(model.config, {n: t.data for n, t in model.params.items()},
-                               1, 0.5), ckpt)
+    save_checkpoint(Checkpoint(model.config, model.export_params(), 1, 0.5), ckpt)
     return paths, ckpt
 
 

@@ -878,11 +878,11 @@ def projector(w, b, order=("G",)) -> MetaphorTagger:
     cfg = ModelConfig(unified_dim=w.shape[0], static_dim=w.shape[1],
                       channel_order=tuple(order), window_sizes=(1,),
                       kernels_per_window=1, hidden_size=1)
-    model = MetaphorTagger(cfg)
+    params = MetaphorTagger(cfg).export_params()
     if "G" in order:
-        model.params["proj_w"].data[...] = w
-        model.params["proj_b"].data[...] = b
-    return model
+        params["proj_w"][...] = w
+        params["proj_b"][...] = b
+    return MetaphorTagger(cfg, params=params)
 
 
 def project(model: MetaphorTagger, x) -> tc.Tensor:

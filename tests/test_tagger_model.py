@@ -29,6 +29,7 @@ from metaseq.tagger_model import (
     Checkpoint,
     MetaphorTagger,
     ModelConfig,
+    _param_shapes,
     activation_bytes,
     label_sentences,
     load_checkpoint,
@@ -408,8 +409,8 @@ class TestGradientStorage:
         assert set(got) == set(want)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert any(not np.array_equal(got[name], MetaphorTagger(config).params[name].data)
-                   for name in got)
+        initial = MetaphorTagger(config).export_params()
+        assert any(not np.array_equal(got[name], initial[name]) for name in got)
 
     def test_zeroed_gradients_keep_nothing_from_the_previous_sentence(self):
         config, ((chan_a, labels_a), (chan_b, labels_b), _) = _storage_model_and_steps(1)
@@ -591,9 +592,8 @@ class TestFoldedInference:
     def _model(config, rng):
         """``config``'s model with every parameter drawn at random, the
         biases included, so that the projection bias is not zero."""
-        shapes = {name: p.shape for name, p in MetaphorTagger(config).params.items()}
         return MetaphorTagger(config, params={name: rng.normal(scale=0.5, size=shape)
-                                              for name, shape in shapes.items()})
+                                              for name, shape in _param_shapes(config).items()})
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(order=st.sampled_from([("G", "E", "B"), ("E", "G", "B"), ("E", "B"), ("G",),
