@@ -382,17 +382,23 @@ def _check_layer_indices(paths: list[str], layers: list) -> None:
         first[layer.layer_index] = path
 
 
-def _check_l2_memory(path, dimension: int, threads: int) -> None:
-    """The rotated l2 probe's d x d matrices, on ``threads`` threads at
-    once, must fit in the memory this process may use
-    (``tensor_core.usable_memory``); else a data error naming ``path``,
-    whose header set d, raised before any of them is made."""
-    needed = space_analysis.PROCRUSTES_SQUARES * 8 * dimension ** 2 * threads
+def _check_l2_memory(path, dimension: int, tokens: int, threads: int, variant: str) -> None:
+    """What the l2 probe holds on ``threads`` threads at once must fit in
+    the memory this process may use (``tensor_core.usable_memory``): the
+    float64 rows of the ``tokens`` tokens, the reference's and each
+    thread's layer's, and for the rotated variant each thread's d x d
+    matrices. Else a data error naming ``path``, whose header set d,
+    raised before any of them is made."""
+    rows = 8 * dimension * tokens * (1 + threads)
+    needed = rows
+    if variant == "rotated":
+        needed += space_analysis.PROCRUSTES_SQUARES * 8 * dimension ** 2 * threads
     bound, source = tc.usable_memory()
     if needed > bound:
-        raise InputError(f"{path}: dimension {dimension}: the rotated l2 probe needs "
-                         f"{needed} bytes on {threads} thread(s), more than the "
-                         f"{bound} bytes of {source}")
+        raise InputError(f"{path}: dimension {dimension}: the {variant} l2 probe needs "
+                         f"{needed} bytes on {threads} thread(s), {rows} of them for the "
+                         f"rows of {tokens} tokens (the reference's and each thread's "
+                         f"layer's), more than the {bound} bytes of {source}")
 
 
 def cmd_probe(args, argv: list[str]) -> int:
@@ -426,9 +432,9 @@ def cmd_probe(args, argv: list[str]) -> int:
             if layer.dimension != layers[0].dimension:
                 raise InputError(f"{path}: dimension {layer.dimension}, but the reference "
                                  f"{args.layer_files[0]} has dimension {layers[0].dimension}")
-        if args.l2_variant == "rotated":
-            _check_l2_memory(args.layer_files[0], layers[0].dimension,
-                             min(args.threads, len(layers) - 1))
+        _check_l2_memory(args.layer_files[0], layers[0].dimension,
+                         int(layers[0].token_counts.sum()), min(args.threads, len(layers) - 1),
+                         args.l2_variant)
         reference = layers[0].all_rows()
 
         def one(layer):

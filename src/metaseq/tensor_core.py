@@ -15,9 +15,11 @@ in a fixed order, so the bits do not depend on the width.
 
 Every op builds its output and its tape node with ``_node``: ``conv_bank``
 and ``lstm`` through ``_pooled_node``, the joining ops through ``_joined``.
-Training's ``conv_bank`` multiplies an im2col window matrix; scoring's
-``conv_maps`` multiplies the unshifted rows by offset-major kernels and
-adds the shifted offset blocks.
+Training's ``conv_bank`` and scoring's ``conv_maps`` compute a window
+alike (``_window_maps``): the channels' rows side by side times the
+offset-major kernel, whose shifted offset blocks are then added; no window
+matrix is built. ``conv_bank``'s (c, d, w, k) kernels reshape to that
+kernel for free.
 
 Gradient storage belongs to the tensor and lives across steps. The first
 gradient a ``backward`` writes into a tensor lands in that storage (a
@@ -484,21 +486,18 @@ def dropout(x: Tensor, rate: float, rng: RngStream | None, training: bool) -> Te
     return out
 
 
-def _im2col(mats: Sequence[np.ndarray], w: int) -> np.ndarray:
-    """The (n, w * sum of d_c) window matrix of per-channel (n, d_c)
-    matrices: cols[i, (c, o, d)] = mats[c][i + o, d], the kernels' own
-    order, and zero where i + o runs past the last position."""
-    n = mats[0].shape[0]
-    cols = np.empty((n, w * sum(m.shape[1] for m in mats)))
-    start = 0
-    for m in mats:
-        width = m.shape[1]
-        for o in range(w):
-            block = cols[:, start:start + width]
-            block[:max(n - o, 0)] = m[o:]
-            block[max(n - o, 0):] = 0.0
-            start += width
-    return cols
+def _window_maps(x: np.ndarray, kernel: np.ndarray, w: int) -> np.ndarray:
+    """The (n, k) maps of one window over the (n, sum of d_c) rows ``x``,
+    with the offset-major (sum of d_c, w * k) ``kernel``: y = x @ kernel,
+    then map row i adds y's offset-o column block at row i + o, and a row
+    past the sentence's end adds nothing. No window matrix is built."""
+    n = x.shape[0]
+    y = x @ kernel
+    k = y.shape[1] // w
+    out = y[:, :k].copy()
+    for o in range(1, min(w, n)):
+        out[:n - o] += y[o:, o * k:(o + 1) * k]
+    return out
 
 
 def _check_length(n: int) -> None:
@@ -537,16 +536,20 @@ def _pooled_node(op: str, x: Tensor, weights: Sequence[Tensor], jobs: Sequence,
 
 
 def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
-    """The feature maps of every window size: (k_j, c, w_j, d) kernels ->
+    """The feature maps of every window size: (c, d, w_j, k_j) kernels ->
     (n, sum of k_j), kernel j's maps in its own columns, in the given order.
 
     Position i of map k of window j is the full sum over channels, window
-    offsets and embedding dimensions of input[c, i+o, d] * kernels[j][k, c, o, d],
+    offsets and embedding dimensions of input[c, i+o, d] * kernels[j][c, d, o, k],
     with the (c, n, d) input zero-padded at the end so every position yields
-    a value. Each window is one im2col matrix product, and one job of a
-    ``_pooled_node``. The input gradient is computed for
-    ``inp.grad_channels`` only, one matmul over each channel's w*d kernel
-    columns; the other channels get zeros.
+    a value. A kernel's free reshape to (c * d, w * k) is ``conv_maps``'
+    offset-major matrix: the (c, n, d) input is joined once as x, (n, c * d),
+    and each window is ``conv_maps``' product and shifted adds, one job of a
+    ``_pooled_node``. Backward, G_s is the (n, w * k) map gradient whose
+    offset-o column block is shifted down by o rows; the kernel gradient is
+    x.T @ G_s, and the input gradient is computed for ``inp.grad_channels``
+    only, G_s times each such channel's kernel rows; the other channels get
+    zeros.
     """
     if inp.data.ndim != 3:
         raise DimensionError("conv_bank expects a (channel, position, dim) input")
@@ -555,33 +558,32 @@ def conv_bank(inp: Tensor, kernels: Sequence[Tensor]) -> Tensor:
     c, n, d = inp.shape
     for kern in kernels:
         if kern.data.ndim != 4:
-            raise DimensionError(f"conv_bank expects (k, c, w, d) kernels, got {kern.shape}")
-        _, kc, w, kd = kern.shape
+            raise DimensionError(f"conv_bank expects (c, d, w, k) kernels, got {kern.shape}")
+        kc, kd, w, _ = kern.shape
         if (kc, kd) != (c, d):
             raise DimensionError(f"conv_bank: window {w}: kernel channels/dim {(kc, kd)} "
                                  f"do not match input {(c, d)}")
         if w < 1:
             raise WindowError(f"conv_bank: window must be >= 1, got {w}")
     _check_length(n)
+    x = inp.data.transpose(1, 0, 2).reshape(n, c * d)
 
-    def forward(kern: Tensor) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        k, _, w, _ = kern.shape
-        cols = _im2col(inp.data, w)
-        k_flat = kern.data.reshape(k, c * w * d)
-        return cols @ k_flat.T, (cols, k_flat)
+    def forward(kern: Tensor) -> tuple[np.ndarray, None]:
+        w, k = kern.shape[2:]
+        return _window_maps(x, kern.data.reshape(c * d, w * k), w), None
 
-    def backward(kern: Tensor, saved: tuple, g: np.ndarray) -> np.ndarray | None:
-        cols, k_flat = saved
-        w = kern.shape[2]
-        g = np.ascontiguousarray(g)
-        _accumulate_product(kern, g.T, cols)
+    def backward(kern: Tensor, _, g: np.ndarray) -> np.ndarray | None:
+        w, k = kern.shape[2:]
+        g_s = np.zeros((n, w * k))
+        for o in range(min(w, n)):      # offset o's rows past the end add nothing
+            g_s[o:, o * k:(o + 1) * k] = g[:n - o]
+        _accumulate_product(kern, x.T, g_s)
         if not inp.requires_grad:
             return None
+        rows = kern.data.reshape(c, d, w * k)
         dx = np.zeros((c, n, d))
         for ch in range(c) if inp.grad_channels is None else inp.grad_channels:
-            contrib = (g @ k_flat[:, ch * w * d:(ch + 1) * w * d]).reshape(n, w, d)
-            for o in range(min(w, n)):      # offset o's rows past the end add nothing
-                dx[ch, o:] += contrib[:n - o, o]
+            np.matmul(g_s, rows[ch].T, out=dx[ch])
         return dx
 
     return _pooled_node("conv_bank", inp, kernels, kernels, [kern.size for kern in kernels],
@@ -592,40 +594,32 @@ def conv_maps(x: np.ndarray, kernels: Sequence[np.ndarray],
               windows: Sequence[int]) -> np.ndarray:
     """``conv_bank``'s forward on no tape, over the (n, sum of d_c) rows
     ``x`` of every channel side by side, whose widths may differ. Kernel j
-    is ``fold_kernels``' offset-major (sum of d_c, w_j * k_j) matrix.
-    Window j is one pool task: y = x @ kernel j, then map row i adds y's
-    offset-o column block at row i + o, and a row past the sentence's end
-    adds nothing. No window matrix is built."""
-    n = x.shape[0]
-    _check_length(n)
-
-    def window(j: int) -> np.ndarray:
-        y = x @ kernels[j]
-        k = y.shape[1] // windows[j]
-        out = y[:, :k].copy()
-        for o in range(1, min(windows[j], n)):
-            out[:n - o] += y[o:, o * k:(o + 1) * k]
-        return out
-
-    maps = _largest_first(window, range(len(kernels)), [kern.size for kern in kernels])
+    is ``fold_kernels``' offset-major (sum of d_c, w_j * k_j) matrix, and
+    window j is one pool task of ``_window_maps``."""
+    _check_length(x.shape[0])
+    maps = _largest_first(lambda j: _window_maps(x, kernels[j], windows[j]),
+                          range(len(kernels)), [kern.size for kern in kernels])
     return np.concatenate(maps, axis=1)
 
 
 def fold_kernels(kernels: Sequence[np.ndarray],
                  linear: Mapping[int, np.ndarray]) -> list[np.ndarray]:
-    """``conv_maps`` kernels for (k, c, w, d) conv kernels whose input
-    channel ch is ``x @ linear[ch].T``, a (d, d_ch) map of an (n, d_ch)
-    matrix x; every other channel is taken as it is. Each window's kernel
-    is offset-major, a (sum of d_c, w * k) copy: row block c holds channel
+    """``conv_maps`` kernels for (c, d, w, k) conv kernels whose input
+    channel ch is ``x @ linear[ch]``, a (d_ch, d) map of an (n, d_ch)
+    matrix x; every other channel is taken as it is. A kernel's free
+    reshape to (c * d, w * k) is offset-major: row block c holds channel
     c's input dimensions and column o * k + kk offset o of kernel kk. A
-    mapped channel's block is one product, ``linear[ch].T @ K[:, ch]`` in
-    that layout, and each window is one pool task."""
+    mapped channel's block is one product, ``linear[ch] @ K[ch]`` in that
+    layout, in a (sum of d_c, w * k) copy; with nothing mapped the kernels
+    are returned as those reshapes. Each window is one pool task."""
 
     def fold(kern: np.ndarray) -> np.ndarray:
-        k, c, w, d = kern.shape
-        blocks = [kern[:, ch].transpose(2, 1, 0).reshape(d, w * k) for ch in range(c)]
-        return np.concatenate([linear[ch].T @ block if ch in linear else block
-                               for ch, block in enumerate(blocks)])
+        c, d, w, k = kern.shape
+        blocks = kern.reshape(c, d, w * k)
+        if not linear:
+            return kern.reshape(c * d, w * k)
+        return np.concatenate([linear[ch] @ blocks[ch] if ch in linear else blocks[ch]
+                               for ch in range(c)])
 
     return _largest_first(fold, kernels, [kern.size for kern in kernels])
 

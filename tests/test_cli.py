@@ -1025,11 +1025,13 @@ class TestProbeCommand:
         out = tmp_path / "probe"
         assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
                      "--mode", "l2", "--out", str(out)]) == 3
-        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        rows = 8 * dim * 4 * 2          # the reference's rows and one layer's, 4 tokens each
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2 + rows
         bound, source = tc.usable_memory()
         assert capsys.readouterr().err == (
             f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
-            f"1 thread(s), more than the {bound} bytes of {source}\n")
+            f"1 thread(s), {rows} of them for the rows of 4 tokens (the reference's and "
+            f"each thread's layer's), more than the {bound} bytes of {source}\n")
         assert not out.exists()
 
     def test_l2_memory_check_counts_the_procrustes_peak(self, tmp_path, capsys, monkeypatch):
@@ -1046,11 +1048,13 @@ class TestProbeCommand:
         out = tmp_path / "probe"
         assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
                      "--mode", "l2", "--out", str(out)]) == 3
-        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
-        assert needed > bound
+        rows = 8 * dim * 4 * 2
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2 + rows
+        assert needed - rows > bound
         assert capsys.readouterr().err == (
             f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
-            f"1 thread(s), more than the {bound} bytes of physical memory\n")
+            f"1 thread(s), {rows} of them for the rows of 4 tokens (the reference's and "
+            f"each thread's layer's), more than the {bound} bytes of physical memory\n")
         assert not out.exists()
 
     def test_l2_memory_check_reads_the_cgroup_limit(self, tmp_path, capsys, monkeypatch):
@@ -1074,11 +1078,48 @@ class TestProbeCommand:
         out = tmp_path / "probe"
         assert main(["probe", "--data", str(data), "--layer-files", str(a), str(b),
                      "--mode", "l2", "--out", str(out)]) == 3
-        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2
+        rows = 8 * dim * 4 * 2
+        needed = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2 + rows
         limit_file = tmp_path / "cgroup" / "memory" / "job" / "memory.limit_in_bytes"
         assert capsys.readouterr().err == (
             f"error: {a}: dimension {dim}: the rotated l2 probe needs {needed} bytes on "
-            f"1 thread(s), more than the {limit} bytes of the memory limit in {limit_file}\n")
+            f"1 thread(s), {rows} of them for the rows of 4 tokens (the reference's and "
+            f"each thread's layer's), more than the {limit} bytes of the memory limit in "
+            f"{limit_file}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["rotated", "raw"])
+    def test_l2_memory_check_counts_the_rows(self, tmp_path, capsys, monkeypatch, variant):
+        # room for the d x d matrices the check counted before, not for the
+        # rows: 6 tokens on 2 threads hold the reference's rows and two
+        # layers' at once
+        dim, tokens = 64, 6
+        data = self._one_token_corpus(tmp_path, tokens)
+        paths = [tmp_path / f"{name}.cemb" for name in "abc"]
+        for index, path in enumerate(paths, 1):
+            write_contextual(path, index, dim, {i: np.full((1, dim), i + index, dtype=np.float32)
+                                                for i in range(tokens)})
+        rows = 8 * dim * tokens * 3
+        squares = space_analysis.PROCRUSTES_SQUARES * 8 * dim ** 2 * 2
+        if variant == "raw":
+            squares = 0
+        bound = squares + rows - 1      # the old count, the squares alone, fits
+        monkeypatch.setattr(tc, "usable_memory", lambda: (bound, "physical memory"),
+                            raising=False)
+
+        def never(*args):
+            raise AssertionError("a layer's rows were read")
+
+        monkeypatch.setattr(embedding_io.ContextualLayerFile, "all_rows", never)
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(data), "--layer-files", *map(str, paths),
+                     "--mode", "l2", "--l2-variant", variant, "--threads", "2",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {paths[0]}: dimension {dim}: the {variant} l2 probe needs "
+            f"{squares + rows} bytes on 2 thread(s), {rows} of them for the rows of "
+            f"{tokens} tokens (the reference's and each thread's layer's), more than the "
+            f"{bound} bytes of physical memory\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("scale", [(1.0, 2.0), (3.0, -5.0, 0.0)])
@@ -2153,13 +2194,14 @@ class TestSentenceMemory:
         config = tmp_path / "paper.cfg"
         config.write_text("# the paper's model\n")
         absent = str(tmp_path / "absent")
-        bound = 4 << 30
+        bound = 3 << 30
         self._bounded(monkeypatch, bound, "physical memory")
         out = tmp_path / "run"
         assert main(["train", "--data", str(long), "--glove", absent, "--layers", absent, absent,
                      "--config", str(config), "--out", str(out)]) == 3
         needed = tagger_model.activation_bytes(ModelConfig(), 20000, True)
-        assert needed > 20000 * 3 * 14 * 1024 * 8 > bound
+        # the conv's input and joined rows, and four input-gradient blocks and their sum
+        assert needed > 20000 * 7 * 3 * 1024 * 8 > bound
         assert capsys.readouterr().err == (
             f"error: {long}: sentence long: training on its 20000 tokens needs {needed} "
             f"bytes of activations, more than the {bound} bytes of physical memory\n")

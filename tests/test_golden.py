@@ -18,6 +18,12 @@ Run as a script, this file prints a fresh record in the golden's layout:
 
     python3 tests/test_golden.py > tests/golden/train_paper.json
 
+With ``--compare`` it prints instead how far a fresh run is from the
+recorded one, in the terms of the off-build comparison (``deviations``):
+each parameter's sum and sum of magnitudes off by a share of its recorded
+sum of magnitudes, its first 8 elements' worst ulps, each probed
+sentence's worst probability ulps, and which digests are equal.
+
 Re-recording is a change of test data: say in CHANGES.md which op changed
 the bits and why.
 """
@@ -117,16 +123,34 @@ def test_train_paper_seed_7_matches_the_golden_run(tmp_path):
           f"{SUM_TOLERANCE} of each parameter's sum of magnitudes, the parameters' "
           f"first elements within {PARAM_ULP_BUDGET} ulps and the probabilities "
           f"within {PROB_ULP_BUDGET} ulps, not the digests")
-    for name, want in golden["param_sums"].items():
-        scale = golden["param_abs_sums"][name]
-        assert abs(got["param_sums"][name] - want) <= SUM_TOLERANCE * scale, name
-        assert abs(got["param_abs_sums"][name] - scale) <= SUM_TOLERANCE * scale, name
-        worst = _ulps(got["param_first_8"][name], golden["param_first_8"][name])
-        assert worst <= PARAM_ULP_BUDGET, (name, worst)
-    for index, (mine, recorded) in enumerate(zip(got["dev_probs_first_3"],
-                                                  golden["dev_probs_first_3"], strict=True)):
-        worst = _ulps(mine, recorded)
+    off = deviations(got, golden)
+    for name in golden["param_sums"]:
+        assert off["param_sum"][name] <= SUM_TOLERANCE, name
+        assert off["param_abs_sum"][name] <= SUM_TOLERANCE, name
+        assert off["param_first_8_ulps"][name] <= PARAM_ULP_BUDGET, name
+    for index, worst in enumerate(off["dev_probs_ulps"]):
         assert worst <= PROB_ULP_BUDGET, (index, worst)
+
+
+def deviations(got: dict, golden: dict) -> dict:
+    """How far the record ``got`` is from ``golden``: each parameter's sum
+    and sum of magnitudes off by a share of its recorded sum of magnitudes,
+    its first 8 elements' worst ulps, each probed sentence's worst
+    probability ulps, and whether each digest is equal."""
+    scale = golden["param_abs_sums"]
+    return {
+        "param_sum": {name: abs(got["param_sums"][name] - want) / scale[name]
+                      for name, want in golden["param_sums"].items()},
+        "param_abs_sum": {name: abs(got["param_abs_sums"][name] - want) / want
+                          for name, want in scale.items()},
+        "param_first_8_ulps": {name: _ulps(got["param_first_8"][name], want)
+                               for name, want in golden["param_first_8"].items()},
+        "dev_probs_ulps": [_ulps(mine, recorded) for mine, recorded in
+                           zip(got["dev_probs_first_3"], golden["dev_probs_first_3"],
+                               strict=True)],
+        "sha256_equal": {key: got["sha256"][key] == want
+                         for key, want in golden["sha256"].items()},
+    }
 
 
 def _ulps(mine: list[str], recorded: list[str]) -> float:
@@ -141,4 +165,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(run_plan(Path(tmp)), indent=1, sort_keys=True))
+        record = run_plan(Path(tmp))
+    if sys.argv[1:] == ["--compare"]:
+        record = deviations(record, json.loads(GOLDEN.read_text()))
+    print(json.dumps(record, indent=1, sort_keys=True))

@@ -1,7 +1,9 @@
 """Model configuration, forward contract, training behavior, checkpoints."""
 
 import dataclasses
+import itertools
 import json
+import math
 import re
 import struct
 import subprocess
@@ -526,13 +528,20 @@ class TestTraining:
 
 
 class TestActivationBytes:
-    def test_paper_config_counts_the_window_matrices_per_token(self):
+    def test_paper_config_counts_the_joined_rows_and_no_window_matrix_per_token(self):
         cfg = ModelConfig()
-        windows = 3 * 14 * 1024 * 8          # channels x window offsets x dim x 8 bytes
-        assert activation_bytes(cfg, 1, True) > windows > activation_bytes(cfg, 1, False)
-        for training in (True, False):
-            assert activation_bytes(cfg, 20000, training) == 20000 * activation_bytes(
-                cfg, 1, training)
+        lstm_and_maps = 14 * 256 + 2 * 400
+        rows = 3 * 1024                     # channels x dim: the input, x or one block
+        windows = 3 * 14 * 1024 * 8         # channels x window offsets x dim x 8 bytes
+        # the input, x, four input-gradient blocks and their sum
+        assert activation_bytes(cfg, 1, True) == 8 * (lstm_and_maps + 7 * rows)
+        assert windows > activation_bytes(cfg, 1, True) > activation_bytes(cfg, 1, False)
+        # no static channel: the input, x and the last window's shifted map gradient
+        layers = ModelConfig(channel_order=("E", "B"))
+        assert activation_bytes(layers, 1, True) == 8 * (lstm_and_maps + 2 * 2048 + 2 * 100)
+        for config, training in itertools.product((cfg, layers), (True, False)):
+            assert activation_bytes(config, 20000, training) == 20000 * activation_bytes(
+                config, 1, training)
 
     @pytest.mark.parametrize("order", [("G", "E", "B"), ("E", "B")])
     def test_is_a_lower_bound_on_a_traced_step_and_score(self, order):
@@ -725,6 +734,72 @@ class TestFoldedInference:
         model, batch = micro_model_and_batch()
         model.predict_probs(batch[0][0])
         assert model._fold is None
+
+
+class TestParameterLayout:
+    """The model stores ``proj_w`` and the conv kernels in the layout their
+    products read and converts only at the checkpoint boundary:
+    ``params=`` takes the checkpoint layout and ``export_params`` gives it
+    back, bit for bit."""
+
+    CONFIGS = [
+        ModelConfig(unified_dim=6, static_dim=4, window_sizes=(3, 1), kernels_per_window=2,
+                    hidden_size=3, seed=4),
+        ModelConfig(unified_dim=6, static_dim=4, window_sizes=(2,), kernels_per_window=3,
+                    hidden_size=3, channel_order=("E", "B"), seed=5),
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["GEB", "EB"])
+    def test_params_in_are_the_params_exported(self, config):
+        rng = np.random.default_rng(6)
+        given = {name: rng.normal(size=shape) for name, shape in _param_shapes(config).items()}
+        exported = MetaphorTagger(config, params=given).export_params()
+        assert list(exported) == list(given)
+        for name, arr in given.items():
+            assert exported[name].shape == arr.shape, name
+            assert exported[name].tobytes() == arr.tobytes(), name
+            assert exported[name].flags.c_contiguous, name
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["GEB", "EB"])
+    def test_stored_layouts_are_the_products_operands(self, config):
+        model = MetaphorTagger(config)
+        exported = model.export_params()
+        for name, p in model.params.items():
+            assert p.data.flags.c_contiguous, name
+            if name == "proj_w":
+                assert p.data.tobytes() == exported[name].T.tobytes()
+            elif name.startswith("conv_w"):
+                assert p.data.tobytes() == exported[name].transpose(1, 3, 2, 0).tobytes()
+            else:
+                assert p.data.tobytes() == exported[name].tobytes(), name
+
+    def test_a_saved_checkpoint_resaves_to_identical_bytes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        config = self.CONFIGS[0]
+        given = {name: rng.normal(size=shape) for name, shape in _param_shapes(config).items()}
+        first, second = tmp_path / "a.mseq", tmp_path / "b.mseq"
+        save_checkpoint(Checkpoint(config, given, 2, 0.5), first)
+        model = MetaphorTagger.from_checkpoint(load_checkpoint(first))
+        save_checkpoint(Checkpoint(config, model.export_params(), 2, 0.5), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["GEB", "EB"])
+    def test_a_fresh_model_exports_the_glorot_draws_in_checkpoint_order(self, config):
+        rng = tc.RngStream(config.seed, 1)
+        hidden = config.hidden_size
+        exported = MetaphorTagger(config).export_params()
+        for name, shape in _param_shapes(config).items():
+            if name.endswith("_b"):
+                want = np.zeros(shape)
+                if name.startswith("lstm_"):
+                    want[hidden:2 * hidden] = 1.0
+            else:
+                fan_in, fan_out = shape[0], shape[-1]
+                if name.startswith("conv_w"):
+                    fan_in, fan_out = math.prod(shape[1:]), shape[0]
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                want = rng.uniform(shape, -limit, limit)
+            assert exported[name].tobytes() == want.tobytes(), name
 
 
 class TestCheckpointCodec:

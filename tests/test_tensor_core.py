@@ -89,12 +89,12 @@ class TestMatmul:
 
 
 class TestConvSeq:
-    """Single-kernel sequence convolution: conv_bank with a (1, c, w, d) kernel."""
+    """Single-kernel sequence convolution: conv_bank with a (c, d, w, 1) kernel."""
 
     def test_zero_kernel(self):
         rng = np.random.default_rng(1)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)))
-        k = tc.Tensor(np.zeros((1, 2, 3, 3)))
+        k = tc.Tensor(np.zeros((2, 3, 3, 1)))
         assert not tc.conv_bank(stack, [k]).data.any()
 
     def test_identity_window(self):
@@ -126,7 +126,8 @@ class TestConvSeq:
                 for o in range(w):
                     for di in range(d):
                         expected[i] += padded[ci, i + o, di] * kern[ci, o, di]
-        got = tc.conv_bank(tc.Tensor(inp), [tc.Tensor(kern[None])]).data[:, 0]
+        got = tc.conv_bank(tc.Tensor(inp), [tc.Tensor(kern.transpose(0, 2, 1)[..., None])]
+                           ).data[:, 0]
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_output_length_equals_input_length(self):
@@ -134,22 +135,22 @@ class TestConvSeq:
         for n in (1, 2, 5, 9):
             for w in (1, 2, 5):
                 stack = tc.Tensor(rng.normal(size=(2, n, 3)))
-                k = tc.Tensor(rng.normal(size=(1, 2, w, 3)))
+                k = tc.Tensor(rng.normal(size=(2, 3, w, 1)))
                 assert tc.conv_bank(stack, [k]).shape == (n, 1)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), [tc.Tensor(np.zeros((1, 3, 2, 3)))])
+            tc.conv_bank(tc.Tensor(np.zeros((2, 4, 3))), [tc.Tensor(np.zeros((3, 3, 2, 1)))])
 
     def test_empty_sequence_is_window_error(self):
         from metaseq.errors import WindowError
         with pytest.raises(WindowError):
-            tc.conv_bank(tc.Tensor(np.zeros((1, 0, 2))), [tc.Tensor(np.zeros((1, 1, 2, 2)))])
+            tc.conv_bank(tc.Tensor(np.zeros((1, 0, 2))), [tc.Tensor(np.zeros((1, 2, 2, 1)))])
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        k = tc.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        k = tc.Tensor(rng.normal(size=(2, 3, 3, 1)), requires_grad=True)
 
         def build():
             f = tc.conv_bank(stack, [k])
@@ -160,16 +161,16 @@ class TestConvSeq:
     def test_bank_matches_single_kernels(self):
         rng = np.random.default_rng(4)
         stack = tc.Tensor(rng.normal(size=(3, 7, 4)))
-        kernels = tc.Tensor(rng.normal(size=(5, 3, 2, 4)))
+        kernels = tc.Tensor(rng.normal(size=(3, 4, 2, 5)))
         bank = tc.conv_bank(stack, [kernels]).data
         for j in range(5):
-            single = tc.conv_bank(stack, [tc.Tensor(kernels.data[j:j + 1])]).data[:, 0]
+            single = tc.conv_bank(stack, [tc.Tensor(kernels.data[..., j:j + 1])]).data[:, 0]
             np.testing.assert_allclose(bank[:, j], single, atol=1e-12)
 
     def test_bank_gradient(self):
         rng = np.random.default_rng(5)
         stack = tc.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        kernels = tc.Tensor(rng.normal(size=(3, 2, 2, 3)), requires_grad=True)
+        kernels = tc.Tensor(rng.normal(size=(2, 3, 2, 3)), requires_grad=True)
         check_grads(lambda: sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
 
@@ -183,7 +184,7 @@ class TestConvBankTrainableChannels:
         rng = np.random.default_rng(40 + w)
         mats = [tc.Tensor(rng.normal(size=(5, 3)), requires_grad=trainable in (i, "all"))
                 for i in range(3)]
-        kernels = tc.Tensor(rng.normal(size=(4, 3, w, 3)), requires_grad=True)
+        kernels = tc.Tensor(rng.normal(size=(3, 3, w, 4)), requires_grad=True)
 
         def build():
             # a fresh stream per call: the same dropout mask every time
@@ -208,13 +209,14 @@ class TestConvBankTrainableChannels:
         tc.backward(loss, tape)
         assert block.grad_channels == (trainable,)
 
-        # oracle: the input gradient of every channel from one matmul
+        # oracle: the input gradient of every channel from one matmul of the
+        # shifted map gradient and every kernel row
         c, n, d = block.shape
-        contrib = (out.grad @ kernels.data.reshape(4, -1)).reshape(n, c, w, d)
-        dpad = np.zeros((c, n + w - 1, d))
-        for o in range(w):
-            dpad[:, o:o + n, :] += contrib[:, :, o, :].transpose(1, 0, 2)
-        assert block.grad[trainable].tobytes() == dpad[trainable, :n, :].tobytes()
+        shifted = np.zeros((n, w, 4))
+        for o in range(min(w, n)):
+            shifted[o:, o] = out.grad[:n - o]
+        every = (shifted.reshape(n, -1) @ kernels.data.reshape(c * d, -1).T).reshape(n, c, d)
+        assert block.grad[trainable].tobytes() == every[:, trainable].tobytes()
         assert not np.delete(block.grad, trainable, axis=0).any()
         for i, m in enumerate(mats):
             assert (m.grad is None) == (i != trainable)
@@ -236,7 +238,7 @@ class TestConvBankWindows:
     def _inputs(self, seed=50):
         rng = np.random.default_rng(seed)
         stack = tc.Tensor(rng.normal(size=(3, 6, 4)), requires_grad=True)
-        kernels = [tc.Tensor(rng.normal(size=(k, 3, w, 4)), requires_grad=True)
+        kernels = [tc.Tensor(rng.normal(size=(3, 4, w, k)), requires_grad=True)
                    for w, k in zip(self.WINDOWS, self.COUNTS)]
         return stack, kernels
 
@@ -249,9 +251,9 @@ class TestConvBankWindows:
         at = 0
         for kern in kernels:
             single = tc.conv_bank(stack, [kern]).data
-            for col in range(kern.shape[0]):
+            for col in range(kern.shape[3]):
                 assert bank[:, at + col].tobytes() == single[:, col].tobytes()
-            at += kern.shape[0]
+            at += kern.shape[3]
 
     def test_gradient_matches_finite_differences(self):
         stack, kernels = self._inputs(51)
@@ -291,7 +293,7 @@ class TestConvBankWindows:
 
     def test_mismatch_names_the_window(self):
         stack, kernels = self._inputs()
-        wrong = tc.Tensor(np.zeros((2, 2, 5, 4)))
+        wrong = tc.Tensor(np.zeros((2, 4, 5, 2)))
         with pytest.raises(DimensionError, match=r"window 5: kernel channels/dim \(2, 4\)"):
             tc.conv_bank(stack, [kernels[0], wrong])
 
@@ -313,10 +315,10 @@ class TestConvMaps:
                                                       mapped, n, seed):
         mapped = None if mapped is None else mapped % c    # the mapped channel, if any
         rng = np.random.default_rng(seed)
-        linear = {} if mapped is None else {mapped: rng.normal(size=(d, mapped_dim))}
+        linear = {} if mapped is None else {mapped: rng.normal(size=(mapped_dim, d))}
         mats = [rng.normal(size=(n, mapped_dim if ch == mapped else d)) for ch in range(c)]
-        kernels = [rng.normal(size=(int(rng.integers(1, 5)), c, w, d)) for w in windows]
-        stack = np.stack([m @ linear[ch].T if ch in linear else m for ch, m in enumerate(mats)])
+        kernels = [rng.normal(size=(c, d, w, int(rng.integers(1, 5)))) for w in windows]
+        stack = np.stack([m @ linear[ch] if ch in linear else m for ch, m in enumerate(mats)])
         want = tc.conv_bank(tc.Tensor(stack), [tc.Tensor(kern) for kern in kernels]).data
         got = []
         for width in (1, 2):
@@ -404,7 +406,7 @@ class TestOpPool:
     def _step():
         rng = np.random.default_rng(60)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        kernels = [tc.Tensor(rng.normal(size=(2, 2, w, 3)), requires_grad=True)
+        kernels = [tc.Tensor(rng.normal(size=(2, 3, w, 2)), requires_grad=True)
                    for w in (1, 2, 3, 4)]
         with tc.Tape() as tape:
             loss = sum_all(tc.tanh_act(tc.conv_bank(stack, kernels)))
@@ -433,7 +435,7 @@ class TestOpPool:
         def run(seed, log=None):
             rng = np.random.default_rng(seed)
             stack = tc.Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
-            kernels = [tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
+            kernels = [tc.Tensor(rng.normal(size=(2, 3, w, 3)), requires_grad=True)
                        for w in (1, 2, 3, 4)]
             for _ in range(20):
                 with tc.Tape() as tape:
@@ -810,7 +812,7 @@ _RECORDED = {
     "concat_cols": ("concat_cols", [(2, 3), (2, 1)], lambda *parts: tc.concat_cols(parts)),
     "stack_rows": ("stack_rows", [(1, 3), (1, 3)], lambda *rows: tc.stack_rows(rows)),
     "stack_mats": ("stack_mats", [(2, 3), (2, 3)], lambda *mats: tc.stack_mats(mats)),
-    "conv_bank": ("conv_bank", [(2, 4, 3), (2, 2, 2, 3), (1, 2, 3, 3)],
+    "conv_bank": ("conv_bank", [(2, 4, 3), (2, 3, 2, 2), (2, 3, 3, 1)],
                   lambda x, *kernels: tc.conv_bank(x, kernels)),
     "lstm": ("lstm", [(4, 3), (3, 8), (2, 8), (8,)],
              lambda x, wx, wh, b: tc.lstm(x, [(wx, wh, b, False)])),
@@ -1032,6 +1034,6 @@ class TestOpGradientsAgainstFiniteDifferences:
     def test_conv_bank(self, w):
         rng = np.random.default_rng(20 + w)
         stack = tc.Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        kernels = tc.Tensor(rng.normal(size=(3, 2, w, 3)), requires_grad=True)
+        kernels = tc.Tensor(rng.normal(size=(2, 3, w, 3)), requires_grad=True)
         check_grads(lambda: sum_all(tc.tanh_act(tc.conv_bank(stack, [kernels]))),
                     [stack, kernels])
