@@ -409,9 +409,8 @@ class MetaphorTagger:
         """Each window's offset-major conv kernels over the unprojected
         channels, for ``tc.conv_maps``: the static channel's block takes the
         projection of its rows with a ones column appended, the stored
-        ``proj_w`` rows and the ``proj_b`` row times its stored kernel rows,
-        in a copy of the kernels. With no static channel they are the stored
-        kernels' reshapes, no copy."""
+        ``proj_w`` rows and the ``proj_b`` row times its stored kernel rows.
+        A copy of the kernels, with or without a static channel."""
         order = self.config.channel_order
         linear = {}
         if "G" in order:
@@ -444,8 +443,8 @@ class MetaphorTagger:
     def scorer(self) -> "MetaphorTagger":
         """A shallow copy for one labelling pass: it shares ``config`` and
         the parameter tensors, and holds the kernels folded from them now.
-        A parameter update after this can leave it stale, so a pass makes
-        its own and drops it when it returns."""
+        A parameter update after this leaves it stale, so a pass makes its
+        own and drops it when it returns."""
         scorer = copy.copy(self)
         scorer._fold = self._folded_kernels()
         return scorer

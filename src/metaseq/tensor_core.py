@@ -608,16 +608,14 @@ def fold_kernels(kernels: Sequence[np.ndarray],
     channel ch is ``x @ linear[ch]``, a (d_ch, d) map of an (n, d_ch)
     matrix x; every other channel is taken as it is. A kernel's free
     reshape to (c * d, w * k) is offset-major: row block c holds channel
-    c's input dimensions and column o * k + kk offset o of kernel kk. A
-    mapped channel's block is one product, ``linear[ch] @ K[ch]`` in that
-    layout, in a (sum of d_c, w * k) copy; with nothing mapped the kernels
-    are returned as those reshapes. Each window is one pool task."""
+    c's input dimensions and column o * k + kk offset o of kernel kk. Each
+    window's kernel is a (sum of d_c, w * k) copy of those rows, a mapped
+    channel's block the one product ``linear[ch] @ K[ch]``, and each window
+    is one pool task."""
 
     def fold(kern: np.ndarray) -> np.ndarray:
         c, d, w, k = kern.shape
         blocks = kern.reshape(c, d, w * k)
-        if not linear:
-            return kern.reshape(c * d, w * k)
         return np.concatenate([linear[ch] @ blocks[ch] if ch in linear else blocks[ch]
                                for ch in range(c)])
 

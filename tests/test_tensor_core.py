@@ -27,7 +27,7 @@ from metaseq.errors import (
     StateError,
 )
 
-from helpers import fd_gradient, masked_sigmoid, op_pool, sum_all, zero_grads
+from helpers import fd_gradient, masked_sigmoid, op_pool, peak_bytes, sum_all, zero_grads
 
 
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -274,6 +274,25 @@ class TestConvBankWindows:
         want = grads(lambda stack, kernels: tc.concat_cols(
             [tc.conv_bank(stack, [kern]) for kern in kernels]))
         assert got == want
+
+    def test_a_long_sequence_peaks_below_one_window_matrix(self):
+        """Training's conv builds no (n, c * w * d) window matrix: a forward
+        and backward over 400 positions hold less than the widest window's
+        would take."""
+        rng = np.random.default_rng(53)
+        c, n, d, widest = 3, 400, 64, 6
+        stack = tc.Tensor(rng.normal(size=(c, n, d)), requires_grad=True)
+        kernels = [tc.Tensor(rng.normal(size=(c, d, w, 8)), requires_grad=True)
+                   for w in (2, widest)]
+
+        def step():
+            with tc.Tape() as tape:
+                loss = sum_all(tc.conv_bank(stack, kernels))
+            tc.backward(loss, tape)
+
+        for width in (1, 2):
+            with op_pool(width):
+                assert peak_bytes(step) < n * c * widest * d * 8
 
     def test_records_one_tape_node(self):
         stack, kernels = self._inputs()
