@@ -19,8 +19,10 @@ running out of memory are 3.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -173,37 +175,29 @@ def _write_run(out, argv: list[str], config_path, seed: int, inputs: list,
     return paths
 
 
-def _load_layers(config: ModelConfig, layer_paths: list[str],
-                 sentences: list) -> dict[str, object]:
-    """The ``--layers`` files by channel name, each read against
-    ``sentences`` and checked against the configured dimension."""
-    contextual_channels = [c for c in config.channel_order if c != "G"]
-    if len(layer_paths) != len(contextual_channels):
-        raise ParameterError(f"expected {len(contextual_channels)} --layers files for "
-                             f"channels {contextual_channels}, got {len(layer_paths)}")
-    return {name: load_contextual(path, sentences, dimension=config.unified_dim)
-            for name, path in zip(contextual_channels, layer_paths)}
-
-
 def _make_provider(config: ModelConfig, args, sentences: list,
                    dev_sentences: list = ()) -> tuple[ChannelProvider, list]:
     """Wire static table, layer files and feature encoders per the config.
 
-    The layer files must line up with ``sentences``; ``dev_sentences`` are
-    scored on their rows. The static table keeps only the vectors the run
-    can read: every token of both as written, lowercased too when the lexicon
-    lookup lowercases, and the lexicon words, which are the abstractness backoff's
-    candidates. So the lexicon is read before the vector file, and the
-    scorer scores the same tokens once, before any sentence is assembled.
+    Every flag the config needs is checked before any of these files is
+    read. The ``--layers`` files, one per non-G channel in order, must line
+    up with ``sentences``; ``dev_sentences`` are scored on their rows. The
+    static table keeps only the vectors the run can read: every token of
+    both as written, lowercased too when the lexicon lookup lowercases, and
+    the lexicon words, which are the abstractness backoff's candidates. So
+    the lexicon is read before the vector file, and the scorer scores the
+    same tokens once, before any sentence is assembled.
     """
     static = "G" in config.channel_order
+    contextual = [c for c in config.channel_order if c != "G"]
     if static and not args.glove:
         raise ParameterError("channel G is configured but --glove is missing")
     if config.use_abstractness and not args.abst_lexicon:
         raise ParameterError("use_abstractness is configured but --abst-lexicon is missing")
-    if config.use_abstractness and not static:
-        raise ParameterError("use_abstractness requires the static channel G")
-    inputs = list(args.layers or [])
+    if len(args.layers) != len(contextual):
+        raise ParameterError(f"expected {len(contextual)} --layers files for "
+                             f"channels {contextual}, got {len(args.layers)}")
+    inputs = list(args.layers)
     tokens = {t.text for s in (*sentences, *dev_sentences) for t in s.tokens}
     lexicon = static_table = scorer = None
     if config.use_abstractness:
@@ -221,7 +215,8 @@ def _make_provider(config: ModelConfig, args, sentences: list,
             raise CompatibilityError(
                 f"{args.glove}: vector dimension {static_table.dimension} != "
                 f"configured static dimension {config.static_dim}")
-    layer_files = _load_layers(config, args.layers or [], sentences)
+    layer_files = {name: load_contextual(path, sentences, dimension=config.unified_dim)
+                   for name, path in zip(contextual, args.layers)}
 
     pos_vocab = PosVocabulary(config.pos_tags) if config.use_pos else None
     if lexicon is not None:
@@ -310,11 +305,7 @@ def cmd_eval(args, argv: list[str]) -> int:
     rows = [_report_row("overall", "ALL", overall)]
     if args.breakdown:
         per_class = train_eval.breakdown(sentences, predictions, key=args.breakdown)
-        if args.breakdown == "pos":
-            order = [c for c in (*train_eval.OPEN_CLASS_POS, "ALL") if c in per_class]
-        else:
-            order = sorted(per_class)
-        rows.extend(_report_row(args.breakdown, cls, per_class[cls]) for cls in order)
+        rows.extend(_report_row(args.breakdown, cls, report) for cls, report in per_class.items())
 
     [metrics_path] = _write_run(args.out, argv, None, config.seed, inputs,
                                 {"metrics.csv": _REPORT_HEADER + "".join(rows)})
@@ -472,9 +463,11 @@ def cmd_probe(args, argv: list[str]) -> int:
 
         results = _map_layers(one, layers, args.threads)
         for layer_index, projection in results:
-            files[f"pca_layer{layer_index}.csv"] = "token,pos,x,y\n" + "".join(
-                f"{tok.text},{tok.pos},{_fmt(x)},{_fmt(y)}\n"
+            rows = io.StringIO()   # a token or tag holding `,` or `"` is quoted
+            csv.writer(rows, lineterminator="\n").writerows(
+                (tok.text, tok.pos, _fmt(x), _fmt(y))
                 for (_, _, tok), (x, y) in zip(targets, projection.points))
+            files[f"pca_layer{layer_index}.csv"] = "token,pos,x,y\n" + rows.getvalue()
             variance[str(layer_index)] = tuple(
                 _fmt(v) for v in projection.explained_variance)
             print(f"layer {layer_index}: explained variance "

@@ -91,6 +91,9 @@ class ModelConfig:
             raise ParameterError(f"repeated channel in channel order {self.channel_order}")
         if self.use_pos and not self.pos_tags:
             raise ParameterError("use_pos requires pos_tags")
+        for feature in ("use_pos", "use_abstractness"):   # both ride on the static rows
+            if getattr(self, feature) and "G" not in self.channel_order:
+                raise ParameterError(f"{feature} requires the static channel G")
         if len(set(self.pos_tags)) != len(self.pos_tags):
             raise ParameterError(f"repeated tag in pos_tags {self.pos_tags}")
 
@@ -483,10 +486,11 @@ def train(train_sentences, provider, config: ModelConfig, dev_sentences=None,
           stop_at_f1: float | None = None) -> Checkpoint:
     """Seeded SGD over shuffled sentences; returns the best-dev-F1 snapshot.
 
-    Every token contributes to the loss (non-targets train as literal);
-    scoring for model selection uses target tokens only. With no dev split
-    the training sentences double as the dev set. A sentence's channels are
-    built when it is used: right before its step, and again when it is scored.
+    Every token contributes to the loss with its file ``label``, target or
+    not; ``target`` only selects the tokens that model selection scores.
+    With no dev split the training sentences double as the dev set. A
+    sentence's channels are built when it is used: right before its step,
+    and again when it is scored.
     """
     train_sentences = list(train_sentences)
     if not train_sentences:

@@ -187,11 +187,12 @@ def pool_reports(reports: Iterable[MetricsReport]) -> MetricsReport:
 def breakdown(sentences: Sequence[SentenceRecord],
               predictions: Sequence[Sequence[int]],
               key: str) -> dict[str, MetricsReport]:
-    """Per-genre or per-PoS reports over target tokens.
+    """Per-genre or per-PoS reports over target tokens, in report order.
 
-    Genre reports cover the four named genres ("other" is excluded);
-    PoS reports cover the open classes plus an ALL row over every target.
-    Classes with no target tokens are omitted.
+    Genre reports cover the four named genres in ``GENRES`` order ("other"
+    is excluded); PoS reports cover the open classes in ``OPEN_CLASS_POS``
+    order, then an ALL row over every target. Classes with no target
+    tokens are omitted.
     """
     if key not in ("genre", "pos"):
         raise ParameterError(f"breakdown key must be 'genre' or 'pos', got {key!r}")
@@ -215,12 +216,9 @@ def breakdown(sentences: Sequence[SentenceRecord],
                 if tok.pos in OPEN_CLASS_POS:
                     buckets.setdefault(tok.pos, []).append((int(p), tok.label))
                 buckets.setdefault("ALL", []).append((int(p), tok.label))
-    out = {}
-    for cls, pairs in buckets.items():
-        preds = [p for p, _ in pairs]
-        gold = [g for _, g in pairs]
-        out[cls] = compute_metrics(preds, gold)
-    return out
+    order = GENRES if key == "genre" else (*OPEN_CLASS_POS, "ALL")
+    return {cls: compute_metrics([p for p, _ in buckets[cls]], [g for _, g in buckets[cls]])
+            for cls in order if cls in buckets}
 
 
 # ---------------------------------------------------------------------------

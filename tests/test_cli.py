@@ -1,6 +1,7 @@
 """End-to-end CLI runs over synthetic file fixtures."""
 
 import ast
+import csv
 import dataclasses
 import errno
 import functools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from metaseq import cli, embedding_io, space_analysis, tagger_model
+from metaseq import cli, embedding_io, space_analysis, tagger_model, train_eval
 from metaseq import tensor_core as tc
 from metaseq.cli import main, parse_config_file
 from metaseq.embedding_io import (
@@ -95,8 +96,10 @@ class TestTrainCommand:
         assert str(paths["data"]) in manifest["inputs"]
 
     @pytest.mark.parametrize("case", ["layers-count", "glove", "abst-lexicon",
-                                      "abstractness-without-G", "l2-one-file"])
-    def test_missing_glove_is_usage_error(self, corpus_files, tmp_path, capsys, case):
+                                      "abstractness-without-G", "pos-without-G",
+                                      "l2-one-file"])
+    def test_missing_glove_is_usage_error(self, corpus_files, tmp_path, capsys, monkeypatch,
+                                          case):
         # every usage error a command finds itself takes the one error path
         _, paths = corpus_files
         out = tmp_path / "x"
@@ -112,17 +115,57 @@ class TestTrainCommand:
             cfg.write_text(_config_with(paths, "use_abstractness=true"))
             args[args.index("--config") + 1] = str(cfg)
             message = "use_abstractness is configured but --abst-lexicon is missing"
-        elif case == "abstractness-without-G":
-            cfg.write_text(_config_with(paths, "use_abstractness=true", "channel_order=E,B"))
+        elif case.endswith("-without-G"):   # a config rule: raised before --data is read
+            feature = "use_pos" if case == "pos-without-G" else "use_abstractness"
+            cfg.write_text(_config_with(paths, f"{feature}=true", "pos_tags=NOUN,VERB",
+                                        "channel_order=E,B"))
             args[args.index("--config") + 1] = str(cfg)
             args += ["--abst-lexicon", str(DATA_DIR / "abstractness_small.tsv")]
-            message = "use_abstractness requires the static channel G"
+            message = f"{feature} requires the static channel G"
+
+            def unread(path):
+                raise AssertionError(f"{path} was read")
+
+            monkeypatch.setattr(train_eval, "parse_dataset", unread)
         else:
             args = ["probe", "--data", str(paths["data"]), "--layer-files", str(paths["E"]),
                     "--mode", "l2", "--out", str(out)]
             message = "mode=l2 needs a reference file plus at least one layer file"
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_layers_count_is_checked_before_the_vectors_are_read(
+            self, corpus_files, tmp_path, capsys, monkeypatch, command):
+        """A short ``--layers`` is a usage error before the lexicon or the
+        vector file is opened, on a config that needs both."""
+        _, paths = corpus_files
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(_config_with(paths, "use_abstractness=true"))
+        out = tmp_path / "x"
+        if command == "train":
+            args = _train_args(paths, out)
+            args[args.index("--config") + 1] = str(cfg)
+        else:
+            config = ModelConfig(**parse_config_file(cfg))
+            ckpt = tmp_path / "abstractness.mseq"
+            save_checkpoint(Checkpoint(config, {name: np.zeros(shape) for name, shape
+                                                in _param_shapes(config).items()}, 1, 0.0), ckpt)
+            args = ["eval", "--checkpoint", str(ckpt), "--data", str(paths["data"]),
+                    "--glove", str(paths["glove"]), "--layers", str(paths["E"]), str(paths["B"]),
+                    "--out", str(out)]
+        args += ["--abst-lexicon", str(DATA_DIR / "abstractness_small.tsv")]
+        del args[args.index("--layers") + 2]
+
+        def unread(path, *rest):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_static_text", unread)
+        monkeypatch.setattr(cli, "load_abstractness_lexicon", unread)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: expected 2 --layers files for channels ['E', 'B'], got 1\n")
         assert not out.exists()
 
     def test_epochs_flag_is_usage_error(self, corpus_files, tmp_path, capsys):
@@ -729,6 +772,8 @@ class TestMalformedCheckpointConfig:
                      id="float-hidden-size"),
         pytest.param(_json(_meta(use_pos=1)), "use_pos: expected bool, got 1",
                      id="int-use-pos"),
+        pytest.param(_json(_meta(channel_order=["E", "B"], use_pos=True, pos_tags=["NOUN"])),
+                     "use_pos requires the static channel G", id="pos-without-G"),
         pytest.param(_json(_meta(learning_rate=10 ** 400)), "learning_rate: expected float",
                      id="int-beyond-float"),
         pytest.param(_json(_meta(window_sizes=[])), "bad window sizes", id="no-windows"),
@@ -843,6 +888,29 @@ class TestProbeCommand:
         assert len(csv_lines) == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["explained_variance"]["4"] == ["1.000000", "0.000000"]
+
+    def test_pca_quotes_a_field_holding_a_comma(self, tmp_path):
+        """The rows read back by ``csv.reader``; a row with nothing to quote
+        keeps its plain bytes."""
+        words = ["a,b", 'say"so', "w2", "w3"]
+        p = tmp_path / "comma.tsv"
+        p.write_text("".join(f"s{i}\tnews\t0\t{w}\tNOUN\t0\t1\n\n"
+                             for i, w in enumerate(words)))
+        rng = np.random.default_rng(5)
+        layer = tmp_path / "comma.cemb"
+        write_contextual(layer, 3, 4, {i: rng.normal(size=(1, 4)).astype(np.float32)
+                                       for i in range(len(words))})
+        out = tmp_path / "probe"
+        assert main(["probe", "--data", str(p), "--layer-files", str(layer),
+                     "--mode", "pca", "--out", str(out)]) == 0
+        text = (out / "pca_layer3.csv").read_text()
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["token", "pos", "x", "y"]
+        assert [row[:2] for row in rows[1:]] == [[w, "NOUN"] for w in words]
+        assert {len(row) for row in rows} == {4}
+        lines = text.splitlines()
+        assert lines[1].startswith('"a,b",NOUN,') and lines[2].startswith('"say""so",NOUN,')
+        assert lines[3] == ",".join(rows[3]) and lines[4] == ",".join(rows[4])
 
     def test_misaligned_layer_is_exit_3(self, tmp_path):
         data = self._paired_dataset(tmp_path)

@@ -84,6 +84,10 @@ class TestModelConfig:
         for weights in ((float("nan"), 1.0), (1.0, float("inf")), (-1.0, 2.0)):
             with pytest.raises(ParameterError, match="class weights must be finite"):
                 ModelConfig(class_weights=weights)
+        for feature in ("use_pos", "use_abstractness"):   # both ride on channel G
+            with pytest.raises(ParameterError, match=f"^{feature} requires the static channel G$"):
+                ModelConfig(channel_order=("E",), pos_tags=("NOUN",), **{feature: True})
+            ModelConfig(channel_order=("E", "G"), pos_tags=("NOUN",), **{feature: True})
 
     def test_static_input_dim_with_features(self):
         cfg = ModelConfig(use_pos=True, use_abstractness=True,
@@ -496,6 +500,30 @@ class TestTraining:
         assert cp.dev_f1 == best_f1
         assert cp.epoch == min(e for e, f1 in history if f1 == best_f1)
 
+    def test_every_token_trains_on_its_label(self, tmp_path, monkeypatch):
+        """A non-target token's file label is its training label; ``target``
+        only selects the tokens that are scored."""
+        corpus = build_separable_corpus(tmp_path, n_sentences=4, seed=29)
+        cfg = dataclasses.replace(corpus.config, epochs=1)
+        first = corpus.sentences[0]
+        trained_on, losses = [], []
+        loss = MetaphorTagger.sentence_loss
+
+        def spy(self, stack, labels, *args, **kwargs):
+            trained_on.append(labels.tolist())
+            return loss(self, stack, labels, *args, **kwargs)
+
+        monkeypatch.setattr(MetaphorTagger, "sentence_loss", spy)
+        for label in (0, 1):
+            token = dataclasses.replace(first.tokens[0], label=label, target=False)
+            sentences = [dataclasses.replace(first, tokens=[token, *first.tokens[1:]]),
+                         *corpus.sentences[1:]]
+            trained_on.clear()
+            train(sentences, corpus.provider, cfg,
+                  on_epoch=lambda epoch, epoch_loss, f1: losses.append(epoch_loss))
+            assert sorted(trained_on) == sorted(s.labels().tolist() for s in sentences)
+        assert losses[0] != losses[1]
+
     def test_dev_pass_holds_no_gradient_storage(self, tmp_path, monkeypatch):
         corpus = build_separable_corpus(tmp_path, n_sentences=6, seed=17)
         cfg = dataclasses.replace(corpus.config, epochs=2)
@@ -592,6 +620,13 @@ class TestPredict:
         np.testing.assert_array_equal(before, after)
 
 
+def _with_features(order):
+    """``(order, use_pos, use_abstractness)``; the features ride on the
+    static rows, so they are drawn only when ``order`` holds G."""
+    flag = st.booleans() if "G" in order else st.just(False)
+    return st.tuples(st.just(order), flag, flag)
+
+
 class TestFoldedInference:
     """``predict_probs`` scores the unprojected channels through conv kernels
     with the static projection folded in. It must compute the model: the
@@ -605,18 +640,15 @@ class TestFoldedInference:
                                               for name, shape in _param_shapes(config).items()})
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-    @given(order=st.sampled_from([("G", "E", "B"), ("E", "G", "B"), ("E", "B"), ("G",),
-                                  ("B", "G")]),
-           use_pos=st.booleans(), use_abstractness=st.booleans(),
+    @given(channels=st.sampled_from([("G", "E", "B"), ("E", "G", "B"), ("E", "B"), ("G",),
+                                     ("B", "G")]).flatmap(_with_features),
            windows=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
            n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    @example(order=("E", "G", "B"), use_pos=True, use_abstractness=True, windows=[6, 1],
-             n=1, seed=0)
-    @example(order=("G", "E", "B"), use_pos=False, use_abstractness=False, windows=[2, 5],
-             n=3, seed=1)
-    @example(order=("E", "B"), use_pos=False, use_abstractness=True, windows=[4], n=1, seed=2)
-    def test_matches_the_unfolded_forward(self, order, use_pos, use_abstractness, windows,
-                                          n, seed):
+    @example(channels=(("E", "G", "B"), True, True), windows=[6, 1], n=1, seed=0)
+    @example(channels=(("G", "E", "B"), False, False), windows=[2, 5], n=3, seed=1)
+    @example(channels=(("E", "B"), False, False), windows=[4], n=1, seed=2)
+    def test_matches_the_unfolded_forward(self, channels, windows, n, seed):
+        order, use_pos, use_abstractness = channels
         config = ModelConfig(unified_dim=6, static_dim=4, window_sizes=tuple(windows),
                              kernels_per_window=3, hidden_size=3, channel_order=order,
                              use_pos=use_pos, use_abstractness=use_abstractness,

@@ -7,7 +7,9 @@ import pytest
 
 from metaseq.errors import ContractError, InputError, ParameterError, ParseError
 from metaseq.train_eval import (
+    GENRES,
     METAPHOR,
+    OPEN_CLASS_POS,
     MetricsReport,
     SentenceRecord,
     TokenRecord,
@@ -167,6 +169,16 @@ class TestBreakdown:
         assert out["VERB"].f1 == 1.0
         every = out["ALL"]   # non-target NOUN excluded, ADP only in ALL
         assert every.tp + every.fp + every.fn + every.tn == 2
+
+    def test_classes_come_in_report_order(self):
+        """``GENRES`` order, or ``OPEN_CLASS_POS`` then ALL, whatever order
+        the sentences meet them in."""
+        sents = [_sentence(f"s{i}", genre, [("w", pos, 1, 1)])
+                 for i, (genre, pos) in enumerate(zip(reversed(GENRES),
+                                                      reversed(OPEN_CLASS_POS)))]
+        preds = [[1]] * len(sents)
+        assert list(breakdown(sents, preds, key="genre")) == list(GENRES)
+        assert list(breakdown(sents, preds, key="pos")) == [*OPEN_CLASS_POS, "ALL"]
 
     def test_unknown_key(self):
         with pytest.raises(ParameterError):
